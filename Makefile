@@ -65,6 +65,7 @@ cover:
 fuzz-smoke:
 	$(GO) test -run TestNone -fuzz='^FuzzDecompress$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzKernelEquivalence$$' -fuzztime=10s ./internal/compress
+	$(GO) test -run TestNone -fuzz='^FuzzRetrainEquivalence$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzStreamRoundTrip$$' -fuzztime=10s ./internal/stream
 
 # Fault-injection smoke: each fault class alone and all of them combined,
@@ -155,33 +156,40 @@ scaling-curve:
 # bench/full.txt, then a timing-stable best-of-5 run of the hot-path
 # micro-benchmarks into bench/bench.txt — the committed baseline that
 # bench-compare diffs against (benchcmp keeps the min ns/op of the five
-# repeats). Also an instrumented quick run whose metrics JSON snapshots
-# the simulator's behaviour at this commit; CI uploads bench/ as a
-# workflow artifact.
+# repeats). The SC²/FVC table rebuilds take milliseconds each, so they
+# run as a second invocation at 100 iterations per repeat. Also an
+# instrumented quick run whose metrics JSON snapshots the simulator's
+# behaviour at this commit; CI uploads bench/ as a workflow artifact.
 bench-snapshot:
 	@mkdir -p bench
 	$(GO) test -run TestNone -bench=. -benchtime=1x . | tee bench/full.txt
 	$(GO) test -run TestNone \
 		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
 		-benchtime=50000x -count=5 -benchmem . | tee bench/bench.txt
+	$(GO) test -run TestNone -bench '^BenchmarkRetrain' \
+		-benchtime=100x -count=5 -benchmem . | tee -a bench/bench.txt
 	$(GO) run ./cmd/discosim -run disco -benchmark canneal \
 		-ops 2000 -warmup 1000 -metrics bench/metrics.json
 
 # Re-run the tier-2 micro-benchmarks (best of 5) and diff them against
 # the committed baseline (bench/bench.txt) with cmd/benchcmp. Fails when
-# a gated hot path (Compress*, Decompress*, NoCStep*) regresses its
-# ns/op by more than 10%, or — on a multi-CPU host — when the two-phase
+# a gated hot path (Compress*, Decompress*, NoCStep*, Retrain*) regresses
+# its ns/op by more than 10%, or — on a multi-CPU host — when the two-phase
 # engine's 4-worker 8x8 mesh speedup over the serial engine falls below
 # 1.5x (single-CPU hosts report the ratio without enforcing the floor).
+# The second benchcmp holds two earlier wins against the frozen pre-kernel
+# snapshot e2ebench/baseline_pr6.txt (read only, never regenerated).
 bench-compare:
 	@mkdir -p bench
 	$(GO) test -run TestNone \
 		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
 		-benchtime=50000x -count=5 -benchmem . | tee bench/new.txt
+	$(GO) test -run TestNone -bench '^BenchmarkRetrain' \
+		-benchtime=100x -count=5 -benchmem . | tee -a bench/new.txt
 	$(GO) run ./cmd/benchcmp -baseline bench/bench.txt -new bench/new.txt \
-		-gate '^BenchmarkCompress|^BenchmarkDecompress|^BenchmarkNoCStep' -max-regress 10 \
+		-gate '^BenchmarkCompress|^BenchmarkDecompress|^BenchmarkNoCStep|^BenchmarkRetrain' -max-regress 10 \
 		-speedup 'BenchmarkNoCStepMesh8Serial=BenchmarkNoCStepMesh8Workers4' -min-speedup 1.5
-	$(GO) run ./cmd/benchcmp -baseline bench/baseline_pr6.txt -new bench/new.txt \
+	$(GO) run ./cmd/benchcmp -baseline e2ebench/baseline_pr6.txt -new bench/new.txt \
 		-require 'BenchmarkCompressSC2=50,BenchmarkNoCStepMesh8Serial=30'
 
 ci: build lint race test-race-parallel cover fuzz-smoke chaos-smoke resume-smoke soak-smoke

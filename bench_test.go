@@ -7,6 +7,7 @@ package disco_test
 // numbers come from `go run ./cmd/discosim -exp all` (see EXPERIMENTS.md).
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -232,6 +233,53 @@ func BenchmarkDecompressDelta(b *testing.B) {
 		}
 	}
 }
+
+// benchRetrain measures one Retrain after a long stream history: 16384
+// blocks (1 MiB, the discod bulk stream length) cycling drifting 64-bit
+// counters, a repeated word, zeros and pseudorandom words, about 80k
+// distinct values. compress.Stateful runs this rebuild every 256 blocks
+// on both ends of an SC²/FVC stream.
+func benchRetrain(b *testing.B, alg compress.Trainable) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	blk := make([]byte, compress.BlockSize)
+	seen := make(map[uint32]bool)
+	counter := rng.Uint64()
+	for i := 0; i < 16384; i++ {
+		clear(blk)
+		switch i % 4 {
+		case 0:
+			for j := 0; j < len(blk); j += 8 {
+				binary.LittleEndian.PutUint64(blk[j:], counter+uint64(j))
+			}
+			counter += uint64(i%7) + 1
+		case 1:
+			v := rng.Uint32()
+			for j := 0; j < len(blk); j += 4 {
+				binary.LittleEndian.PutUint32(blk[j:], v)
+			}
+		case 3:
+			for j := 0; j < len(blk); j += 8 {
+				binary.LittleEndian.PutUint64(blk[j:], rng.Uint64())
+			}
+		}
+		for j := 0; j < len(blk); j += 4 {
+			seen[binary.LittleEndian.Uint32(blk[j:])] = true
+		}
+		alg.Observe(blk)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		alg.Retrain()
+	}
+	b.ReportMetric(float64(len(seen)), "distinct")
+}
+
+// BenchmarkRetrainSC2Long measures an SC² table + Huffman code rebuild.
+func BenchmarkRetrainSC2Long(b *testing.B) { benchRetrain(b, compress.NewSC2()) }
+
+// BenchmarkRetrainFVCLong measures an FVC table rebuild.
+func BenchmarkRetrainFVCLong(b *testing.B) { benchRetrain(b, compress.NewFVC()) }
 
 // BenchmarkNoCStepIdle measures the simulator's per-cycle cost on an idle
 // 4x4 mesh (the fast path the idle-router skip optimizes).

@@ -1,9 +1,6 @@
 package compress
 
-import (
-	"encoding/binary"
-	"sort"
-)
+import "encoding/binary"
 
 // FVC implements frequent-value compression, the scheme the paper's NoC
 // compression baselines build on (references [7][8]: Jin et al., MICRO
@@ -20,7 +17,7 @@ import (
 type FVC struct {
 	values   []uint32
 	valueIdx map[uint32]int
-	freq     map[uint32]uint64
+	hist     valueHist
 	trained  bool
 }
 
@@ -33,7 +30,7 @@ const fvcIndexBits = 5
 
 // NewFVC returns an untrained frequent-value compressor.
 func NewFVC() *FVC {
-	return &FVC{freq: make(map[uint32]uint64), valueIdx: make(map[uint32]int)}
+	return &FVC{valueIdx: make(map[uint32]int)}
 }
 
 // Name implements Algorithm.
@@ -46,34 +43,16 @@ func (*FVC) CompLatency() int { return 2 }
 func (*FVC) DecompLatency() int { return 2 }
 
 // Observe folds one block into the value statistics.
-func (f *FVC) Observe(block []byte) {
-	for i := 0; i+WordSize <= len(block); i += WordSize {
-		f.freq[binary.LittleEndian.Uint32(block[i:])]++
-	}
-}
+func (f *FVC) Observe(block []byte) { f.hist.observe(block) }
 
-// Retrain rebuilds the frequent-value table from the statistics.
+// Retrain rebuilds the frequent-value table from the statistics: the
+// fvcTableSize most frequent values, ties to the lower value, in
+// O(distinct values).
 func (f *FVC) Retrain() {
-	type vf struct {
-		v uint32
-		n uint64
-	}
-	all := make([]vf, 0, len(f.freq))
-	for v, n := range f.freq {
-		all = append(all, vf{v, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].v < all[j].v
-	})
-	if len(all) > fvcTableSize {
-		all = all[:fvcTableSize]
-	}
+	top := f.hist.topK(fvcTableSize)
 	f.values = f.values[:0]
-	f.valueIdx = make(map[uint32]int, len(all))
-	for i, e := range all {
+	f.valueIdx = make(map[uint32]int, len(top))
+	for i, e := range top {
 		f.values = append(f.values, e.v)
 		f.valueIdx[e.v] = i
 	}

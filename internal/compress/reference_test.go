@@ -7,9 +7,14 @@ package compress
 // these references for every codec; the copies deliberately share as
 // little as possible with the production code (only the stable bitWriter
 // and the sign-extension helpers, whose formats are pinned by their own
-// oracle tests).
+// oracle tests). The retrain section below does the same for the SC²/FVC
+// table builders (TestRetrainMatchesOracle, FuzzRetrainEquivalence).
 
-import "encoding/binary"
+import (
+	"container/heap"
+	"encoding/binary"
+	"sort"
+)
 
 // --- delta ------------------------------------------------------------------
 
@@ -342,6 +347,220 @@ func refCompressSC2(s *SC2, idx map[uint32]int, block []byte) Compressed {
 		}
 	}
 	return Compressed{Alg: s.Name(), SizeBits: w.bits() + sc2HeaderBits, Payload: w.bytes()}
+}
+
+// --- retrain ----------------------------------------------------------------
+
+// The pre-histogram retrain path, kept as the definition the production
+// tables must match byte for byte: copy the whole frequency map into a
+// slice, sort all of it (count desc, value asc), keep the head, then
+// run Huffman through container/heap and assign/decode canonical codes
+// through comparison sorts.
+
+type refVF struct {
+	v uint32
+	f uint64
+}
+
+// refTopK is the full-sort top-k of a frequency map.
+func refTopK(freq map[uint32]uint64, k int) []refVF {
+	all := make([]refVF, 0, len(freq))
+	for v, f := range freq {
+		all = append(all, refVF{v, f})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].f != all[j].f {
+			return all[i].f > all[j].f
+		}
+		return all[i].v < all[j].v
+	})
+	if len(all) > k {
+		all = all[:k]
+	}
+	return all
+}
+
+// refSC2Tables is SC2.Retrain's old body: value table, canonical codes
+// and decoder.
+func refSC2Tables(freq map[uint32]uint64) ([]uint32, []huffCode, huffDecoder) {
+	var total uint64
+	for _, f := range freq {
+		total += f
+	}
+	top := refTopK(freq, sc2TableSize-1)
+	values := make([]uint32, 0, len(top))
+	freqs := make([]uint64, len(top)+1)
+	var covered uint64
+	for i, e := range top {
+		values = append(values, e.v)
+		freqs[i] = e.f + 1
+		covered += e.f
+	}
+	freqs[len(top)] = total - covered + 1 // escape
+	codes := refCanonicalAssign(refHuffLengths(freqs, sc2MaxCodeLen))
+	var dec huffDecoder
+	refDecoderBuild(&dec, codes)
+	return values, codes, dec
+}
+
+// refFVCValues is FVC.Retrain's old value-table selection.
+func refFVCValues(freq map[uint32]uint64) []uint32 {
+	top := refTopK(freq, fvcTableSize)
+	values := make([]uint32, 0, len(top))
+	for _, e := range top {
+		values = append(values, e.v)
+	}
+	return values
+}
+
+type refHuffNode struct {
+	weight uint64
+	sym    int // -1 for internal
+	left   int
+	right  int
+}
+
+// refHuffHeap orders node-arena indices by weight (ties by index).
+type refHuffHeap struct {
+	arena *[]refHuffNode
+	idx   []int
+}
+
+func (h refHuffHeap) Len() int { return len(h.idx) }
+func (h refHuffHeap) Less(i, j int) bool {
+	a, b := (*h.arena)[h.idx[i]], (*h.arena)[h.idx[j]]
+	if a.weight != b.weight {
+		return a.weight < b.weight
+	}
+	return h.idx[i] < h.idx[j]
+}
+func (h refHuffHeap) Swap(i, j int)       { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
+func (h *refHuffHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
+func (h *refHuffHeap) Pop() interface{} {
+	old := h.idx
+	n := len(old)
+	x := old[n-1]
+	h.idx = old[:n-1]
+	return x
+}
+
+func refHuffLengths(freq []uint64, maxLen int) []int {
+	f := append([]uint64(nil), freq...)
+	for {
+		lens := refBuildLengths(f)
+		maxSeen := 0
+		for _, l := range lens {
+			if l > maxSeen {
+				maxSeen = l
+			}
+		}
+		if maxSeen <= maxLen {
+			return lens
+		}
+		for i := range f {
+			f[i] = f[i]/2 + 1
+		}
+	}
+}
+
+func refBuildLengths(freq []uint64) []int {
+	n := len(freq)
+	lens := make([]int, n)
+	if n == 0 {
+		return lens
+	}
+	if n == 1 {
+		lens[0] = 1
+		return lens
+	}
+	arena := make([]refHuffNode, 0, 2*n)
+	h := refHuffHeap{arena: &arena}
+	for i := 0; i < n; i++ {
+		arena = append(arena, refHuffNode{weight: freq[i], sym: i, left: -1, right: -1})
+		h.idx = append(h.idx, i)
+	}
+	heap.Init(&h)
+	for h.Len() > 1 {
+		a := heap.Pop(&h).(int)
+		b := heap.Pop(&h).(int)
+		arena = append(arena, refHuffNode{weight: arena[a].weight + arena[b].weight, sym: -1, left: a, right: b})
+		heap.Push(&h, len(arena)-1)
+	}
+	root := h.idx[0]
+	var walk func(node, depth int)
+	walk = func(node, depth int) {
+		nd := arena[node]
+		if nd.sym >= 0 {
+			if depth == 0 {
+				depth = 1
+			}
+			lens[nd.sym] = depth
+			return
+		}
+		walk(nd.left, depth+1)
+		walk(nd.right, depth+1)
+	}
+	walk(root, 0)
+	return lens
+}
+
+func refCanonicalAssign(lens []int) []huffCode {
+	n := len(lens)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if lens[order[a]] != lens[order[b]] {
+			return lens[order[a]] < lens[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	codes := make([]huffCode, n)
+	code := uint32(0)
+	prevLen := 0
+	for _, sym := range order {
+		l := lens[sym]
+		if prevLen != 0 {
+			code = (code + 1) << uint(l-prevLen)
+		}
+		codes[sym] = huffCode{bits: code, len: l}
+		prevLen = l
+	}
+	return codes
+}
+
+func refDecoderBuild(d *huffDecoder, codes []huffCode) {
+	*d = huffDecoder{symbols: make([]int, 0, len(codes))}
+	type entry struct {
+		sym  int
+		code huffCode
+	}
+	all := make([]entry, 0, len(codes))
+	for s, c := range codes {
+		all = append(all, entry{s, c})
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].code.len != all[b].code.len {
+			return all[a].code.len < all[b].code.len
+		}
+		return all[a].code.bits < all[b].code.bits
+	})
+	for l := 1; l <= sc2MaxCodeLen; l++ {
+		d.firstIdx[l] = len(d.symbols)
+		first := true
+		for _, e := range all {
+			if e.code.len != l {
+				continue
+			}
+			if first {
+				d.firstCode[l] = e.code.bits
+				first = false
+			}
+			d.symbols = append(d.symbols, e.sym)
+			d.count[l]++
+		}
+	}
 }
 
 // --- hybrid -----------------------------------------------------------------

@@ -1,9 +1,8 @@
 package compress
 
 import (
-	"container/heap"
-	"encoding/binary"
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // SC2 stands in for the SC² statistical compression cache (Arelakis &
@@ -20,9 +19,9 @@ import (
 // raw; call Train (or Observe + Retrain) before measuring ratios,
 // mirroring the sampling phase of the real design.
 type SC2 struct {
-	values []uint32          // frequent-value table (escape excluded)
-	codes  []huffCode        // per symbol; escape is the last entry
-	freq   map[uint32]uint64 // accumulated sample statistics
+	values []uint32   // frequent-value table (escape excluded)
+	codes  []huffCode // per symbol; escape is the last entry
+	hist   valueHist  // accumulated sample statistics
 	// Open-addressing value -> packed-codeword table (kernel hot path):
 	// power-of-two slot count at ≤0.5 load, multiplicative hash to the
 	// top bits, linear probing. lookupCodes[i] packs the canonical
@@ -58,7 +57,7 @@ const sc2HeaderBits = 8
 
 // NewSC2 returns an untrained SC² compressor.
 func NewSC2() *SC2 {
-	return &SC2{freq: make(map[uint32]uint64)}
+	return &SC2{}
 }
 
 // Name implements Algorithm.
@@ -77,43 +76,23 @@ func (s *SC2) DecompLatency() int {
 
 // Observe folds one block into the sampling statistics without
 // compressing it. Call Retrain afterwards to rebuild the code.
-func (s *SC2) Observe(block []byte) {
-	for i := 0; i+WordSize <= len(block); i += WordSize {
-		s.freq[binary.LittleEndian.Uint32(block[i:])]++
-	}
-}
+func (s *SC2) Observe(block []byte) { s.hist.observe(block) }
 
 // Retrain rebuilds the value table and canonical Huffman code from the
-// accumulated statistics.
+// accumulated statistics: the sc2TableSize-1 most frequent values (ties
+// to the lower value) plus the escape. It costs O(distinct values) for
+// the selection plus O(table size · log table size) for the code build.
 func (s *SC2) Retrain() {
-	type vf struct {
-		v uint32
-		f uint64
-	}
-	all := make([]vf, 0, len(s.freq))
-	var total uint64
-	for v, f := range s.freq {
-		all = append(all, vf{v, f})
-		total += f
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].f != all[j].f {
-			return all[i].f > all[j].f
-		}
-		return all[i].v < all[j].v
-	})
-	if len(all) > sc2TableSize-1 {
-		all = all[:sc2TableSize-1]
-	}
+	top := s.hist.topK(sc2TableSize - 1)
 	s.values = s.values[:0]
-	freqs := make([]uint64, len(all)+1)
+	freqs := make([]uint64, len(top)+1)
 	var covered uint64
-	for _, e := range all {
+	for i, e := range top {
 		s.values = append(s.values, e.v)
-		freqs[len(s.values)-1] = e.f + 1
-		covered += e.f
+		freqs[i] = e.n + 1
+		covered += e.n
 	}
-	freqs[len(all)] = total - covered + 1 // escape
+	freqs[len(top)] = s.hist.total - covered + 1 // escape
 	lens := huffLengths(freqs, sc2MaxCodeLen)
 	s.codes = canonicalAssign(lens)
 	s.decoder.build(s.codes)
@@ -135,8 +114,12 @@ func (s *SC2) buildLookup() {
 	for 1<<uint(log2) < size {
 		log2++
 	}
-	s.lookupKeys = make([]uint32, size)
-	s.lookupCodes = make([]uint32, size)
+	if len(s.lookupCodes) == size {
+		clear(s.lookupCodes) // a zero code marks a free slot; keys need no reset
+	} else {
+		s.lookupKeys = make([]uint32, size)
+		s.lookupCodes = make([]uint32, size)
+	}
 	s.lookupShift = uint32(32 - log2)
 	mask := uint32(size - 1)
 	for i, v := range s.values {
@@ -303,39 +286,6 @@ func (s *SC2) Decompress(c Compressed) ([]byte, error) {
 
 // --- canonical Huffman machinery -------------------------------------------
 
-// huffNode is a Huffman-tree work item.
-type huffNode struct {
-	weight uint64
-	sym    int // -1 for internal
-	left   int
-	right  int
-}
-
-// huffHeap orders node-arena indices by weight (ties by index, for
-// determinism).
-type huffHeap struct {
-	arena *[]huffNode
-	idx   []int
-}
-
-func (h huffHeap) Len() int { return len(h.idx) }
-func (h huffHeap) Less(i, j int) bool {
-	a, b := (*h.arena)[h.idx[i]], (*h.arena)[h.idx[j]]
-	if a.weight != b.weight {
-		return a.weight < b.weight
-	}
-	return h.idx[i] < h.idx[j]
-}
-func (h huffHeap) Swap(i, j int)       { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *huffHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *huffHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
-}
-
 // huffLengths computes code lengths for all symbols, iteratively
 // flattening the frequency distribution until the longest code fits in
 // maxLen (the standard hardware-friendly length-limiting trick).
@@ -358,7 +308,14 @@ func huffLengths(freq []uint64, maxLen int) []int {
 	}
 }
 
-// buildLengths runs plain Huffman over the symbol set.
+// buildLengths runs plain Huffman over the symbol set with the
+// two-queue method: leaves sorted by (weight, symbol) in one queue,
+// merged nodes in creation order in the other. Merged weights never
+// decrease, so both queues stay ordered by (weight, node index) — leaf
+// i is node i, the j-th merge is node n+j — and taking the smaller
+// front twice per merge pops nodes in exactly the order a priority
+// queue keyed on (weight, node index) would. The merge tree, and with
+// it every length, is that of the textbook heap construction.
 func buildLengths(freq []uint64) []int {
 	n := len(freq)
 	lens := make([]int, n)
@@ -369,51 +326,73 @@ func buildLengths(freq []uint64) []int {
 		lens[0] = 1
 		return lens
 	}
-	arena := make([]huffNode, 0, 2*n)
-	h := huffHeap{arena: &arena}
-	for i := 0; i < n; i++ {
-		arena = append(arena, huffNode{weight: freq[i], sym: i, left: -1, right: -1})
-		h.idx = append(h.idx, i)
+	leaves := make([]int32, n)
+	for i := range leaves {
+		leaves[i] = int32(i)
 	}
-	heap.Init(&h)
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(int)
-		b := heap.Pop(&h).(int)
-		arena = append(arena, huffNode{weight: arena[a].weight + arena[b].weight, sym: -1, left: a, right: b})
-		heap.Push(&h, len(arena)-1)
-	}
-	root := h.idx[0]
-	var walk func(node, depth int)
-	walk = func(node, depth int) {
-		nd := arena[node]
-		if nd.sym >= 0 {
-			if depth == 0 {
-				depth = 1
-			}
-			lens[nd.sym] = depth
-			return
+	slices.SortFunc(leaves, func(a, b int32) int {
+		if c := cmp.Compare(freq[a], freq[b]); c != 0 {
+			return c
 		}
-		walk(nd.left, depth+1)
-		walk(nd.right, depth+1)
+		return cmp.Compare(a, b)
+	})
+	merged := make([]uint64, n-1)  // weight of node n+j
+	parent := make([]int32, 2*n-1) // node -> merge that consumed it
+	li := 0                        // leaf queue front
+	mi := 0                        // merged queue front
+	pop := func(j int) int32 {
+		if li < n && (mi == j || freq[leaves[li]] <= merged[mi]) {
+			li++
+			return leaves[li-1]
+		}
+		mi++
+		return int32(n + mi - 1)
 	}
-	walk(root, 0)
+	weight := func(node int32) uint64 {
+		if int(node) < n {
+			return freq[node]
+		}
+		return merged[int(node)-n]
+	}
+	for j := 0; j < n-1; j++ {
+		a, b := pop(j), pop(j)
+		merged[j] = weight(a) + weight(b)
+		parent[a], parent[b] = int32(n+j), int32(n+j)
+	}
+	// A node is merged before its parent, so walking merges newest
+	// first (the root is the last) sees every parent's depth first.
+	depth := make([]int, n-1)
+	for j := n - 3; j >= 0; j-- {
+		depth[j] = depth[int(parent[n+j])-n] + 1
+	}
+	for i := range lens {
+		lens[i] = depth[int(parent[i])-n] + 1
+	}
 	return lens
 }
 
-// canonicalAssign turns code lengths into canonical codewords.
+// canonicalAssign turns code lengths into canonical codewords: symbols
+// take consecutive codes in (length, symbol) order, each length step
+// shifting the running code left. A counting pass over the lengths
+// yields that order without a comparison sort.
 func canonicalAssign(lens []int) []huffCode {
-	n := len(lens)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	maxLen := 0
+	for _, l := range lens {
+		maxLen = max(maxLen, l)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if lens[order[a]] != lens[order[b]] {
-			return lens[order[a]] < lens[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	codes := make([]huffCode, n)
+	start := make([]int, maxLen+2) // start[l] = first slot of length l
+	for _, l := range lens {
+		start[l+1]++
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	order := make([]int, len(lens))
+	for sym, l := range lens {
+		order[start[l]] = sym
+		start[l]++
+	}
+	codes := make([]huffCode, len(lens))
 	code := uint32(0)
 	prevLen := 0
 	for _, sym := range order {
@@ -435,37 +414,35 @@ type huffDecoder struct {
 	symbols   []int
 }
 
-// build derives decode tables from the codeword set.
+// build derives decode tables from a canonical codeword set (as
+// canonicalAssign produces): within one length, codes ascend with the
+// symbol index, so bucketing symbols by length in index order lists
+// them by codeword. Lengths outside 1..sc2MaxCodeLen are not decodable
+// and are left out.
 func (d *huffDecoder) build(codes []huffCode) {
-	*d = huffDecoder{symbols: make([]int, 0, len(codes))}
-	type entry struct {
-		sym  int
-		code huffCode
-	}
-	all := make([]entry, 0, len(codes))
-	for s, c := range codes {
-		all = append(all, entry{s, c})
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].code.len != all[b].code.len {
-			return all[a].code.len < all[b].code.len
+	*d = huffDecoder{}
+	for _, c := range codes {
+		if c.len >= 1 && c.len <= sc2MaxCodeLen {
+			d.count[c.len]++
 		}
-		return all[a].code.bits < all[b].code.bits
-	})
+	}
+	next := 0
 	for l := 1; l <= sc2MaxCodeLen; l++ {
-		d.firstIdx[l] = len(d.symbols)
-		first := true
-		for _, e := range all {
-			if e.code.len != l {
-				continue
-			}
-			if first {
-				d.firstCode[l] = e.code.bits
-				first = false
-			}
-			d.symbols = append(d.symbols, e.sym)
-			d.count[l]++
+		d.firstIdx[l] = next
+		next += d.count[l]
+	}
+	d.symbols = make([]int, next)
+	slot := d.firstIdx
+	for sym, c := range codes {
+		l := c.len
+		if l < 1 || l > sc2MaxCodeLen {
+			continue
 		}
+		if slot[l] == d.firstIdx[l] {
+			d.firstCode[l] = c.bits
+		}
+		d.symbols[slot[l]] = sym
+		slot[l]++
 	}
 }
 

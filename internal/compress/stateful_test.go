@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -147,32 +148,47 @@ func TestStatefulReset(t *testing.T) {
 	}
 }
 
-// TestStatefulTrainableMirrors runs enough blocks through SC²/FVC to
-// cross several retrain boundaries; the decode side must track the
-// encoder's table rebuilds exactly (any divergence breaks round-trips
-// at the first post-retrain block, which the loop would catch).
+// TestStatefulTrainableMirrors streams 64 retrain periods of mixed
+// counter/repeat/zero/random blocks through SC²/FVC encode/decode pairs.
+// The decode side must track the encoder's table rebuilds exactly while
+// the histograms grow to tens of thousands of values: any divergence
+// breaks the round trip at the first post-retrain block, and both ends
+// must finish with the same table.
 func TestStatefulTrainableMirrors(t *testing.T) {
+	const retrains = 64
 	for _, name := range []string{"sc2", "fvc"} {
 		t.Run(name, func(t *testing.T) {
 			ea, _ := New(name)
 			da, _ := New(name)
 			enc, dec := NewStateful(ea), NewStateful(da)
 			compressed := 0
-			for i, b := range streamBlocks(3 * retrainEvery) {
+			for i, b := range streamBlocks(retrains*retrainEvery + 1) {
 				sb := enc.Encode(b)
 				if sb.Mode != ModeStored {
 					compressed++
 				}
 				got, err := dec.Decode(sb)
 				if err != nil || !bytes.Equal(got, b) {
-					t.Fatalf("block %d: %v", i, err)
+					t.Fatalf("block %d (mode %d): %v", i, sb.Mode, err)
 				}
 			}
-			if enc.seen <= retrainEvery {
-				t.Fatalf("did not cross a retrain boundary")
+			if enc.seen/retrainEvery < retrains || dec.seen != enc.seen {
+				t.Fatalf("crossed %d retrains (enc %d, dec %d blocks), want %d",
+					enc.seen/retrainEvery, enc.seen, dec.seen, retrains)
 			}
 			if compressed == 0 {
 				t.Fatalf("%s never compressed after online training", name)
+			}
+			switch e := ea.(type) {
+			case *SC2:
+				d := da.(*SC2)
+				if !slices.Equal(e.values, d.values) || !slices.Equal(e.codes, d.codes) {
+					t.Fatalf("sc2 tables diverged between the stream ends")
+				}
+			case *FVC:
+				if !slices.Equal(e.values, da.(*FVC).values) {
+					t.Fatalf("fvc tables diverged between the stream ends")
+				}
 			}
 		})
 	}
