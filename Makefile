@@ -157,7 +157,9 @@ scaling-curve:
 # micro-benchmarks into bench/bench.txt — the committed baseline that
 # bench-compare diffs against (benchcmp keeps the min ns/op of the five
 # repeats). The SC²/FVC table rebuilds take milliseconds each, so they
-# run as a second invocation at 100 iterations per repeat. Also an
+# run as a second invocation at 100 iterations per repeat, and the
+# end-to-end full-system run (BenchmarkSystemRun: cycles/s and
+# allocs/cycle) as a third at two runs per repeat. Also an
 # instrumented quick run whose metrics JSON snapshots the simulator's
 # behaviour at this commit; CI uploads bench/ as a workflow artifact.
 bench-snapshot:
@@ -168,6 +170,8 @@ bench-snapshot:
 		-benchtime=50000x -count=5 -benchmem . | tee bench/bench.txt
 	$(GO) test -run TestNone -bench '^BenchmarkRetrain' \
 		-benchtime=100x -count=5 -benchmem . | tee -a bench/bench.txt
+	$(GO) test -run TestNone -bench '^BenchmarkSystemRun$$' \
+		-benchtime=2x -count=5 -benchmem . | tee -a bench/bench.txt
 	$(GO) run ./cmd/discosim -run disco -benchmark canneal \
 		-ops 2000 -warmup 1000 -metrics bench/metrics.json
 
@@ -186,6 +190,8 @@ bench-compare:
 		-benchtime=50000x -count=5 -benchmem . | tee bench/new.txt
 	$(GO) test -run TestNone -bench '^BenchmarkRetrain' \
 		-benchtime=100x -count=5 -benchmem . | tee -a bench/new.txt
+	$(GO) test -run TestNone -bench '^BenchmarkSystemRun$$' \
+		-benchtime=2x -count=5 -benchmem . | tee -a bench/new.txt
 	$(GO) run ./cmd/benchcmp -baseline bench/bench.txt -new bench/new.txt \
 		-gate '^BenchmarkCompress|^BenchmarkDecompress|^BenchmarkNoCStep|^BenchmarkRetrain' -max-regress 10 \
 		-speedup 'BenchmarkNoCStepMesh8Serial=BenchmarkNoCStepMesh8Workers4' -min-speedup 1.5

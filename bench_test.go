@@ -9,8 +9,10 @@ package disco_test
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"github.com/disco-sim/disco/internal/cmp"
 	"github.com/disco-sim/disco/internal/compress"
 	"github.com/disco-sim/disco/internal/disco"
 	"github.com/disco-sim/disco/internal/energy"
@@ -347,6 +349,36 @@ func BenchmarkNoCStepMesh8Serial(b *testing.B) { benchNoCStepMesh8(b, 1) }
 
 // BenchmarkNoCStepMesh8Workers4 shards compute across 4 workers.
 func BenchmarkNoCStepMesh8Workers4(b *testing.B) { benchNoCStepMesh8(b, 4) }
+
+// BenchmarkSystemRun measures the full-system simulator end to end: each
+// iteration builds and runs a 4x4 DISCO/delta canneal system (footprint
+// beyond L1, so misses, packets and events dominate), reporting simulated
+// cycles per second and heap allocations per simulated cycle, set-up
+// included.
+func BenchmarkSystemRun(b *testing.B) {
+	prof, _ := trace.ByName("canneal")
+	var cycles uint64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := cmp.DefaultConfig(cmp.DISCO, compress.NewDelta(), prof)
+		cfg.OpsPerCore, cfg.WarmupOps = 3000, 1500
+		sys, err := cmp.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := sys.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += r.Cycles
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(cycles), "allocs/cycle")
+}
 
 // BenchmarkTraceGeneration measures workload-stream generation.
 func BenchmarkTraceGeneration(b *testing.B) {

@@ -30,17 +30,6 @@ type Line struct {
 // HasSharers reports whether any L1 holds the line.
 func (l *Line) HasSharers() bool { return l.Owner >= 0 || l.Sharers != 0 }
 
-// SharerList expands the bitmap into tile ids, excluding Owner.
-func (l *Line) SharerList() []int {
-	var out []int
-	for i := 0; i < 64; i++ {
-		if l.Sharers&(1<<uint(i)) != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // AddSharer sets tile's bit.
 func (l *Line) AddSharer(tile int) { l.Sharers |= 1 << uint(tile) }
 

@@ -301,10 +301,6 @@ func TestBankDirectoryHelpers(t *testing.T) {
 	if !l.IsSharer(3) || !l.IsSharer(10) || l.IsSharer(4) {
 		t.Error("sharer bitmap wrong")
 	}
-	lst := l.SharerList()
-	if len(lst) != 2 || lst[0] != 3 || lst[1] != 10 {
-		t.Errorf("SharerList = %v", lst)
-	}
 	l.RemoveSharer(3)
 	if l.IsSharer(3) || !l.HasSharers() {
 		t.Error("RemoveSharer wrong")

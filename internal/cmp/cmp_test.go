@@ -1,6 +1,8 @@
 package cmp
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -293,20 +295,75 @@ func TestAllBenchmarksRunDisco(t *testing.T) {
 
 func TestEventQueueOrdering(t *testing.T) {
 	var q eventQueue
-	got := []int{}
-	q.schedule(5, func() { got = append(got, 5) })
-	q.schedule(1, func() { got = append(got, 1) })
-	q.schedule(3, func() { got = append(got, 30) })
-	q.schedule(3, func() { got = append(got, 31) }) // FIFO within a cycle
-	q.runDue(2)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("runDue(2) executed %v", got)
+	q.push(event{cycle: 5, node: 5})
+	q.push(event{cycle: 1, node: 1})
+	q.push(event{cycle: 3, node: 30})
+	q.push(event{cycle: 3, node: 31}) // FIFO within a cycle
+	var got []int
+	drain := func(cycle uint64) {
+		for {
+			ev, ok := q.popDue(cycle)
+			if !ok {
+				return
+			}
+			got = append(got, ev.node)
+		}
 	}
-	q.runDue(10)
+	drain(2)
+	if len(got) != 1 || got[0] != 1 {
+		t.Fatalf("popDue(2) returned %v", got)
+	}
+	drain(10)
 	want := []int{1, 30, 31, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if q.Len() != 0 {
+		t.Fatalf("%d events left after draining", q.Len())
+	}
+}
+
+// TestEventQueueMatchesSortedOrder pushes a pseudorandom mix of due
+// cycles, interleaved with pops, and checks that events come out in
+// (cycle, push order) — the order the closure heap it replaced used.
+func TestEventQueueMatchesSortedOrder(t *testing.T) {
+	var q eventQueue
+	rng := rand.New(rand.NewSource(3))
+	type key struct{ cycle, seq uint64 }
+	var pushed, popped []key
+	now := uint64(0)
+	for step := 0; step < 5000; step++ {
+		for i := rng.Intn(4); i > 0; i-- {
+			c := now + uint64(rng.Intn(40))
+			q.push(event{cycle: c})
+			pushed = append(pushed, key{c, q.seq})
+		}
+		for {
+			ev, ok := q.popDue(now)
+			if !ok {
+				break
+			}
+			if ev.cycle > now {
+				t.Fatalf("popDue(%d) returned an event due at %d", now, ev.cycle)
+			}
+			popped = append(popped, key{ev.cycle, ev.seq})
+		}
+		now++
+	}
+	for {
+		ev, ok := q.popDue(^uint64(0))
+		if !ok {
+			break
+		}
+		popped = append(popped, key{ev.cycle, ev.seq})
+	}
+	if len(popped) != len(pushed) {
+		t.Fatalf("popped %d of %d events", len(popped), len(pushed))
+	}
+	for i := 1; i < len(popped); i++ {
+		a, b := popped[i-1], popped[i]
+		if a.cycle > b.cycle || (a.cycle == b.cycle && a.seq > b.seq) {
+			t.Fatalf("events %d,%d out of order: %v then %v", i-1, i, a, b)
 		}
 	}
 }

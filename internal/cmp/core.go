@@ -6,7 +6,8 @@ import (
 	"github.com/disco-sim/disco/internal/trace"
 )
 
-// mshrEntry tracks one outstanding L1 miss.
+// mshrEntry tracks one outstanding L1 miss. Entries live by value in
+// their core's table.
 type mshrEntry struct {
 	addr      cache.Addr
 	write     bool
@@ -30,9 +31,13 @@ type coreState struct {
 	opsIssued int
 	opsDone   int
 	gapLeft   int
-	pending   *trace.Access
-	retry     bool
-	mshrs     map[cache.Addr]*mshrEntry
+	// pending is the access that stalled, valid while hasPending.
+	pending    trace.Access
+	hasPending bool
+	retry      bool
+	// mshrs holds the outstanding misses, unordered, one per block; its
+	// capacity is Config.MSHRs.
+	mshrs []mshrEntry
 }
 
 // newCore builds core id, driven by the synthetic generator or, when
@@ -48,13 +53,39 @@ func newCore(id int, cfg *Config) *coreState {
 		id:    id,
 		gen:   gen,
 		retry: true,
-		mshrs: make(map[cache.Addr]*mshrEntry),
+		mshrs: make([]mshrEntry, 0, cfg.MSHRs),
 	}
+}
+
+// mshr returns the outstanding miss on addr, or nil. The pointer is
+// valid until the table next changes.
+func (c *coreState) mshr(addr cache.Addr) *mshrEntry {
+	for i := range c.mshrs {
+		if c.mshrs[i].addr == addr {
+			return &c.mshrs[i]
+		}
+	}
+	return nil
+}
+
+// addMSHR records a new miss. The caller has checked that the table has
+// room (len < Config.MSHRs).
+func (c *coreState) addMSHR(e mshrEntry) {
+	n := len(c.mshrs)
+	c.mshrs = c.mshrs[:n+1]
+	c.mshrs[n] = e
+}
+
+// removeMSHR drops the entry m points at.
+func (c *coreState) removeMSHR(m *mshrEntry) {
+	last := len(c.mshrs) - 1
+	*m = c.mshrs[last]
+	c.mshrs = c.mshrs[:last]
 }
 
 // step advances the core one cycle.
 func (c *coreState) step(s *System) {
-	if c.opsIssued >= s.cfg.WarmupOps+s.cfg.OpsPerCore && c.pending == nil {
+	if c.opsIssued >= s.cfg.WarmupOps+s.cfg.OpsPerCore && !c.hasPending {
 		return
 	}
 	if c.gapLeft > 0 {
@@ -62,21 +93,20 @@ func (c *coreState) step(s *System) {
 		return
 	}
 	var acc trace.Access
-	if c.pending != nil {
+	if c.hasPending {
 		if !c.retry {
 			return // still blocked; wait for a fill
 		}
-		acc = *c.pending
+		acc = c.pending
 	} else {
 		acc = c.gen.Next()
 	}
-	issued := c.tryIssue(s, acc)
-	if !issued {
-		c.pending = &acc
+	if !c.tryIssue(s, acc) {
+		c.pending, c.hasPending = acc, true
 		c.retry = false
 		return
 	}
-	c.pending = nil
+	c.hasPending = false
 	c.opsIssued++
 	c.gapLeft = acc.Gap
 }
@@ -88,7 +118,7 @@ func (c *coreState) tryIssue(s *System, acc trace.Access) bool {
 	addr := cache.Addr(acc.Addr)
 	l1 := s.l1s[c.id]
 	// Coalesce with an outstanding miss?
-	if m, ok := c.mshrs[addr]; ok {
+	if m := c.mshr(addr); m != nil {
 		if !acc.Write || m.write {
 			m.coalesced++
 			return true
@@ -112,10 +142,10 @@ func (c *coreState) tryIssue(s *System, acc trace.Access) bool {
 		c.opsDone++
 		return true
 	}
-	c.mshrs[addr] = &mshrEntry{
+	c.addMSHR(mshrEntry{
 		addr: addr, write: acc.Write, issue: s.now,
 		measured: c.opsIssued >= s.cfg.WarmupOps,
-	}
+	})
 	kind := mGetS
 	if acc.Write {
 		kind = mGetX

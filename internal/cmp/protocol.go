@@ -1,6 +1,9 @@
 package cmp
 
 import (
+	"fmt"
+	"math/bits"
+
 	"github.com/disco-sim/disco/internal/cache"
 	"github.com/disco-sim/disco/internal/compress"
 	"github.com/disco-sim/disco/internal/noc"
@@ -17,7 +20,8 @@ const (
 )
 
 // txn is one blocking directory transaction, serialized per line at the
-// home bank (MOESI-lite; see DESIGN.md §3).
+// home bank (MOESI-lite; see DESIGN.md §3). Finished transactions are
+// recycled through the System's free list (takeTxn/releaseTxn).
 type txn struct {
 	id           uint64
 	addr         cache.Addr
@@ -29,30 +33,72 @@ type txn struct {
 	dramCycles   uint64
 	cohCycles    uint64
 	collectStart uint64
-	waiters      []*message
+	// waiters are requests and writebacks parked behind this
+	// transaction, in arrival order. The backing array stays with the
+	// txn across recycling; a successor copies what it inherits.
+	waiters []*message
+	next    *txn // free-list link
+}
+
+// takeTxn returns a zeroed transaction from the free list, or a new one.
+func (s *System) takeTxn() *txn {
+	t := s.freeTxns
+	if t == nil {
+		return &txn{}
+	}
+	s.freeTxns = t.next
+	t.next = nil
+	return t
+}
+
+// releaseTxn recycles a finished transaction. Its parked messages have
+// been drained or copied to a successor by then.
+func (s *System) releaseTxn(t *txn) {
+	clear(t.waiters)
+	t.waiters = t.waiters[:0]
+	*t = txn{waiters: t.waiters, next: s.freeTxns}
+	s.freeTxns = t
+}
+
+// liveTxn returns the in-flight transaction id at (home, addr). Events
+// that resume a transaction carry its id rather than a pointer; it
+// cannot finish before they fire, so a miss is a protocol bug.
+func (s *System) liveTxn(home int, addr cache.Addr, id uint64) *txn {
+	t, ok := s.txns[home][addr]
+	if !ok || t.id != id {
+		panic(fmt.Sprintf("cmp: event for finished transaction %d at home %d", id, home))
+	}
+	return t
+}
+
+// park queues msg behind t; the message stays live until finishTxn
+// drains it.
+func (t *txn) park(msg *message) {
+	msg.parked = true
+	t.waiters = append(t.waiters, msg)
 }
 
 // homeRequest handles GetS/GetX arriving at the home bank.
 func (s *System) homeRequest(home int, msg *message) {
 	msg.arrivedAt = s.now
 	if t, ok := s.txns[home][msg.addr]; ok {
-		t.waiters = append(t.waiters, msg)
+		t.park(msg)
 		return
 	}
 	s.startTxn(home, msg, nil)
 }
 
-// startTxn creates and launches a transaction, inheriting queued waiters.
+// startTxn creates and launches a transaction, inheriting queued waiters
+// (copied: the predecessor's array returns to the free list with it).
 func (s *System) startTxn(home int, msg *message, inherited []*message) {
 	s.nextTxnID++
-	t := &txn{
-		id: s.nextTxnID, addr: msg.addr, home: home,
-		requester: msg.requester, write: msg.kind == mGetX,
-		cohCycles: s.now - msg.arrivedAt, // time spent queued behind another txn
-		waiters:   inherited,
-	}
+	t := s.takeTxn()
+	t.id, t.addr, t.home = s.nextTxnID, msg.addr, home
+	t.requester, t.write = msg.requester, msg.kind == mGetX
+	t.cohCycles = s.now - msg.arrivedAt // time spent queued behind another txn
+	t.waiters = append(t.waiters, inherited...)
 	s.txns[home][msg.addr] = t
-	s.events.schedule(s.now+s.cfg.TagLatency, func() { s.txnProbe(t) })
+	s.events.push(event{cycle: s.now + s.cfg.TagLatency, kind: evProbe, node: home, addr: t.addr, txnID: t.id})
 }
 
 // txnProbe performs the tag + directory lookup.
@@ -90,7 +136,8 @@ func (s *System) issuePrefetches(home int, addr cache.Addr) {
 			continue
 		}
 		s.nextTxnID++
-		t := &txn{id: s.nextTxnID, addr: pa, home: home, requester: -1, phase: phMem}
+		t := s.takeTxn()
+		t.id, t.addr, t.home, t.requester, t.phase = s.nextTxnID, pa, home, -1, phMem
 		s.txns[home][pa] = t
 		s.prefIssued++
 		s.sendCtrl(mMemRead, pa, home, s.mcNodeFor(pa), t.id, noc.ClassRequest)
@@ -101,7 +148,8 @@ func (s *System) issuePrefetches(home int, addr cache.Addr) {
 func (s *System) txnCollect(t *txn, line *cache.Line) {
 	acks := 0
 	if t.write {
-		for _, sh := range line.SharerList() {
+		for m := line.Sharers; m != 0; m &= m - 1 {
+			sh := bits.TrailingZeros64(m)
 			if sh == t.requester {
 				continue
 			}
@@ -184,11 +232,7 @@ func (s *System) txnRespond(t *txn) {
 			s.sendCtrl(mGrantX, t.addr, t.home, t.requester, t.id, noc.ClassCoherence)
 			return
 		}
-		s.events.schedule(s.now+s.cfg.BankLatency, func() {
-			s.bankAccesses++
-			s.bankBytes += uint64(s.storedSize(t.addr))
-			s.sendDataCoh(mData, t.addr, t.home, t.requester, t.id, cache.Modified, srcBank, t.dramCycles, t.cohCycles)
-		})
+		s.sendBankData(t, t.id, cache.Modified)
 		return
 	}
 	grant := cache.Shared
@@ -203,25 +247,24 @@ func (s *System) txnRespond(t *txn) {
 	// serializing further readers behind an Unblock round-trip would only
 	// throttle read-shared hot lines (real directories do the same).
 	if t.pendingAcks == 0 && !t.write {
-		g := grant
-		s.events.schedule(s.now+s.cfg.BankLatency, func() {
-			s.bankAccesses++
-			s.bankBytes += uint64(s.storedSize(t.addr))
-			s.sendDataCoh(mData, t.addr, t.home, t.requester, 0, g, srcBank, t.dramCycles, t.cohCycles)
-		})
+		s.sendBankData(t, 0, grant)
 		s.finishTxn(t)
 		return
 	}
-	g := grant
-	s.events.schedule(s.now+s.cfg.BankLatency, func() {
-		s.bankAccesses++
-		s.bankBytes += uint64(s.storedSize(t.addr))
-		s.sendDataCoh(mData, t.addr, t.home, t.requester, t.id, g, srcBank, t.dramCycles, t.cohCycles)
-	})
+	s.sendBankData(t, t.id, grant)
 }
 
-// finishTxn releases the line and drains waiters (shared by the immediate
-// and Unblock completion paths).
+// sendBankData schedules t's data grant after the bank access latency,
+// tagged txnID (0 = no Unblock expected). The event copies t's fields:
+// t may finish, and be recycled, before it fires.
+func (s *System) sendBankData(t *txn, txnID uint64, grant cache.CohState) {
+	s.events.push(event{cycle: s.now + s.cfg.BankLatency, kind: evBankData, node: t.home, peer: t.requester,
+		addr: t.addr, txnID: txnID, grant: grant, dram: t.dramCycles, coh: t.cohCycles})
+}
+
+// finishTxn releases the line, drains waiters (shared by the immediate
+// and Unblock completion paths) and recycles t: each drained message is
+// released, and the ones behind a drained request move to its txn.
 func (s *System) finishTxn(t *txn) {
 	if line := s.banks[t.home].Peek(t.addr); line != nil {
 		line.Pinned = false
@@ -231,11 +274,15 @@ func (s *System) finishTxn(t *txn) {
 		switch w.kind {
 		case mWB:
 			s.applyWriteback(t.home, w)
+			s.releaseMessage(w)
 		case mGetS, mGetX:
 			s.startTxn(t.home, w, t.waiters[i+1:])
+			s.releaseMessage(w)
+			s.releaseTxn(t)
 			return
 		}
 	}
+	s.releaseTxn(t)
 }
 
 // homeUnblock finishes a transaction and drains waiters.
@@ -250,7 +297,7 @@ func (s *System) homeUnblock(home int, msg *message) {
 // homeWriteback handles an L1 victim writeback at the home.
 func (s *System) homeWriteback(home int, msg *message) {
 	if t, ok := s.txns[home][msg.addr]; ok {
-		t.waiters = append(t.waiters, msg)
+		t.park(msg)
 		return
 	}
 	s.applyWriteback(home, msg)
@@ -287,31 +334,35 @@ func (s *System) homeMemData(home int, msg *message) {
 		return // stale fill (cannot normally happen)
 	}
 	t.dramCycles = msg.dramCycles
-	fill := func() {
-		size := s.storedSize(t.addr)
-		line, victims := s.banks[home].Insert(t.addr, size, false)
-		line.Pinned = true
-		s.bankAccesses++
-		s.bankBytes += uint64(size)
-		for _, v := range victims {
-			s.evictVictim(home, v)
-		}
-		s.txnCollect(t, line)
-	}
 	if s.cfg.Mode == CC || s.cfg.Mode == CNC {
 		// The bank compressor sits on the fill path.
 		s.compOps++
-		s.events.schedule(s.now+uint64(s.cfg.Algorithm.CompLatency()), fill)
+		s.events.push(event{cycle: s.now + uint64(s.cfg.Algorithm.CompLatency()),
+			kind: evMemFill, node: home, addr: t.addr, txnID: t.id})
 		return
 	}
-	fill()
+	s.installFill(t)
+}
+
+// installFill inserts t's memory fill into its home bank, evicting as
+// needed, and moves t on to collection.
+func (s *System) installFill(t *txn) {
+	size := s.storedSize(t.addr)
+	line, victims := s.banks[t.home].Insert(t.addr, size, false)
+	line.Pinned = true
+	s.bankAccesses++
+	s.bankBytes += uint64(size)
+	for _, v := range victims {
+		s.evictVictim(t.home, v)
+	}
+	s.txnCollect(t, line)
 }
 
 // evictVictim tears down an evicted LLC line: recall L1 copies
 // (fire-and-forget) and write dirty data back to memory.
 func (s *System) evictVictim(home int, v cache.Victim2) {
-	for _, sh := range v.Line.SharerList() {
-		s.sendCtrl(mInv, v.Line.Addr, home, sh, 0, noc.ClassCoherence)
+	for m := v.Line.Sharers; m != 0; m &= m - 1 {
+		s.sendCtrl(mInv, v.Line.Addr, home, bits.TrailingZeros64(m), 0, noc.ClassCoherence)
 	}
 	if v.Line.Owner >= 0 {
 		s.sendCtrl(mFetchInv, v.Line.Addr, home, v.Line.Owner, 0, noc.ClassCoherence)
@@ -327,11 +378,8 @@ func (s *System) evictVictim(home int, v cache.Victim2) {
 // mcRead services a fill request at the memory controller.
 func (s *System) mcRead(node int, msg *message) {
 	ready := s.drams[s.mcFor(msg.addr)].Access(uint64(msg.addr), false, s.now)
-	home, id := msg.requester, msg.txnID
-	wait := ready - s.now
-	s.events.schedule(ready, func() {
-		s.sendDataDram(mMemData, msg.addr, node, home, id, cache.Invalid, srcMC, wait)
-	})
+	s.events.push(event{cycle: ready, kind: evDRAMReturn, node: node, peer: msg.requester,
+		addr: msg.addr, txnID: msg.txnID, dram: ready - s.now})
 }
 
 // mcWrite absorbs a writeback at the memory controller.
@@ -345,7 +393,7 @@ func (s *System) mcWrite(_ int, msg *message) {
 // an in-flight fill poisons the fill (see mshrEntry.invalidated).
 func (s *System) coreInv(node int, msg *message) {
 	s.l1s[node].Invalidate(msg.addr)
-	if m, ok := s.cores[node].mshrs[msg.addr]; ok {
+	if m := s.cores[node].mshr(msg.addr); m != nil {
 		m.invalidated = true
 	}
 	if msg.txnID != 0 {
@@ -359,7 +407,7 @@ func (s *System) coreFetch(node int, msg *message, inv bool) {
 	switch {
 	case inv:
 		s.l1s[node].Invalidate(msg.addr)
-		if m, ok := s.cores[node].mshrs[msg.addr]; ok {
+		if m := s.cores[node].mshr(msg.addr); m != nil {
 			m.invalidated = true
 		}
 	case st.Dirty():
@@ -376,8 +424,8 @@ func (s *System) coreFetch(node int, msg *message, inv bool) {
 // coreFill completes a miss at the requesting core.
 func (s *System) coreFill(node int, msg *message) {
 	c := s.cores[node]
-	m, ok := c.mshrs[msg.addr]
-	if !ok {
+	m := c.mshr(msg.addr)
+	if m == nil {
 		return // stray (cannot normally happen)
 	}
 	grant := msg.grant
@@ -403,7 +451,7 @@ func (s *System) coreFill(node int, msg *message) {
 		s.missHist.Add(float64(onchip))
 	}
 	c.opsDone += 1 + m.coalesced
-	delete(c.mshrs, msg.addr)
+	c.removeMSHR(m)
 	c.retry = true
 	if msg.txnID != 0 {
 		s.sendCtrl(mUnblock, msg.addr, node, s.homeOf(msg.addr), msg.txnID, noc.ClassCoherence)

@@ -47,15 +47,14 @@ func drive(t *testing.T, s *System, cycles int, pred func() bool) {
 func requestFill(t *testing.T, s *System, core int, addr cache.Addr, write bool) {
 	t.Helper()
 	c := s.cores[core]
-	c.mshrs[addr] = &mshrEntry{addr: addr, write: write, issue: s.now}
+	c.addMSHR(mshrEntry{addr: addr, write: write, issue: s.now})
 	kind := mGetS
 	if write {
 		kind = mGetX
 	}
 	s.sendCtrl(kind, addr, core, s.homeOf(addr), 0, noc.ClassRequest)
 	drive(t, s, 20000, func() bool {
-		_, outstanding := c.mshrs[addr]
-		return !outstanding
+		return c.mshr(addr) == nil
 	})
 }
 
@@ -146,14 +145,12 @@ func TestProtocolQueuedRequestsServedInOrder(t *testing.T) {
 	addr := cache.Addr(trace.PrivateBase(2) + 300)
 	// Two concurrent readers for the same cold line: both must complete.
 	c1, c2 := s.cores[1], s.cores[2]
-	c1.mshrs[addr] = &mshrEntry{addr: addr, issue: s.now}
-	c2.mshrs[addr] = &mshrEntry{addr: addr, issue: s.now}
+	c1.addMSHR(mshrEntry{addr: addr, issue: s.now})
+	c2.addMSHR(mshrEntry{addr: addr, issue: s.now})
 	s.sendCtrl(mGetS, addr, 1, s.homeOf(addr), 0, noc.ClassRequest)
 	s.sendCtrl(mGetS, addr, 2, s.homeOf(addr), 0, noc.ClassRequest)
 	drive(t, s, 30000, func() bool {
-		_, o1 := c1.mshrs[addr]
-		_, o2 := c2.mshrs[addr]
-		return !o1 && !o2
+		return c1.mshr(addr) == nil && c2.mshr(addr) == nil
 	})
 	if s.l1s[1].State(addr) == cache.Invalid || s.l1s[2].State(addr) == cache.Invalid {
 		t.Error("both readers should hold the line")

@@ -33,7 +33,10 @@ const (
 	mMemWB                   // home -> MC: dirty LLC victim (data)
 )
 
-// message is the protocol payload attached to noc.Packet.Meta.
+// message is the protocol payload attached to noc.Packet.Meta. Messages
+// are recycled through the System's free list: one is taken per packet
+// sent and released once its handler has run, or — when parked behind a
+// transaction — once finishTxn drains it.
 type message struct {
 	kind      msgKind
 	addr      cache.Addr
@@ -53,6 +56,27 @@ type message struct {
 	// arrivedAt stamps when a request reached the home (waiter-delay
 	// bookkeeping).
 	arrivedAt uint64
+	// parked marks a message queued in a txn's waiters: its dispatch
+	// does not release it.
+	parked bool
+	next   *message // free-list link
+}
+
+// takeMessage returns a zeroed message from the free list, or a new one.
+func (s *System) takeMessage() *message {
+	m := s.freeMsgs
+	if m == nil {
+		return &message{}
+	}
+	s.freeMsgs = m.next
+	m.next = nil
+	return m
+}
+
+// releaseMessage recycles a message nothing references any more.
+func (s *System) releaseMessage(m *message) {
+	*m = message{next: s.freeMsgs}
+	s.freeMsgs = m
 }
 
 // System is one full-system simulation instance.
@@ -76,8 +100,14 @@ type System struct {
 	nextPktID    uint64
 	compCache    map[cache.Addr]compress.Compressed
 	contentCache map[cache.Addr][]byte
-	contentArena []byte // chunked backing store for contentCache blocks
+	contentArena []byte           // chunked backing store for contentCache blocks
+	contentGen   trace.ContentGen // this system's block materializer
 	sc2Trained   bool
+
+	// Free lists of recycled protocol objects; they grow lazily to the
+	// peak number in flight.
+	freeMsgs *message
+	freeTxns *txn
 
 	// Stats.
 	missLatency  stats.Mean // on-chip component (the paper's metric)
@@ -209,7 +239,7 @@ func (s *System) trainSC2() {
 	// the whole training loop.
 	var scratch []byte
 	for i := 0; i < 1024; i++ {
-		scratch = s.cfg.Profile.AppendContent(scratch[:0], trace.PrivateBase(i%8)+uint64(i*37))
+		scratch = s.contentGen.Append(&s.cfg.Profile, scratch[:0], trace.PrivateBase(i%8)+uint64(i*37))
 		tr.Observe(scratch)
 	}
 	tr.Retrain()
@@ -226,10 +256,11 @@ func (s *System) content(addr cache.Addr) []byte {
 	}
 	const arenaBlocks = 256
 	if cap(s.contentArena)-len(s.contentArena) < compress.BlockSize {
+		//lint:ignore hotalloc one chunk per 256 first-touched blocks; cached blocks are never freed
 		s.contentArena = make([]byte, 0, arenaBlocks*compress.BlockSize)
 	}
 	off := len(s.contentArena)
-	s.contentArena = s.cfg.Profile.AppendContent(s.contentArena, uint64(addr))
+	s.contentArena = s.contentGen.Append(&s.cfg.Profile, s.contentArena, uint64(addr))
 	b := s.contentArena[off:len(s.contentArena):len(s.contentArena)]
 	s.contentCache[addr] = b
 	return b
@@ -266,10 +297,13 @@ func (s *System) pktID() uint64 {
 	return s.nextPktID
 }
 
-// sendCtrl injects a single-flit control packet.
+// sendCtrl injects a single-flit control packet. Packets come from the
+// network's arena and go back to it after dispatch (see fire).
 func (s *System) sendCtrl(kind msgKind, addr cache.Addr, from, to int, txnID uint64, class noc.Class) {
-	p := noc.NewControlPacket(s.pktID(), from, to, class)
-	p.Meta = &message{kind: kind, addr: addr, requester: from, txnID: txnID}
+	p := s.net.TakePacket().InitControl(s.pktID(), from, to, class)
+	msg := s.takeMessage()
+	msg.kind, msg.addr, msg.requester, msg.txnID = kind, addr, from, txnID
+	p.Meta = msg
 	s.net.Inject(p)
 }
 
@@ -298,8 +332,9 @@ func (s *System) sendDataDram(kind msgKind, addr cache.Addr, from, to int, txnID
 // sendDataCoh additionally annotates coherence-serialization time (see
 // message.cohCycles).
 func (s *System) sendDataCoh(kind msgKind, addr cache.Addr, from, to int, txnID uint64, grant cache.CohState, src dataSource, dram, coh uint64) {
-	msg := &message{kind: kind, addr: addr, requester: from, txnID: txnID, grant: grant,
-		dramCycles: dram, cohCycles: coh}
+	msg := s.takeMessage()
+	msg.kind, msg.addr, msg.requester, msg.txnID, msg.grant = kind, addr, from, txnID, grant
+	msg.dramCycles, msg.cohCycles = dram, coh
 	blk := s.content(addr)
 	toBank := kind == mWB || kind == mOwnerWB || kind == mMemData
 	delay := uint64(0)
@@ -307,19 +342,19 @@ func (s *System) sendDataCoh(kind msgKind, addr cache.Addr, from, to int, txnID 
 	var p *noc.Packet
 	switch s.cfg.Mode {
 	case Baseline:
-		p = noc.NewDataPacket(s.pktID(), from, to, blk, false)
+		p = s.net.TakePacket().InitData(s.pktID(), from, to, blk, false)
 		p.Compressible = false
 	case Ideal:
 		// Zero-latency conversions everywhere: every payload travels in
 		// its smallest form, free.
-		p = noc.NewDataPacket(s.pktID(), from, to, blk, toBank)
+		p = s.net.TakePacket().InitData(s.pktID(), from, to, blk, toBank)
 		p.Compressible = false
 		if c := s.compressedFor(addr); !c.Stored {
 			p.ApplyCompression(c)
 		}
 	case CC:
 		// Bank decompresses before packetizing (payload travels raw).
-		p = noc.NewDataPacket(s.pktID(), from, to, blk, false)
+		p = s.net.TakePacket().InitData(s.pktID(), from, to, blk, false)
 		p.Compressible = false
 		if src == srcBank && s.storedSize(addr) < compress.BlockSize {
 			delay += uint64(s.cfg.Algorithm.DecompLatency())
@@ -327,7 +362,7 @@ func (s *System) sendDataCoh(kind msgKind, addr cache.Addr, from, to int, txnID 
 		}
 	case CNC:
 		// CC's bank behaviour plus an NI compressor on every data packet.
-		p = noc.NewDataPacket(s.pktID(), from, to, blk, false)
+		p = s.net.TakePacket().InitData(s.pktID(), from, to, blk, false)
 		p.Compressible = false
 		if src == srcBank && s.storedSize(addr) < compress.BlockSize {
 			delay += uint64(s.cfg.Algorithm.DecompLatency())
@@ -340,7 +375,7 @@ func (s *System) sendDataCoh(kind msgKind, addr cache.Addr, from, to int, txnID 
 		s.compOps++
 	case DISCO:
 		// Banks inject the stored form as-is; cores and the MC inject raw.
-		p = noc.NewDataPacket(s.pktID(), from, to, blk, toBank)
+		p = s.net.TakePacket().InitData(s.pktID(), from, to, blk, toBank)
 		if src == srcBank {
 			if c := s.compressedFor(addr); !c.Stored {
 				p.ApplyCompression(c)
@@ -352,13 +387,12 @@ func (s *System) sendDataCoh(kind msgKind, addr cache.Addr, from, to int, txnID 
 		s.net.Inject(p)
 		return
 	}
-	s.events.schedule(s.now+delay, func() { s.net.Inject(p) })
+	s.events.push(event{cycle: s.now + delay, kind: evInject, pkt: p})
 }
 
 // onEject receives every packet leaving the network and dispatches it
 // after the mode's ejection-side latency.
 func (s *System) onEject(node int, p *noc.Packet) {
-	msg := p.Meta.(*message)
 	delay := uint64(0)
 	if p.Class == noc.ClassResponse {
 		switch s.cfg.Mode {
@@ -381,11 +415,11 @@ func (s *System) onEject(node int, p *noc.Packet) {
 			}
 		}
 	}
-	s.events.schedule(s.now+delay, func() { s.dispatch(node, p, msg) })
+	s.events.push(event{cycle: s.now + delay, kind: evDispatch, node: node, pkt: p})
 }
 
 // dispatch routes a delivered message to its handler.
-func (s *System) dispatch(node int, p *noc.Packet, msg *message) {
+func (s *System) dispatch(node int, msg *message) {
 	switch msg.kind {
 	case mGetS, mGetX:
 		s.homeRequest(node, msg)
@@ -416,7 +450,7 @@ func (s *System) dispatch(node int, p *noc.Packet, msg *message) {
 
 // Step advances the whole system one cycle.
 func (s *System) Step() {
-	s.events.runDue(s.now)
+	s.runEvents()
 	for _, c := range s.cores {
 		c.step(s)
 	}

@@ -166,6 +166,10 @@ func TestHotAllocKernelFixture(t *testing.T) {
 	runFixture(t, HotAlloc, "hotalloc_compress", "fixturemod/internal/compress")
 }
 
+func TestHotAllocCmpFixture(t *testing.T) {
+	runFixture(t, HotAlloc, "hotalloc_cmp", "fixturemod/internal/cmp")
+}
+
 // TestLintIgnoreFixture runs the auditor together with nodeterminism so
 // used/stale verdicts are grounded in a real analyzer's findings.
 func TestLintIgnoreFixture(t *testing.T) {

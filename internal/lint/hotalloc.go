@@ -16,6 +16,7 @@ import (
 //	internal/noc       (*Network).Step       — the cycle loop
 //	internal/disco     (*Engine).Tick        — per-cycle engine service
 //	internal/compress  Compress / Decompress — the codec block paths
+//	internal/cmp       (*System).Step        — the full-system cycle loop
 //
 // Exemptions, in order of preference when fixing a finding:
 //
@@ -39,7 +40,7 @@ var HotAlloc = &Analyzer{
 
 // isHotPathPkg restricts hotalloc to the packages holding hot-path roots.
 func isHotPathPkg(path string) bool {
-	for _, sub := range []string{"internal/noc", "internal/disco", "internal/compress"} {
+	for _, sub := range []string{"internal/noc", "internal/disco", "internal/compress", "internal/cmp"} {
 		if strings.HasSuffix(path, sub) {
 			return true
 		}
@@ -55,6 +56,8 @@ func hotAllocRoots(pass *Pass, pf *pkgFacts) []*types.Func {
 		return pf.rootsNamed("Network", func(name string) bool { return name == "Step" })
 	case strings.HasSuffix(pass.PkgPath, "internal/disco"):
 		return pf.rootsNamed("Engine", func(name string) bool { return name == "Tick" })
+	case strings.HasSuffix(pass.PkgPath, "internal/cmp"):
+		return pf.rootsNamed("System", func(name string) bool { return name == "Step" })
 	case strings.HasSuffix(pass.PkgPath, "internal/compress"):
 		// Probe/ProbeSizeBits/CompressFromProbe are the word-parallel
 		// kernel entry points (DESIGN.md §12): the fused probe path runs

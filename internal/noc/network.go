@@ -131,12 +131,13 @@ type Network struct {
 	busyScratch []bool
 	stats       Stats
 
-	// Packet/block arenas: ejected pool-born packets (and their payload
-	// blocks) are recycled at the NI instead of feeding the garbage
-	// collector. Fixed-capacity, index-managed (push/pop by pktFree /
-	// blkFree, never append) so Step stays allocation-free. Recycling is
-	// disabled whenever anyone can retain a packet past ejection — an
-	// OnEject observer, a tracer, or the fault layer (see eject).
+	// Packet/block arenas: ejected pool-born packets (and the payload
+	// blocks they own) are recycled instead of feeding the garbage
+	// collector — at the NI, or through ReleasePacket when an OnEject
+	// owner holds them past ejection. Fixed-capacity, index-managed
+	// (push/pop by pktFree / blkFree, never append) so Step stays
+	// allocation-free. Recycling is disabled whenever a tracer or the
+	// fault layer could retain a packet (see ReleasePacket).
 	pktPool []*Packet
 	pktFree int
 	blkPool [][]byte
@@ -227,10 +228,11 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// takePacket pops a recycled packet, or allocates one when the arena is
-// empty. Pool-born packets are marked pooled so eject knows it may
-// reclaim them.
-func (n *Network) takePacket() *Packet {
+// TakePacket lends a zeroed packet from the network's arena, or
+// allocates one when the arena is empty. Fill it with InitControl or
+// InitData. The network reclaims it at ejection unless OnEject is set;
+// an OnEject owner hands it back with ReleasePacket once done with it.
+func (n *Network) TakePacket() *Packet {
 	if n.pktFree == 0 {
 		return &Packet{pooled: true}
 	}
@@ -251,11 +253,16 @@ func (n *Network) takeBlock() []byte {
 	return b
 }
 
-// recyclePacket returns a fully ejected pool-born packet (and its block)
-// to the arenas. Only called from eject, and only when nothing can
-// retain the packet (no observer, no tracer, no fault layer).
-func (n *Network) recyclePacket(p *Packet) {
-	if b := p.Block; len(b) == compress.BlockSize && n.blkFree < len(n.blkPool) {
+// ReleasePacket returns an ejected packet to the arena. Packets the
+// arena did not lend are ignored, and nothing is reclaimed while a
+// tracer (which may retain staged events past this cycle) or the fault
+// layer (whose shadow semantics rely on retained blocks) is armed. The
+// caller must hold no reference to p afterwards.
+func (n *Network) ReleasePacket(p *Packet) {
+	if !p.pooled || n.tracer != nil || n.fault != nil {
+		return
+	}
+	if b := p.Block; p.ownsBlock && len(b) == compress.BlockSize && n.blkFree < len(n.blkPool) {
 		n.blkPool[n.blkFree] = b
 		n.blkFree++
 	}
@@ -341,16 +348,11 @@ func (n *Network) eject(node int, pkt *Packet) {
 	}
 	n.trace(node, EvEject, pkt)
 	if n.OnEject != nil {
+		// The protocol layer owns the packet now and releases it itself.
 		n.OnEject(node, pkt)
 		return
 	}
-	// Reclaim pool-born packets, but only when nothing could have kept a
-	// reference: OnEject hands the packet to the protocol layer, tracers
-	// may retain staged events past this cycle, and the fault layer's
-	// shadow semantics rely on retained blocks.
-	if pkt.pooled && n.tracer == nil && n.fault == nil {
-		n.recyclePacket(pkt)
-	}
+	n.ReleasePacket(pkt)
 }
 
 // verifyAtSink is the end-to-end integrity check active whenever fault

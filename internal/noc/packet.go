@@ -89,10 +89,16 @@ type Packet struct {
 	// Meta lets the protocol layer attach a transaction reference.
 	Meta any
 
-	// pooled marks a packet born from the network's arena (takePacket):
-	// eject may reclaim it when nothing retains ejected packets. Packets
-	// built by the exported constructors are never reclaimed.
+	// pooled marks a packet born from the network's arena (TakePacket):
+	// eject or ReleasePacket may reclaim it when nothing retains ejected
+	// packets. Packets built by the exported constructors are never
+	// reclaimed.
 	pooled bool
+	// ownsBlock marks a Block the arena lent (or the engine's private
+	// decode of one), which recycling may pool with the packet. Packets
+	// carrying a caller's block — the simulator's content cache — never
+	// set it, so the arena never hands that memory to another packet.
+	ownsBlock bool
 }
 
 // flitsFor returns head + payload flits for a payload of n bytes.
@@ -107,18 +113,18 @@ func flitsFor(n int) int {
 // plus an uncompressed cache block.
 const maxPacketFlits = 1 + compress.BlockSize/compress.FlitBytes
 
-// initControlPacket fills p as a single-flit request/coherence packet:
-// an empty payload riding a lone head flit.
-func initControlPacket(p *Packet, id uint64, src, dst int, class Class) *Packet {
+// InitControl fills p as a single-flit request/coherence packet: an
+// empty payload riding a lone head flit. It returns p.
+func (p *Packet) InitControl(id uint64, src, dst int, class Class) *Packet {
 	p.ID, p.Src, p.Dst, p.Class = id, src, dst, class
 	p.PayloadBytes = 0
 	p.FlitCount = flitsFor(0)
 	return p
 }
 
-// initDataPacket fills p as an uncompressed response packet carrying
-// block.
-func initDataPacket(p *Packet, id uint64, src, dst int, block []byte, wantCompressed bool) *Packet {
+// InitData fills p as an uncompressed response packet carrying block,
+// which p does not own (see ownsBlock). It returns p.
+func (p *Packet) InitData(id uint64, src, dst int, block []byte, wantCompressed bool) *Packet {
 	if len(block) != compress.BlockSize {
 		panic(fmt.Sprintf("noc: data packet payload must be %d bytes", compress.BlockSize))
 	}
@@ -133,12 +139,12 @@ func initDataPacket(p *Packet, id uint64, src, dst int, block []byte, wantCompre
 
 // NewControlPacket builds a single-flit request/coherence packet.
 func NewControlPacket(id uint64, src, dst int, class Class) *Packet {
-	return initControlPacket(&Packet{}, id, src, dst, class)
+	return new(Packet).InitControl(id, src, dst, class)
 }
 
 // NewDataPacket builds an uncompressed response packet carrying block.
 func NewDataPacket(id uint64, src, dst int, block []byte, wantCompressed bool) *Packet {
-	return initDataPacket(&Packet{}, id, src, dst, block, wantCompressed)
+	return new(Packet).InitData(id, src, dst, block, wantCompressed)
 }
 
 // NewCompressedDataPacket builds a response packet already in compressed

@@ -152,7 +152,8 @@ func (g *TrafficGen) Step() {
 			// response) payload directions.
 			wantCompressed := g.nextID%2 == 0
 			blk := g.payload()
-			p := initDataPacket(g.net.takePacket(), g.nextID, src, dst, blk, wantCompressed)
+			p := g.net.TakePacket().InitData(g.nextID, src, dst, blk, wantCompressed)
+			p.ownsBlock = true
 			if !wantCompressed {
 				if c := g.alg.Compress(blk); !c.Stored {
 					p.ApplyCompression(c)
@@ -164,7 +165,7 @@ func (g *TrafficGen) Step() {
 			if g.nextID%3 == 0 {
 				class = ClassCoherence
 			}
-			g.net.Inject(initControlPacket(g.net.takePacket(), g.nextID, src, dst, class))
+			g.net.Inject(g.net.TakePacket().InitControl(g.nextID, src, dst, class))
 		}
 	}
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"github.com/disco-sim/disco/internal/compress"
@@ -68,6 +70,72 @@ func TestAppendContentMatchesContent(t *testing.T) {
 	}
 	if !bytes.Equal(out[3:], p.Content(42)) {
 		t.Fatal("appended bytes differ from Content")
+	}
+}
+
+// contentTestAddrs spans the address space the simulator touches:
+// scattered low blocks, every core's private slab and the shared region.
+func contentTestAddrs() []uint64 {
+	var out []uint64
+	for i := uint64(0); i < 2000; i++ {
+		out = append(out, i*7919, PrivateBase(int(i%16))+i, sharedRegionBase+i*31)
+	}
+	return out
+}
+
+// TestContentGenMatchesContent pins the reusable generator to Content:
+// one ContentGen reseeded across thousands of blocks of every profile
+// (so every pattern class) produces exactly the bytes a fresh generator
+// per block does, and extends dst instead of clobbering it.
+func TestContentGenMatchesContent(t *testing.T) {
+	var g ContentGen
+	var buf []byte
+	for _, p := range Profiles() {
+		p := p
+		for _, addr := range contentTestAddrs() {
+			buf = g.Append(&p, buf[:0], addr)
+			if want := p.Content(addr); !bytes.Equal(buf, want) {
+				t.Fatalf("%s: ContentGen.Append(addr=%d) = %x, want %x", p.Name, addr, buf, want)
+			}
+		}
+	}
+	p, _ := ByName("dedup")
+	out := g.Append(&p, []byte{9, 8}, 77)
+	if len(out) != 2+compress.BlockSize || out[0] != 9 || out[1] != 8 || !bytes.Equal(out[2:], p.Content(77)) {
+		t.Fatalf("Append did not extend the prefix: %x", out)
+	}
+}
+
+// TestContentGolden pins block contents to fixed digests, so a change to
+// how blocks are generated (a reseeded generator, a reordered draw) that
+// kept Content and ContentGen agreeing with each other would still fail.
+func TestContentGolden(t *testing.T) {
+	want := map[string]string{
+		"blackscholes":  "9a510ee29137d8f8",
+		"bodytrack":     "136235859cac0b5b",
+		"canneal":       "210916a8f75b9aa5",
+		"dedup":         "3b7a47bae0fe8d5c",
+		"facesim":       "7f6b94e3ed8155f8",
+		"ferret":        "c8ed8d7c853def42",
+		"fluidanimate":  "8d01cff172c14b7f",
+		"freqmine":      "d5a0de335337216d",
+		"streamcluster": "1a6efc98af514d29",
+		"swaptions":     "cec9ffa5cfe7c63b",
+		"vips":          "9c18b427bfcc6009",
+		"x264":          "10836a930ed8eaea",
+	}
+	var g ContentGen
+	var buf []byte
+	for _, p := range Profiles() {
+		p := p
+		h := sha256.New()
+		for _, addr := range contentTestAddrs() {
+			buf = g.Append(&p, buf[:0], addr)
+			h.Write(buf)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil))[:16]; got != want[p.Name] {
+			t.Errorf("%s: content digest %s, want %s", p.Name, got, want[p.Name])
+		}
 	}
 }
 
