@@ -58,7 +58,7 @@ func (s *System) progressSignature() uint64 {
 }
 
 // stallError builds a *StallError with the current diagnostic snapshot
-// and dumps the in-flight packets to the tracer (EvStall events).
+// and dumps the in-flight packets to the tracer (KindStall events).
 func (s *System) stallError(window uint64, reason string) *StallError {
 	s.net.DumpStall()
 	return &StallError{

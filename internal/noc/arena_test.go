@@ -4,12 +4,14 @@ import (
 	"testing"
 
 	"github.com/disco-sim/disco/internal/compress"
+	"github.com/disco-sim/disco/internal/fault"
 )
 
 // TestReleasePacketOwnership pins the arena's ownership rules: a released
 // packet comes back zeroed, a block the caller supplied is never pooled
-// while an arena-lent one is, and nothing is reclaimed for packets the
-// arena did not lend or while a tracer is armed.
+// while an arena-lent one is, packets the arena did not lend are never
+// reclaimed, an armed tracer does not stop reclamation (it receives
+// value records, never packets) and an armed fault layer does.
 func TestReleasePacketOwnership(t *testing.T) {
 	n := mustNet(t, DefaultConfig())
 
@@ -41,7 +43,19 @@ func TestReleasePacketOwnership(t *testing.T) {
 	n.SetTracer(NewCountingTracer())
 	p = n.TakePacket().InitControl(4, 0, 1, ClassRequest)
 	n.ReleasePacket(p)
-	if q := n.TakePacket(); q == p {
-		t.Fatal("packet reclaimed while a tracer was armed")
+	if q := n.TakePacket(); q != p {
+		t.Fatal("packet not reclaimed while a tracer was armed")
+	}
+
+	nf := mustNet(t, faultConfig(fault.Spec{Seed: 1, CreditRate: 0.01}))
+	lent = nf.takeBlock()
+	p = nf.TakePacket().InitData(5, 0, 1, lent, false)
+	p.ownsBlock = true
+	nf.ReleasePacket(p)
+	if q := nf.TakePacket(); q == p {
+		t.Fatal("packet reclaimed while the fault layer was armed")
+	}
+	if b := nf.takeBlock(); &b[0] == &lent[0] {
+		t.Fatal("block reclaimed while the fault layer was armed")
 	}
 }

@@ -39,43 +39,9 @@ func NewBinaryTracer(w io.Writer, nodes int) *BinaryTracer {
 }
 
 // Event implements Tracer.
-func (t *BinaryTracer) Event(cycle uint64, router int, kind string, pkt *Packet) {
+func (t *BinaryTracer) Event(rec tracefmt.Record) {
 	if t.Err != nil {
 		return
-	}
-	code := tracefmt.KindFromString(kind)
-	if code == tracefmt.KindInvalid {
-		return // unknown event kinds are not representable; skip
-	}
-	rec := tracefmt.Record{Cycle: cycle, Router: router, Kind: code}
-	if pkt != nil {
-		rec.HasPacket = true
-		var flags uint8
-		if pkt.Compressed {
-			flags |= tracefmt.PFCompressed
-		}
-		if pkt.Compressible {
-			flags |= tracefmt.PFCompressible
-		}
-		if pkt.CompressionFailed {
-			flags |= tracefmt.PFFailed
-		}
-		if pkt.WantCompressedAtDst {
-			flags |= tracefmt.PFWantComp
-		}
-		rec.Pkt = tracefmt.PacketInfo{
-			ID:           pkt.ID,
-			Src:          pkt.Src,
-			Dst:          pkt.Dst,
-			Class:        uint8(pkt.Class),
-			Flags:        flags,
-			Flits:        pkt.FlitCount,
-			Hops:         pkt.Hops,
-			Conversions:  pkt.Conversions,
-			Queueing:     pkt.Queueing,
-			EngineCycles: pkt.Life.EngineCycles,
-			EngineStall:  pkt.Life.EngineStall,
-		}
 	}
 	t.buf = tracefmt.AppendRecord(t.buf[:0], &rec)
 	if _, err := t.w.Write(t.buf); err != nil {

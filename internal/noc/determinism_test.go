@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"strings"
@@ -62,6 +63,27 @@ func TestSameSeedByteIdenticalTrace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stats1, stats2) {
 		t.Errorf("stats differ between identical runs:\n  run1: %+v\n  run2: %+v", stats1, stats2)
+	}
+}
+
+// TestWriterTracerGoldenDigest pins the text trace rendering byte for
+// byte: the SHA-256 of the full WriterTracer output of the seed-42 load,
+// fault-free and with every fault class armed. The binary format is
+// pinned separately (TestPerfettoGoldenExport in cmd/discotrace).
+func TestWriterTracerGoldenDigest(t *testing.T) {
+	faulty := faultConfig(fault.Spec{Seed: 9, EngineRate: 0.05, PayloadRate: 0.01, CreditRate: 0.01})
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"fault-free", discoConfig(), "22b2be33535df93fafa284c6e7a745cf5fca0681dc2cbc03500231402bfd33df"},
+		{"faults", faulty, "797fbb3a1960563310c6adf32feba1488947c74f0ee75b95c3feeb96a2ec7a68"},
+	} {
+		trace, _ := runSeededLoadCfg(t, c.cfg, 42)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(trace))); got != c.want {
+			t.Errorf("%s: text trace digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 

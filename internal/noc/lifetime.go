@@ -1,5 +1,7 @@
 package noc
 
+import "github.com/disco-sim/disco/internal/tracefmt"
+
 // Lifetime is a packet's lifecycle record: first-occurrence cycle
 // stamps for each pipeline milestone plus the engine-overlap
 // accounting that makes the paper's Section 3.2 claim — de/compression
@@ -27,30 +29,31 @@ type Lifetime struct {
 }
 
 // observe records the first occurrence of each traced milestone.
-func (l *Lifetime) observe(kind string, cycle uint64) {
+func (l *Lifetime) observe(kind tracefmt.Kind, cycle uint64) {
 	stamp := cycle + 1
 	switch kind {
-	case EvRoute:
+	case tracefmt.KindRoute:
 		if l.routeStamp == 0 {
 			l.routeStamp = stamp
 		}
-	case EvVAGrant:
+	case tracefmt.KindVAGrant:
 		if l.vaStamp == 0 {
 			l.vaStamp = stamp
 		}
-	case EvSAGrant:
+	case tracefmt.KindSAGrant:
 		if l.saStamp == 0 {
 			l.saStamp = stamp
 		}
-	case EvEngineStart:
+	case tracefmt.KindEngineStart:
 		if l.engStart == 0 {
 			l.engStart = stamp
 		}
-	case EvEngineCommit:
+	case tracefmt.KindEngineCommit:
 		if l.engCommit == 0 {
 			l.engCommit = stamp
 		}
-	case EvEngineDone, EvEngineFail, EvEngineRelease, EvEngineFault, EvFaultRecover:
+	case tracefmt.KindEngineDone, tracefmt.KindEngineFail, tracefmt.KindEngineRelease,
+		tracefmt.KindEngineFault, tracefmt.KindFaultRecover:
 		if l.engEnd == 0 {
 			l.engEnd = stamp
 		}

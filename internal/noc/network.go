@@ -9,6 +9,7 @@ import (
 	"github.com/disco-sim/disco/internal/metrics"
 	"github.com/disco-sim/disco/internal/obs"
 	"github.com/disco-sim/disco/internal/stats"
+	"github.com/disco-sim/disco/internal/tracefmt"
 )
 
 // arrival is a flit in flight on a link, applied at the start of the next
@@ -136,8 +137,8 @@ type Network struct {
 	// collector — at the NI, or through ReleasePacket when an OnEject
 	// owner holds them past ejection. Fixed-capacity, index-managed
 	// (push/pop by pktFree / blkFree, never append) so Step stays
-	// allocation-free. Recycling is disabled whenever a tracer or the
-	// fault layer could retain a packet (see ReleasePacket).
+	// allocation-free. Recycling is disabled while the fault layer could
+	// retain a packet (see ReleasePacket).
 	pktPool []*Packet
 	pktFree int
 	blkPool [][]byte
@@ -254,12 +255,12 @@ func (n *Network) takeBlock() []byte {
 }
 
 // ReleasePacket returns an ejected packet to the arena. Packets the
-// arena did not lend are ignored, and nothing is reclaimed while a
-// tracer (which may retain staged events past this cycle) or the fault
-// layer (whose shadow semantics rely on retained blocks) is armed. The
-// caller must hold no reference to p afterwards.
+// arena did not lend are ignored, and nothing is reclaimed while the
+// fault layer (whose shadow semantics rely on retained blocks) is armed.
+// Tracers never block reclamation: they receive value records, not
+// packets. The caller must hold no reference to p afterwards.
 func (n *Network) ReleasePacket(p *Packet) {
-	if !p.pooled || n.tracer != nil || n.fault != nil {
+	if !p.pooled || n.fault != nil {
 		return
 	}
 	if b := p.Block; p.ownsBlock && len(b) == compress.BlockSize && n.blkFree < len(n.blkPool) {
@@ -308,7 +309,7 @@ func (n *Network) Inject(p *Packet) {
 	}
 	p.InjectCycle = n.Cycle
 	n.stats.Injected++
-	n.trace(p.Src, EvInject, p)
+	n.trace(p.Src, tracefmt.KindInject, p)
 	n.ni[p.Src].queue = append(n.ni[p.Src].queue, p)
 }
 
@@ -346,7 +347,7 @@ func (n *Network) eject(node int, pkt *Packet) {
 	if !pkt.InWantedForm() {
 		n.stats.EjectedWrongForm++
 	}
-	n.trace(node, EvEject, pkt)
+	n.trace(node, tracefmt.KindEject, pkt)
 	if n.OnEject != nil {
 		// The protocol layer owns the packet now and releases it itself.
 		n.OnEject(node, pkt)
@@ -370,7 +371,7 @@ func (n *Network) verifyAtSink(node int, pkt *Packet) {
 		return
 	}
 	n.sinkRecoveries++
-	n.trace(node, EvFaultRecover, pkt)
+	n.trace(node, tracefmt.KindFaultRecover, pkt)
 	pkt.ApplyDecompression(pkt.Block)
 }
 
@@ -435,77 +436,41 @@ func (n *Network) Step() {
 		busy[i] = r.busy()
 	}
 	t = n.profMark(obs.PhaseOther, t)
-	if n.pool == nil {
-		// Serial engine: the same stage sequence with direct dispatch.
-		// Compute and commit must NOT fuse per router even serially —
-		// e.g. a committed traversal shrinks a VC's occupancy, which
-		// the upstream router's SA credit check reads; fusing would let
-		// later routers see same-cycle commits that the two-phase
-		// engine (and any parallel run) orders after the barrier.
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.computeEngine()
-			}
+	// Each stage's compute covers every busy router before its commit
+	// runs, even on the serial engine: fused per router, a commit's
+	// effects (e.g. a traversal shrinking a VC's occupancy, which the
+	// upstream SA credit check reads) would reach later routers'
+	// computes in the same cycle, which the two-phase order puts after
+	// the barrier.
+	//
+	// Stage: DISCO engines (commit, absorb, complete) — pure compute, no
+	// shared effects beyond the staged traces.
+	n.runStage(busy, obs.PhaseEngine, (*Router).computeEngine)
+	t = n.profClock()
+	n.flushTraces(busy)
+	t = n.profMark(obs.PhaseCommit, t)
+	// Stage: switch allocation — compute arbitrates against prior-cycle
+	// credits, commit applies stall bookkeeping and winner traversals
+	// (flit moves, credit reservations, ejections, fault draws).
+	n.runStage(busy, obs.PhaseSA, (*Router).computeSA)
+	t = n.profClock()
+	for i, r := range n.Routers {
+		if busy[i] {
+			r.commitSA()
 		}
-		t = n.profMark(obs.PhaseEngine, t)
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.computeSA()
-			}
-		}
-		t = n.profMark(obs.PhaseSA, t)
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.commitSA()
-			}
-		}
-		t = n.profMark(obs.PhaseCommit, t)
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.computeAlloc()
-			}
-		}
-		t = n.profMark(obs.PhaseAlloc, t)
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.commitArb()
-			}
-		}
-		t = n.profMark(obs.PhaseCommit, t)
-	} else {
-		// Stage: DISCO engines (commit, absorb, complete) — pure
-		// compute, no shared effects beyond the staged traces.
-		n.runStage(busy, obs.PhaseEngine, (*Router).computeEngine)
-		t = n.profClock()
-		n.flushTraces(busy)
-		t = n.profMark(obs.PhaseCommit, t)
-		// Stage: switch allocation — compute arbitrates against
-		// prior-cycle credits, commit applies stall bookkeeping and
-		// winner traversals (flit moves, credit reservations,
-		// ejections, fault draws).
-		n.runStage(busy, obs.PhaseSA, (*Router).computeSA)
-		t = n.profClock()
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.commitSA()
-			}
-		}
-		t = n.profMark(obs.PhaseCommit, t)
-		// Stage: allocation-side computes (VA, RC, DISCO arbitration
-		// fused per router), then the arbitration commit (engine job
-		// starts). Alloc compute and commit do NOT fuse per router even
-		// serially: both emit traces, and fusing would interleave them
-		// differently than the staged flush.
-		n.runStage(busy, obs.PhaseAlloc, (*Router).computeAlloc)
-		t = n.profClock()
-		n.flushTraces(busy)
-		for i, r := range n.Routers {
-			if busy[i] {
-				r.commitArb()
-			}
-		}
-		t = n.profMark(obs.PhaseCommit, t)
 	}
+	t = n.profMark(obs.PhaseCommit, t)
+	// Stage: allocation-side computes (VA, RC, DISCO arbitration fused
+	// per router), then the arbitration commit (engine job starts).
+	n.runStage(busy, obs.PhaseAlloc, (*Router).computeAlloc)
+	t = n.profClock()
+	n.flushTraces(busy)
+	for i, r := range n.Routers {
+		if busy[i] {
+			r.commitArb()
+		}
+	}
+	t = n.profMark(obs.PhaseCommit, t)
 	// Serial epilogue: NI injection (one flit per node per cycle).
 	for node := range n.ni {
 		n.stepInjection(node)

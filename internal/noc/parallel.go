@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/disco-sim/disco/internal/obs"
+	"github.com/disco-sim/disco/internal/tracefmt"
 )
 
 // This file is the parallel half of the two-phase cycle engine (see
@@ -223,7 +224,7 @@ func (n *Network) flushTraces(busy []bool) {
 // trace call both stamps the packet's Lifetime and feeds the tracer, and
 // neither may run concurrently (packets can be visible to two routers).
 type stagedTrace struct {
-	kind string
+	kind tracefmt.Kind
 	pkt  *Packet
 }
 
@@ -234,8 +235,9 @@ type stagedTrace struct {
 // stage may write the packet (stage exclusivity), so the packet state
 // at the call already equals the end-of-stage state the flush sees.
 // Commit phases call Network.trace directly (they already run in
-// canonical order).
-func (r *Router) trace(kind string, pkt *Packet) {
+// canonical order). Staging on the serial engine too would drop this
+// branch, but it costs ~7 % per simulated cycle (DESIGN.md §9).
+func (r *Router) trace(kind tracefmt.Kind, pkt *Packet) {
 	if r.net.pool == nil {
 		r.net.trace(r.id, kind, pkt)
 		return

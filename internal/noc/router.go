@@ -6,6 +6,7 @@ import (
 
 	"github.com/disco-sim/disco/internal/compress"
 	"github.com/disco-sim/disco/internal/disco"
+	"github.com/disco-sim/disco/internal/tracefmt"
 )
 
 // Router is one mesh router: a 3-stage pipeline (RC → VA/SA → ST+LT) with
@@ -80,14 +81,18 @@ type Router struct {
 	// Staged effects of the two-phase engine (see DESIGN.md §9): the
 	// compute phase of a stage records every effect that touches shared
 	// state here; the commit phase applies them in canonical router
-	// order. All are reused scratch, reset by their commit. On the serial
-	// engine the stall bookkeeping commits in place instead (see
-	// computeSA), so saStalls stays empty.
+	// order. All are reused scratch, reset by their commit.
 	traceBuf    []stagedTrace // compute-phase trace events (parallel only)
 	saWinners   []*vcBuf      // SA winners, in output-port order
-	saStalls    []saStall     // SA stall bookkeeping on shared Packet fields
 	arbPick     *vcBuf        // DISCO arbitration pick (engine start at commit)
 	arbPickCand disco.Candidate
+	// SA stall bookkeeping, one vcBuf.bit per input VC whose packet
+	// stalled this cycle: a VC stalls at most once per cycle (the
+	// schedulable and unschedulable branches of computeSA are
+	// exclusive), so a mask is the whole record. saEngineStalls is the
+	// subset stalled solely by the engine lock.
+	saStalls       uint64
+	saEngineStalls uint64
 }
 
 // saWant is one switch-allocation request.
@@ -95,15 +100,6 @@ type saWant struct {
 	e    *vcBuf
 	ip   Port
 	prio int
-}
-
-// saStall records one cycle of switch-allocation stall bookkeeping. A
-// wormhole packet can be buffered in two routers at once, so these
-// increments hit fields both routers can reach — they are staged during
-// compute and applied at the serial commit.
-type saStall struct {
-	pkt         *Packet
-	engineStall bool
 }
 
 // busy reports whether the router holds or expects any flit.
@@ -216,7 +212,7 @@ func (r *Router) computeRC() {
 		}
 		e.outPort = r.routeFor(e.pkt.Dst)
 		e.state = vcVA
-		r.trace(EvRoute, e.pkt)
+		r.trace(tracefmt.KindRoute, e.pkt)
 	}
 }
 
@@ -297,7 +293,7 @@ func (r *Router) computeVA() {
 		win.outVC = free
 		win.state = vcActive
 		r.outOwner[p][free] = win.pkt
-		r.trace(EvVAGrant, win.pkt)
+		r.trace(tracefmt.KindVAGrant, win.pkt)
 		for _, e := range cand {
 			if e != win {
 				e.lostArb = true
@@ -355,30 +351,18 @@ func (r *Router) priority(p *Packet) int {
 // computeSA arbitrates the crossbar (one flit per input port and per
 // output port) against prior-cycle credit state. Winners are staged (in
 // output-port order) for commitSA to traverse. Stall bookkeeping lands on
-// shared Packet fields: on the serial engine it commits in place (the
-// counters are only read at ejection, and a packet this router stalls
-// cannot eject elsewhere the same cycle — the head router must hold every
-// flit before ejecting, so this router released the packet at least one
-// cycle earlier); under the parallel engine, where two routers can reach
-// the same packet concurrently, it is staged for commitSA. Round-robin
+// shared Packet fields — a wormhole packet can sit in two routers, and a
+// tracer snapshots the counters when the packet is granted at its head
+// router — so it is staged for commitSA too, on every engine. Round-robin
 // pointers, wait counters and lostArb flags are router-local and advance
 // in place.
 func (r *Router) computeSA() {
 	var inUsed [NumPorts]bool
+	var stalls, engineStalls uint64 // staged for commitSA (see Router)
 	wants := &r.saWants
 	for p := Port(0); p < NumPorts; p++ {
 		wants[p] = wants[p][:0]
 	}
-	// Inline stall commits need more than a serial engine: tracers
-	// snapshot pkt.Queueing/EngineStall into every record, and a wormhole
-	// packet stalled here can be granted (and traced) at its head router
-	// the same cycle — so with a tracer attached the stalls stay staged,
-	// keeping the artifact byte-identical at every worker count. Without
-	// a tracer the counters are only read at ejection, which can never
-	// land in the same cycle as an upstream stall (the head router must
-	// hold every flit to eject, so the upstream released the packet at
-	// least a cycle earlier).
-	inline := r.net.pool == nil && r.net.tracer == nil
 	vcs := r.net.cfg.VCs
 	for m := r.live; m != 0; m &= m - 1 {
 		idx := bits.TrailingZeros64(m)
@@ -392,16 +376,11 @@ func (r *Router) computeSA() {
 		} else if e.state >= vcVA && e.stored > 0 {
 			// Buffered but unable to move: queueing time DISCO can use.
 			e.waitCycles++
-			engineStall := e.lock != lockNone && r.schedulableIgnoringLock(e)
-			if inline {
-				e.pkt.Queueing++
-				if engineStall {
-					// The engine lock is the only blocker: this stall
-					// cycle is exposed engine latency, not overlap.
-					e.pkt.Life.EngineStall++
-				}
-			} else {
-				r.saStalls = append(r.saStalls, saStall{pkt: e.pkt, engineStall: engineStall})
+			stalls |= e.bit
+			if e.lock != lockNone && r.schedulableIgnoringLock(e) {
+				// The engine lock is the only blocker: this stall cycle
+				// is exposed engine latency, not overlap.
+				engineStalls |= e.bit
 			}
 			if e.state == vcActive && e.sent < e.ready && e.lock == lockNone {
 				e.lostArb = true // blocked on credits: a contention loser too
@@ -431,11 +410,7 @@ func (r *Router) computeSA() {
 			for _, w := range cand {
 				w.e.lostArb = true
 				w.e.waitCycles++
-				if inline {
-					w.e.pkt.Queueing++
-				} else {
-					r.saStalls = append(r.saStalls, saStall{pkt: w.e.pkt})
-				}
+				stalls |= w.e.bit
 			}
 			continue
 		}
@@ -444,36 +419,30 @@ func (r *Router) computeSA() {
 			if i != best {
 				w.e.lostArb = true
 				w.e.waitCycles++
-				if inline {
-					w.e.pkt.Queueing++
-				} else {
-					r.saStalls = append(r.saStalls, saStall{pkt: w.e.pkt})
-				}
+				stalls |= w.e.bit
 			}
 		}
 		winner := cand[best]
 		inUsed[winner.ip] = true
 		r.saWinners = append(r.saWinners, winner.e)
 	}
+	r.saStalls, r.saEngineStalls = stalls, engineStalls
 }
 
 // commitSA applies this router's staged switch-allocation effects: the
-// stall counters (parallel engine only — the serial engine committed
-// them during computeSA), then the winner traversals (flit moves, credit
+// stall counters, then the winner traversals (flit moves, credit
 // reservations, ejections, fault draws) in output-port order. Called by
 // the network serially in router-index order — a winner's credit check
 // stays valid because its downstream VC has exactly one upstream owner,
 // and that owner is this traversal.
 func (r *Router) commitSA() {
-	for i := range r.saStalls {
-		st := &r.saStalls[i]
-		st.pkt.Queueing++
-		if st.engineStall {
-			st.pkt.Life.EngineStall++
-		}
-		st.pkt = nil
+	for m := r.saStalls; m != 0; m &= m - 1 {
+		r.vcs[bits.TrailingZeros64(m)].pkt.Queueing++
 	}
-	r.saStalls = r.saStalls[:0]
+	for m := r.saEngineStalls; m != 0; m &= m - 1 {
+		r.vcs[bits.TrailingZeros64(m)].pkt.Life.EngineStall++
+	}
+	r.saStalls, r.saEngineStalls = 0, 0
 	for i, e := range r.saWinners {
 		r.traverse(e)
 		r.saWinners[i] = nil
@@ -490,12 +459,12 @@ func (r *Router) traverse(e *vcBuf) {
 		r.engineVC = nil
 		e.releaseShadow()
 		r.engineReleases++
-		r.net.trace(r.id, EvEngineRelease, e.pkt)
+		r.net.trace(r.id, tracefmt.KindEngineRelease, e.pkt)
 	}
 	pkt := e.pkt
 	e.forwardFlit()
 	if e.sent == 1 {
-		r.net.trace(r.id, EvSAGrant, pkt)
+		r.net.trace(r.id, tracefmt.KindSAGrant, pkt)
 	}
 	r.flitsSwitched++
 	if e.outPort == Local {
@@ -517,7 +486,7 @@ func (r *Router) traverse(e *vcBuf) {
 			// corrupt encoding.
 			pkt.corruptPayloadBit(f.BitIndex(len(pkt.Comp.Payload) * 8))
 			r.faultPayloadFlips++
-			r.net.trace(r.id, EvPayloadFlip, pkt)
+			r.net.trace(r.id, tracefmt.KindPayloadFlip, pkt)
 		}
 		if f.CreditLoss() {
 			// Lose the credit for this flit's slot: the upstream keeps
@@ -525,7 +494,7 @@ func (r *Router) traverse(e *vcBuf) {
 			// it (scheduleCreditRestore).
 			dst.dropCredit()
 			r.faultCreditDrops++
-			r.net.trace(r.id, EvCreditDrop, pkt)
+			r.net.trace(r.id, tracefmt.KindCreditDrop, pkt)
 			r.net.scheduleCreditRestore(dst)
 		}
 	}
@@ -584,7 +553,7 @@ func (r *Router) computeEngine() {
 			if e != nil {
 				pkt = e.pkt
 			}
-			r.trace(EvEngineFault, pkt)
+			r.trace(tracefmt.KindEngineFault, pkt)
 			r.noteEngineFault()
 			if e != nil {
 				e.abortJob()
@@ -604,13 +573,13 @@ func (r *Router) computeEngine() {
 				// as incompressible.
 				e.pkt.CompressionFailed = true
 				e.abortJob()
-				r.trace(EvEngineDone, e.pkt)
+				r.trace(tracefmt.KindEngineDone, e.pkt)
 				return
 			}
 			e.pkt.ApplyCompression(res)
 			e.pkt.Conversions++
 			e.restockCompressed(e.pkt.FlitCount)
-			r.trace(EvEngineDone, e.pkt)
+			r.trace(tracefmt.KindEngineDone, e.pkt)
 		case done.State == disco.JobDone && done.Kind == disco.JobDecompress:
 			r.breakerConsec = 0
 			if r.net.fault != nil && !bytes.Equal(done.Block(), e.pkt.Block) {
@@ -623,7 +592,7 @@ func (r *Router) computeEngine() {
 			e.pkt.ApplyDecompression(done.Block())
 			e.pkt.Conversions++
 			e.restockDecompressed(e.pkt.FlitCount)
-			r.trace(EvEngineDone, e.pkt)
+			r.trace(tracefmt.KindEngineDone, e.pkt)
 		case done.Kind == disco.JobDecompress && r.net.fault != nil:
 			// Decode error (compress.ErrCorrupt) under fault injection: an
 			// in-flight bit-flip was detected. Deliver the retained
@@ -632,7 +601,7 @@ func (r *Router) computeEngine() {
 		default: // aborted (incompressible content)
 			e.pkt.CompressionFailed = true
 			e.abortJob()
-			r.trace(EvEngineFail, e.pkt)
+			r.trace(tracefmt.KindEngineFail, e.pkt)
 		}
 		return
 	}
@@ -647,7 +616,7 @@ func (r *Router) computeEngine() {
 	// freed (Section 3.2 step 3 / 3.3A separate compression).
 	if job.State == disco.JobCommitted && e.lock == lockPending {
 		e.commitJob(job.Kind == disco.JobCompress)
-		r.trace(EvEngineCommit, e.pkt)
+		r.trace(tracefmt.KindEngineCommit, e.pkt)
 	}
 	// Feed fragments that arrived since the last service.
 	if job.Kind == disco.JobCompress && e.lock == lockCommitted {
@@ -684,7 +653,7 @@ func (r *Router) computeArb() {
 		}
 		r.breakerOpen = false
 		r.breakerConsec = 0
-		r.trace(EvBreakerArm, nil)
+		r.trace(tracefmt.KindBreakerArm, nil)
 	}
 	engineFree := !r.engine.Busy()
 	r.arbVCs = r.arbVCs[:0]
@@ -769,7 +738,7 @@ func (r *Router) commitArb() {
 	}
 	r.engineVC = sel
 	r.engineStarts++
-	r.net.trace(r.id, EvEngineStart, pkt)
+	r.net.trace(r.id, tracefmt.KindEngineStart, pkt)
 }
 
 // noteEngineFault accounts one injected engine fault and advances the
@@ -785,7 +754,7 @@ func (r *Router) noteEngineFault() {
 		r.breakerOpen = true
 		r.breakerOpenUntil = r.net.Cycle + spec.BreakerCooldown
 		r.breakerTrips++
-		r.trace(EvBreakerTrip, nil)
+		r.trace(tracefmt.KindBreakerTrip, nil)
 	}
 }
 
@@ -799,7 +768,7 @@ func (r *Router) recoverCorrupt(e *vcBuf) {
 	e.pkt.ApplyDecompression(e.pkt.Block)
 	e.pkt.Conversions++
 	e.restockDecompressed(e.pkt.FlitCount)
-	r.trace(EvFaultRecover, e.pkt)
+	r.trace(tracefmt.KindFaultRecover, e.pkt)
 }
 
 // Engine exposes the router's DISCO engine for diagnostics (nil when

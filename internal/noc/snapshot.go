@@ -3,6 +3,8 @@ package noc
 import (
 	"fmt"
 	"strings"
+
+	"github.com/disco-sim/disco/internal/tracefmt"
 )
 
 // This file is the network's structured diagnostic surface, built for the
@@ -227,7 +229,7 @@ func (s *Snapshot) String() string {
 	return b.String()
 }
 
-// DumpStall emits one EvStall trace event per distinct in-flight packet,
+// DumpStall emits one KindStall trace event per distinct in-flight packet,
 // so trace consumers (discotrace, lifetime tracking) see exactly which
 // packets were wedged when the watchdog fired.
 func (n *Network) DumpStall() {
@@ -238,7 +240,7 @@ func (n *Network) DumpStall() {
 				return
 			}
 			seen[e.pkt.ID] = true
-			n.trace(r.id, EvStall, e.pkt)
+			n.trace(r.id, tracefmt.KindStall, e.pkt)
 		})
 	}
 }

@@ -1,9 +1,12 @@
 package noc
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/disco-sim/disco/internal/tracefmt"
 )
 
 func TestCountingTracerEventLifecycle(t *testing.T) {
@@ -25,76 +28,72 @@ func TestCountingTracerEventLifecycle(t *testing.T) {
 	if !n.RunUntilQuiescent(400000) {
 		t.Fatal("no drain")
 	}
-	if tr.Counts[EvInject] != id || tr.Counts[EvEject] != id {
-		t.Errorf("inject/eject events %d/%d, want %d", tr.Counts[EvInject], tr.Counts[EvEject], id)
+	c := tr.Counts
+	if c[tracefmt.KindInject] != id || c[tracefmt.KindEject] != id {
+		t.Errorf("inject/eject events %d/%d, want %d", c[tracefmt.KindInject], c[tracefmt.KindEject], id)
 	}
 	// Every packet is routed at least once per hop; at minimum id times.
-	if tr.Counts[EvRoute] < id {
-		t.Errorf("route events %d < packets %d", tr.Counts[EvRoute], id)
+	if c[tracefmt.KindRoute] < id {
+		t.Errorf("route events %d < packets %d", c[tracefmt.KindRoute], id)
 	}
 	// Engine lifecycle consistency: starts = done + fail + release.
-	starts := tr.Counts[EvEngineStart]
-	ends := tr.Counts[EvEngineDone] + tr.Counts[EvEngineFail] + tr.Counts[EvEngineRelease]
+	starts := c[tracefmt.KindEngineStart]
+	ends := c[tracefmt.KindEngineDone] + c[tracefmt.KindEngineFail] + c[tracefmt.KindEngineRelease]
 	if starts == 0 {
 		t.Fatal("no engine activity under congestion")
 	}
 	if starts != ends {
 		t.Errorf("engine starts %d != completions %d (done=%d fail=%d rel=%d)",
-			starts, ends, tr.Counts[EvEngineDone], tr.Counts[EvEngineFail], tr.Counts[EvEngineRelease])
+			starts, ends, c[tracefmt.KindEngineDone], c[tracefmt.KindEngineFail], c[tracefmt.KindEngineRelease])
 	}
 	// Commits never exceed starts.
-	if tr.Counts[EvEngineCommit] > starts {
+	if c[tracefmt.KindEngineCommit] > starts {
 		t.Error("more commits than starts")
 	}
 }
 
-func TestWriterTracerFormatsAndFilters(t *testing.T) {
+func TestWriterTracerFormats(t *testing.T) {
 	var sb strings.Builder
-	tr := &WriterTracer{W: &sb, Filter: func(kind string, _ *Packet) bool {
-		return kind == EvEject
-	}}
-	cfg := DefaultConfig()
-	n := mustNet(t, cfg)
+	tr := &WriterTracer{W: &sb}
+	n := mustNet(t, DefaultConfig())
 	n.SetTracer(tr)
 	n.Inject(NewControlPacket(1, 0, 3, ClassRequest))
 	if !n.RunUntilQuiescent(1000) {
 		t.Fatal("no drain")
 	}
 	out := sb.String()
-	if !strings.Contains(out, "eject") || strings.Contains(out, "inject") {
-		t.Errorf("filter not applied:\n%s", out)
+	if !strings.Contains(out, " inject ") || !strings.Contains(out, " eject ") {
+		t.Errorf("inject/eject lines missing:\n%s", out)
 	}
-	if tr.Count != 1 {
-		t.Errorf("Count = %d, want 1", tr.Count)
-	}
-	// Nil-packet events format without crashing.
-	tr.Filter = nil
-	tr.Event(5, 2, "custom", nil)
-	if !strings.Contains(sb.String(), "custom") {
-		t.Error("nil-packet event not formatted")
+	// Record rendering: packet fields come from the snapshot, the kind
+	// and class print by name, and packet-less records stop at the kind.
+	sb.Reset()
+	tr.Event(tracefmt.Record{Cycle: 7, Router: 3, Kind: tracefmt.KindEject, HasPacket: true,
+		Pkt: tracefmt.PacketInfo{ID: 9, Src: 1, Dst: 3, Class: uint8(ClassResponse),
+			Flags: tracefmt.PFCompressed, Flits: 2}})
+	tr.Event(tracefmt.Record{Cycle: 5, Router: 2, Kind: tracefmt.KindBreakerTrip})
+	want := "       7 r03 eject          pkt=9 1->3 response comp flits=2\n" +
+		"       5 r02 breaker-trip  \n"
+	if got := sb.String(); got != want {
+		t.Errorf("rendering:\n got %q\nwant %q", got, want)
 	}
 }
 
-func TestWriterTracerFilteredEventsNotCounted(t *testing.T) {
-	// Count must tally only emitted events: a filtered event contributes
-	// neither output bytes nor a Count increment, so Count stays an exact
+func TestWriterTracerCountMatchesLines(t *testing.T) {
+	// Count tallies exactly the emitted events, so it stays an exact
 	// record count for the file that was actually written.
 	var sb strings.Builder
-	tr := &WriterTracer{W: &sb, Filter: func(kind string, _ *Packet) bool {
-		return kind == EvEject
-	}}
-	tr.Event(1, 0, EvInject, nil)
-	tr.Event(2, 0, EvRoute, nil)
-	if tr.Count != 0 {
-		t.Fatalf("Count = %d after filtered events, want 0", tr.Count)
+	tr := &WriterTracer{W: &sb}
+	n := mustNet(t, discoConfig())
+	n.SetTracer(tr)
+	for id := uint64(1); id <= 8; id++ {
+		n.Inject(NewDataPacket(id, int(id), 0, compressibleBlock(int64(id)), true))
 	}
-	if sb.Len() != 0 {
-		t.Fatalf("filtered events produced output: %q", sb.String())
+	if !n.RunUntilQuiescent(10000) {
+		t.Fatal("no drain")
 	}
-	tr.Event(3, 0, EvEject, nil)
-	tr.Event(4, 0, EvInject, nil) // filtered again
-	if tr.Count != 1 {
-		t.Errorf("Count = %d, want 1 (only the eject passed the filter)", tr.Count)
+	if tr.Count == 0 {
+		t.Fatal("no events traced")
 	}
 	if lines := strings.Count(sb.String(), "\n"); lines != int(tr.Count) {
 		t.Errorf("Count %d != %d written lines", tr.Count, lines)
@@ -127,17 +126,17 @@ func (f *failingWriter) Close() error {
 func TestWriterTracerLatchesFirstError(t *testing.T) {
 	fw := &failingWriter{limit: 40} // room for one event line, not two
 	tr := &WriterTracer{W: fw}
-	tr.Event(1, 0, "first", nil)
+	tr.Event(tracefmt.Record{Cycle: 1, Kind: tracefmt.KindInject})
 	if tr.Err != nil {
 		t.Fatalf("first event failed unexpectedly: %v", tr.Err)
 	}
-	tr.Event(2, 0, "second", nil)
+	tr.Event(tracefmt.Record{Cycle: 2, Kind: tracefmt.KindRoute})
 	if !errors.Is(tr.Err, errDiskFull) {
 		t.Fatalf("Err = %v, want errDiskFull", tr.Err)
 	}
 	// Once latched, further events are dropped and the error survives.
 	count := tr.Count
-	tr.Event(3, 0, "third", nil)
+	tr.Event(tracefmt.Record{Cycle: 3, Kind: tracefmt.KindEject})
 	if tr.Count != count {
 		t.Error("event counted after the tracer latched an error")
 	}
@@ -146,41 +145,44 @@ func TestWriterTracerLatchesFirstError(t *testing.T) {
 	}
 }
 
-func TestBufferedTracerEmptyTraceCloses(t *testing.T) {
-	// Closing a tracer that never saw an event is valid: no output, no
-	// error, underlying closer still closed.
+// headerLen is the size of a BinaryTracer header for a 16-node network.
+var headerLen = len(tracefmt.AppendHeader(nil, 16))
+
+func TestBinaryTracerHeaderOnlyCloses(t *testing.T) {
+	// Closing a tracer that never saw an event is valid: the header
+	// alone, no error, underlying closer still closed.
 	fw := &failingWriter{limit: 1 << 20}
-	tr := NewBufferedTracer(fw)
+	tr := NewBinaryTracer(fw, 16)
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close on empty trace: %v", err)
 	}
-	if fw.written != 0 {
-		t.Errorf("empty trace wrote %d bytes", fw.written)
+	if fw.written != headerLen {
+		t.Errorf("empty trace wrote %d bytes, want the %d-byte header", fw.written, headerLen)
 	}
 	if !fw.closed {
 		t.Error("underlying closer not closed")
 	}
 }
 
-func TestBufferedTracerFlushesOnClose(t *testing.T) {
+func TestBinaryTracerFlushesOnClose(t *testing.T) {
 	fw := &failingWriter{limit: 1 << 20}
-	tr := NewBufferedTracer(fw)
-	tr.Event(7, 3, "route", nil)
+	tr := NewBinaryTracer(fw, 16)
+	tr.Event(tracefmt.Record{Cycle: 7, Router: 3, Kind: tracefmt.KindRoute})
 	if fw.written != 0 {
 		t.Fatal("event bypassed the buffer; buffering is not happening")
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if fw.written == 0 {
+	if fw.written <= headerLen {
 		t.Error("Close did not flush the buffered event")
 	}
 }
 
-func TestBufferedTracerSurfacesFlushError(t *testing.T) {
+func TestBinaryTracerSurfacesFlushError(t *testing.T) {
 	fw := &failingWriter{limit: 0} // everything fails at flush time
-	tr := NewBufferedTracer(fw)
-	tr.Event(7, 3, "route", nil)
+	tr := NewBinaryTracer(fw, 16)
+	tr.Event(tracefmt.Record{Cycle: 7, Router: 3, Kind: tracefmt.KindRoute})
 	if err := tr.Close(); !errors.Is(err, errDiskFull) {
 		t.Fatalf("Close = %v, want errDiskFull", err)
 	}
@@ -192,23 +194,29 @@ func TestBufferedTracerSurfacesFlushError(t *testing.T) {
 	}
 }
 
-func TestBufferedTracerSurfacesCloseError(t *testing.T) {
+func TestBinaryTracerSurfacesCloseError(t *testing.T) {
 	fw := &failingWriter{limit: 1 << 20, closeErr: errors.New("close failed")}
-	tr := NewBufferedTracer(fw)
+	tr := NewBinaryTracer(fw, 16)
 	if err := tr.Close(); err == nil || err.Error() != "close failed" {
 		t.Fatalf("Close = %v, want close failed", err)
 	}
 }
 
-func TestBufferedTracerPlainWriter(t *testing.T) {
-	// A writer without Close (e.g. strings.Builder) is flushed only.
-	var sb strings.Builder
-	tr := NewBufferedTracer(&sb)
-	tr.Event(7, 3, "route", nil)
+func TestBinaryTracerPlainWriter(t *testing.T) {
+	// A writer without Close (e.g. bytes.Buffer) is flushed only, and
+	// the flushed stream reads back.
+	var buf bytes.Buffer
+	tr := NewBinaryTracer(&buf, 16)
+	want := tracefmt.Record{Cycle: 7, Router: 3, Kind: tracefmt.KindRoute}
+	tr.Event(want)
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if !strings.Contains(sb.String(), "route") {
-		t.Error("flushed output missing the event")
+	r, err := tracefmt.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Next(); err != nil || got != want {
+		t.Errorf("read back %+v, %v; want %+v", got, err, want)
 	}
 }

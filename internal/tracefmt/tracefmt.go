@@ -44,34 +44,38 @@ const Version = 1
 // a corrupt or misaligned file.
 const maxRecordLen = 1 << 16
 
-// Kind is a compact event-kind code. Codes are stable wire values; the
-// string forms match the noc tracer event kinds.
+// Kind is a simulator event kind: the one vocabulary shared by the
+// tracers, the packet Lifetime stamps (internal/noc) and the trace
+// readers. Codes are stable wire values; String gives the names the text
+// tracer prints.
 type Kind uint8
 
 // Event kind codes (wire values — append only).
 const (
-	KindInvalid Kind = iota
-	KindInject
-	KindEject
-	KindRoute
-	KindVAGrant
-	KindSAGrant
-	KindEngineStart
-	KindEngineCommit
-	KindEngineDone
-	KindEngineRelease
-	KindEngineFail
-	KindEngineFault
-	KindBreakerTrip
-	KindBreakerArm
-	KindPayloadFlip
-	KindFaultRecover
-	KindCreditDrop
-	KindStall
+	KindInvalid       Kind = iota
+	KindInject             // packet entered an NI queue
+	KindEject              // packet fully delivered
+	KindRoute              // RC computed an output port
+	KindVAGrant            // downstream VC allocated
+	KindSAGrant            // first flit crossed the switch
+	KindEngineStart        // DISCO job started (pending)
+	KindEngineCommit       // shadow dropped, job committed
+	KindEngineDone         // transform applied
+	KindEngineRelease      // shadow released (mis-prediction)
+	KindEngineFail         // incompressible content
+
+	// Fault-injection and resilience events (internal/fault; emitted only
+	// when an injector is armed, so fault-free traces are unchanged).
+	KindEngineFault  // injected engine fault (stuck-busy abort)
+	KindBreakerTrip  // engine circuit breaker opened (bypass)
+	KindBreakerArm   // breaker cooldown elapsed; engine re-enabled
+	KindPayloadFlip  // injected bit-flip in a compressed payload
+	KindFaultRecover // corrupt payload recovered via the original
+	KindCreditDrop   // injected credit loss on a link
+	KindStall        // watchdog diagnostic (in-flight packet dump)
 	numKinds
 )
 
-// kindNames mirrors the noc tracer's string kinds.
 var kindNames = [numKinds]string{
 	KindInvalid:       "invalid",
 	KindInject:        "inject",
@@ -99,17 +103,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// KindFromString maps a tracer event-kind string to its wire code
-// (KindInvalid for unknown strings).
-func KindFromString(s string) Kind {
-	for k := KindInject; k < numKinds; k++ {
-		if kindNames[k] == s {
-			return k
-		}
-	}
-	return KindInvalid
 }
 
 // Packet flag bits.
@@ -161,10 +154,12 @@ func AppendHeader(buf []byte, nodes int) []byte {
 	return buf
 }
 
-// AppendRecord appends one length-prefixed record to buf.
+// AppendRecord appends one length-prefixed record to buf. The payload
+// is staged on the stack (at most 114 bytes: eleven varints and four
+// bytes), so appending to a reused buf allocates nothing.
 func AppendRecord(buf []byte, rec *Record) []byte {
-	var p []byte
-	p = append(p, byte(rec.Kind))
+	var stage [128]byte
+	p := append(stage[:0], byte(rec.Kind))
 	p = binary.AppendUvarint(p, rec.Cycle)
 	p = binary.AppendVarint(p, int64(rec.Router))
 	var flags byte
