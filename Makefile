@@ -59,13 +59,15 @@ cover:
 	done
 
 # Short native-fuzzing pass over the compressor decoders, the
-# kernel/reference differential target, the binary trace reader and the
-# stream-layer round-trip (one -fuzz invocation each: go test requires the pattern to match
-# exactly one target).
+# kernel/reference differential target, the retrain oracle, the
+# streaming decoder's failed-decode state rule, the binary trace reader
+# and the stream-layer round-trip (one -fuzz invocation each: go test
+# requires the pattern to match exactly one target).
 fuzz-smoke:
 	$(GO) test -run TestNone -fuzz='^FuzzDecompress$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzKernelEquivalence$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzRetrainEquivalence$$' -fuzztime=10s ./internal/compress
+	$(GO) test -run TestNone -fuzz='^FuzzStatefulDecode$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzReader$$' -fuzztime=10s ./internal/tracefmt
 	$(GO) test -run TestNone -fuzz='^FuzzStreamRoundTrip$$' -fuzztime=10s ./internal/stream
 

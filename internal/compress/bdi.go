@@ -46,12 +46,18 @@ var bdiGeometries = [...]bdiEncoding{
 // bdiEncodingBits is the per-block metadata cost: a 4-bit encoding tag.
 const bdiEncodingBits = 4
 
-// bdiRepEncoding builds the repeated-8-byte-value special case.
-func bdiRepEncoding(name string, rep uint64) Compressed {
-	p := make([]byte, 1+8)
+// bdiZeroEncoding appends the zero-block special case: the 1-byte
+// encoding tag and nothing else.
+func bdiZeroEncoding(name string, dst []byte) Compressed {
+	return Compressed{Alg: name, SizeBits: bdiEncodingBits + 4, Payload: append(dst, 0)}
+}
+
+// bdiRepEncoding appends the repeated-8-byte-value special case.
+func bdiRepEncoding(name string, dst []byte, rep uint64) Compressed {
+	dst, p := grow(dst, 1+8)
 	p[0] = 1
 	binary.LittleEndian.PutUint64(p[1:], rep)
-	return Compressed{Alg: name, SizeBits: bdiEncodingBits + 64, Payload: p}
+	return Compressed{Alg: name, SizeBits: bdiEncodingBits + 64, Payload: dst}
 }
 
 // bdiBestGeometry picks the winning geometry from probe facts: the
@@ -70,11 +76,11 @@ func bdiBestGeometry(facts *[len(bdiGeometries)]bdiFact) int {
 	return best
 }
 
-// bdiLayout lays out one geometry known feasible (probe facts supply
-// the base), replaying the per-element base selection of the scan: zero
-// base when the sign-extended element fits, else the explicit base with
-// the mask bit set. Only the winner's payload is ever allocated.
-func bdiLayout(name string, lanes *[BlockSize / FlitBytes]uint64, ws *[16]uint32, gi int, f *bdiFact) Compressed {
+// bdiLayout appends one geometry known feasible (probe facts supply
+// the base) to dst, replaying the per-element base selection of the
+// scan: zero base when the sign-extended element fits, else the
+// explicit base with the mask bit set. Only the winner is laid out.
+func bdiLayout(name string, dst []byte, lanes *[BlockSize / FlitBytes]uint64, ws *[16]uint32, gi int, f *bdiFact) Compressed {
 	g := &bdiGeometries[gi]
 	n := BlockSize / g.baseBytes
 	dbits := 8 * g.deltaByts
@@ -83,7 +89,7 @@ func bdiLayout(name string, lanes *[BlockSize / FlitBytes]uint64, ws *[16]uint32
 		baseBytes = g.baseBytes
 	}
 	maskLen := (n + 7) / 8
-	payload := make([]byte, 2+maskLen+baseBytes+n*g.deltaByts)
+	dst, payload := grow(dst, 2+maskLen+baseBytes+n*g.deltaByts)
 	payload[0] = g.id
 	if f.haveBase {
 		payload[1] = 1
@@ -109,14 +115,13 @@ func bdiLayout(name string, lanes *[BlockSize / FlitBytes]uint64, ws *[16]uint32
 		}
 		pos += g.deltaByts
 	}
-	return Compressed{Alg: name, SizeBits: f.sizeBits, Payload: payload}
+	return Compressed{Alg: name, SizeBits: f.sizeBits, Payload: dst}
 }
 
-// Compress implements Algorithm via the word-parallel kernel: the six
-// geometries are probed allocation-free over the register-resident
-// block and only the winner is laid out (the old path laid out every
-// feasible geometry and then kept one).
-func (a *BDI) Compress(block []byte) Compressed {
+// AppendCompress implements Algorithm via the word-parallel kernel: the
+// six geometries are probed allocation-free over the register-resident
+// block and only the winner is laid out.
+func (a *BDI) AppendCompress(dst, block []byte) Compressed {
 	checkBlock(block)
 	lanes := words64(block)
 	all := uint64(0)
@@ -126,11 +131,10 @@ func (a *BDI) Compress(block []byte) Compressed {
 		rep = rep && l == lanes[0]
 	}
 	if all == 0 {
-		// Zero block: 1-byte representation (encoding tag + nothing).
-		return Compressed{Alg: a.Name(), SizeBits: bdiEncodingBits + 4, Payload: []byte{0}}
+		return bdiZeroEncoding(a.Name(), dst)
 	}
 	if rep {
-		return bdiRepEncoding(a.Name(), lanes[0])
+		return bdiRepEncoding(a.Name(), dst, lanes[0])
 	}
 	var ws [16]uint32
 	for i, l := range lanes {
@@ -140,10 +144,13 @@ func (a *BDI) Compress(block []byte) Compressed {
 	facts := bdiProbe(&lanes, &ws)
 	best := bdiBestGeometry(&facts)
 	if best < 0 {
-		return stored(a.Name(), block)
+		return appendStored(a.Name(), dst, block)
 	}
-	return bdiLayout(a.Name(), &lanes, &ws, best, &facts[best])
+	return bdiLayout(a.Name(), dst, &lanes, &ws, best, &facts[best])
 }
+
+// Compress implements Algorithm.
+func (a *BDI) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
 
 // ProbeSizeBits implements ProbeCompressor.
 func (a *BDI) ProbeSizeBits(p *BlockProbe) (int, bool) {
@@ -160,19 +167,19 @@ func (a *BDI) ProbeSizeBits(p *BlockProbe) (int, bool) {
 	return p.bdi[best].sizeBits, true
 }
 
-// CompressFromProbe implements ProbeCompressor.
-func (a *BDI) CompressFromProbe(block []byte, p *BlockProbe) Compressed {
+// AppendFromProbe implements ProbeCompressor.
+func (a *BDI) AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed {
 	if p.zeroBlock {
-		return Compressed{Alg: a.Name(), SizeBits: bdiEncodingBits + 4, Payload: []byte{0}}
+		return bdiZeroEncoding(a.Name(), dst)
 	}
 	if p.repBlock {
-		return bdiRepEncoding(a.Name(), p.repValue)
+		return bdiRepEncoding(a.Name(), dst, p.repValue)
 	}
 	best := bdiBestGeometry(&p.bdi)
 	if best < 0 {
-		return stored(a.Name(), block)
+		return appendStored(a.Name(), dst, block)
 	}
-	return bdiLayout(a.Name(), &p.Lanes, &p.Words, best, &p.bdi[best])
+	return bdiLayout(a.Name(), dst, &p.Lanes, &p.Words, best, &p.bdi[best])
 }
 
 // signExtendWidth sign-extends a width-byte little-endian element value.
@@ -195,25 +202,31 @@ func wrapDiff(e, base uint64, widthBytes int) int64 {
 
 // Decompress implements Algorithm.
 func (a *BDI) Decompress(c Compressed) ([]byte, error) {
+	out := new([BlockSize]byte)
+	return fresh(out, a.DecompressInto(out, c))
+}
+
+// DecompressInto implements Algorithm.
+func (a *BDI) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
-		return storedRoundTrip(c)
+		return storedInto(out, c)
 	}
 	if len(c.Payload) < 1 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	switch c.Payload[0] {
 	case 0:
-		return make([]byte, BlockSize), nil
+		*out = [BlockSize]byte{}
+		return nil
 	case 1:
 		if len(c.Payload) != 9 {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		v := binary.LittleEndian.Uint64(c.Payload[1:])
-		out := make([]byte, BlockSize)
 		for i := 0; i < BlockSize; i += 8 {
 			binary.LittleEndian.PutUint64(out[i:], v)
 		}
-		return out, nil
+		return nil
 	}
 	var geo *bdiEncoding
 	for i := range bdiGeometries {
@@ -223,7 +236,7 @@ func (a *BDI) Decompress(c Compressed) ([]byte, error) {
 		}
 	}
 	if geo == nil || len(c.Payload) < 2 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	n := BlockSize / geo.baseBytes
 	pos := 1
@@ -232,7 +245,7 @@ func (a *BDI) Decompress(c Compressed) ([]byte, error) {
 	var base uint64
 	if haveBase {
 		if len(c.Payload) < pos+geo.baseBytes {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		var bb [8]byte
 		copy(bb[:], c.Payload[pos:pos+geo.baseBytes])
@@ -241,11 +254,10 @@ func (a *BDI) Decompress(c Compressed) ([]byte, error) {
 	}
 	maskLen := (n + 7) / 8
 	if len(c.Payload) != pos+maskLen+n*geo.deltaByts {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	mask := c.Payload[pos : pos+maskLen]
 	pos += maskLen
-	out := make([]byte, BlockSize)
 	for i := 0; i < n; i++ {
 		var raw uint64
 		for b := 0; b < geo.deltaByts; b++ {
@@ -256,7 +268,7 @@ func (a *BDI) Decompress(c Compressed) ([]byte, error) {
 		v := uint64(d)
 		if mask[i/8]&(1<<uint(i%8)) != 0 {
 			if !haveBase {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			v = base + uint64(d)
 		}
@@ -269,5 +281,5 @@ func (a *BDI) Decompress(c Compressed) ([]byte, error) {
 			binary.LittleEndian.PutUint16(out[i*2:], uint16(v))
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -1,67 +1,14 @@
 package compress
 
-// bitWriter packs MSB-first bit fields into a byte slice. FPC, C-Pack and
-// the Huffman (SC²) coder all emit variable-width fields, which is exactly
-// what the corresponding hardware shifters do.
-type bitWriter struct {
-	buf  []byte
-	nbit int // total bits written
-}
-
-// writeBits appends the low n bits of v, MSB first. n must be in [0, 64].
-func (w *bitWriter) writeBits(v uint64, n int) {
-	if n < 0 || n > 64 {
-		panic("compress: writeBits width out of range")
-	}
-	if n == 0 {
-		return
-	}
-	if n < 64 {
-		v &= 1<<uint(n) - 1
-	}
-	// Grow to the final byte length up front (reusing capacity), then
-	// deposit the field in at most three strides: the tail of the current
-	// partial byte, whole bytes, and a leading partial byte.
-	need := (w.nbit + n + 7) / 8
-	for len(w.buf) < need {
-		//lint:ignore hotalloc every constructor preallocates buf to the worst-case BlockSize+8 capacity, so this append only extends length within it
-		w.buf = append(w.buf, 0)
-	}
-	if rem := w.nbit % 8; rem != 0 {
-		// Fill the free low bits of the current byte.
-		free := 8 - rem
-		take := n
-		if take > free {
-			take = free
-		}
-		w.buf[w.nbit/8] |= byte(v>>uint(n-take)) << uint(free-take)
-		w.nbit += take
-		n -= take
-	}
-	for n >= 8 {
-		w.buf[w.nbit/8] = byte(v >> uint(n-8))
-		w.nbit += 8
-		n -= 8
-	}
-	if n > 0 {
-		w.buf[w.nbit/8] = byte(v&(1<<uint(n)-1)) << uint(8-n)
-		w.nbit += n
-	}
-}
-
-// bits returns the number of bits written so far.
-func (w *bitWriter) bits() int { return w.nbit }
-
-// bytes returns the backing buffer (last byte possibly partial).
-func (w *bitWriter) bytes() []byte { return w.buf }
-
-// bitAcc is the word-parallel kernels' bit emitter: fields accumulate in
-// a 64-bit register and spill whole bytes into a fixed worst-case buffer
-// — no appends, no per-byte bounds growth, nothing on the heap. The
-// byte layout is identical to bitWriter's (MSB-first, zero-padded final
-// partial byte); bitAcc only batches the shifts. Callers must keep
-// individual fields ≤ 56 bits so the accumulator (at most 7 carried
-// bits) never overflows; every codec emits ≤ 35-bit fields.
+// bitAcc is every bit-packing codec's emitter (FPC, SFPC, C-Pack, SC²,
+// FVC): fields accumulate in a 64-bit register and spill whole bytes
+// into a fixed worst-case buffer — no appends, no per-byte bounds
+// growth, nothing on the heap — and the finished payload reaches the
+// caller's dst in one append. The layout is MSB-first with a
+// zero-padded final partial byte, identical to the bit-at-a-time
+// bitWriter the tests keep as its oracle. Callers must keep individual
+// fields ≤ 56 bits so the accumulator (at most 7 carried bits) never
+// overflows; every codec emits ≤ 35-bit fields.
 type bitAcc struct {
 	acc   uint64
 	nacc  int // meaningful low bits of acc (< 8 after each emit)
@@ -88,22 +35,20 @@ func (a *bitAcc) emit(v uint64, nb int) {
 // bits returns the number of bits emitted so far.
 func (a *bitAcc) bits() int { return a.total }
 
-// bytes flushes the partial byte and returns the payload, sized exactly
-// like bitWriter.bytes() for the same field sequence.
-func (a *bitAcc) bytes() []byte {
+// appendTo flushes the partial byte and appends the payload to dst,
+// exactly ceil(bits/8) bytes, allocating at most once.
+func (a *bitAcc) appendTo(dst []byte) []byte {
 	n := a.n
 	if a.nacc > 0 {
+		a.buf[n] = byte(a.acc&(1<<uint(a.nacc)-1)) << uint(8-a.nacc)
 		n++
 	}
-	out := make([]byte, n)
-	copy(out, a.buf[:a.n])
-	if a.nacc > 0 {
-		out[a.n] = byte(a.acc&(1<<uint(a.nacc)-1)) << uint(8-a.nacc)
-	}
-	return out
+	dst, out := grow(dst, n)
+	copy(out, a.buf[:n])
+	return dst
 }
 
-// bitReader reads MSB-first bit fields written by bitWriter.
+// bitReader reads MSB-first bit fields written by bitAcc.
 type bitReader struct {
 	buf []byte
 	pos int // bit cursor

@@ -52,6 +52,11 @@ func (c Compressed) Ratio() float64 { return float64(BlockSize) / float64(c.Size
 
 // Algorithm is one block compressor. Latencies are in router/cache cycles
 // and follow Table 1 of the paper.
+//
+// Each codec has one encoder, AppendCompress, and one decoder,
+// DecompressInto, both writing into caller-owned memory; Compress and
+// Decompress are wrappers that hand the same bytes back in one fresh
+// allocation, for callers that keep the result (packets, caches).
 type Algorithm interface {
 	// Name returns the scheme's short name ("delta", "fpc", ...).
 	Name() string
@@ -59,10 +64,19 @@ type Algorithm interface {
 	CompLatency() int
 	// DecompLatency is the pipeline latency of decompressing one block.
 	DecompLatency() int
-	// Compress encodes a BlockSize-byte block. It panics if len(block)
-	// differs from BlockSize (caller bug, not data-dependent).
+	// AppendCompress encodes a BlockSize-byte block, appending the
+	// payload to dst (a stored fallback appends the raw block), and
+	// returns the result with Payload set to the extended dst. It
+	// allocates only if dst lacks the capacity: BlockSize spare bytes
+	// always suffice. It panics if len(block) differs from BlockSize
+	// (caller bug, not data-dependent).
+	AppendCompress(dst, block []byte) Compressed
+	// DecompressInto decodes a Compressed produced by the same
+	// algorithm into dst. On error dst holds unspecified bytes.
+	DecompressInto(dst *[BlockSize]byte, c Compressed) error
+	// Compress is AppendCompress into one fresh, exactly sized payload.
 	Compress(block []byte) Compressed
-	// Decompress decodes a Compressed produced by the same algorithm.
+	// Decompress is DecompressInto a fresh block.
 	Decompress(c Compressed) ([]byte, error)
 }
 
@@ -73,21 +87,51 @@ func checkBlock(block []byte) {
 	}
 }
 
-// stored builds the fall-back encoding that keeps the block raw.
-func stored(alg string, block []byte) Compressed {
-	p := make([]byte, BlockSize)
-	copy(p, block)
-	return Compressed{Alg: alg, SizeBits: 8 * BlockSize, Stored: true, Payload: p}
+// appendStored builds the fall-back encoding that keeps the block raw,
+// appending it to dst.
+func appendStored(alg string, dst, block []byte) Compressed {
+	dst, out := grow(dst, BlockSize)
+	copy(out, block)
+	return Compressed{Alg: alg, SizeBits: 8 * BlockSize, Stored: true, Payload: dst}
 }
 
-// storedRoundTrip decodes a stored block; shared by all algorithms.
-func storedRoundTrip(c Compressed) ([]byte, error) {
+// storedInto decodes a stored block; shared by all algorithms.
+func storedInto(dst *[BlockSize]byte, c Compressed) error {
 	if len(c.Payload) != BlockSize {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	out := make([]byte, BlockSize)
-	copy(out, c.Payload)
-	return out, nil
+	copy(dst[:], c.Payload)
+	return nil
+}
+
+// fresh finishes every codec's Decompress wrapper, which decodes into
+// one freshly allocated block: the block on success, nil and the error
+// otherwise. (Each wrapper calls its own DecompressInto statically; a
+// shared helper taking an Algorithm would put an interface call on the
+// cold path's every block.)
+func fresh(out *[BlockSize]byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return out[:], nil
+}
+
+// grow extends dst by n zeroed bytes, allocating at most once, and
+// returns the extended slice plus the new n-byte tail to lay out into.
+// A nil dst (the Compress wrappers) gets a plain make, which skips
+// append's growth path.
+func grow(dst []byte, n int) (out, tail []byte) {
+	if dst == nil {
+		out = make([]byte, n)
+		return out, out
+	}
+	out = append(dst, make([]byte, n)...)
+	return out, out[len(dst):]
+}
+
+// putWord stores the i-th 32-bit word of a block little-endian.
+func putWord(dst *[BlockSize]byte, i int, w uint32) {
+	binary.LittleEndian.PutUint32(dst[i*WordSize:], w)
 }
 
 // words32 splits a block into 16 little-endian 32-bit words.

@@ -76,125 +76,127 @@ func (d *cpackDict) match(w uint32) (idx, kind int) {
 	return bestIdx, best
 }
 
-// Compress implements Algorithm.
-func (a *CPack) Compress(block []byte) Compressed {
+// AppendCompress implements Algorithm. Each word's code and fields
+// go out as one MSB-first field (bit-identical to writing them one by
+// one, since MSB-first concatenation is associative).
+func (a *CPack) AppendCompress(dst, block []byte) Compressed {
 	checkBlock(block)
 	ws := words32(block)
-	// Worst case is 2+32 bits per word (68 bytes); allocate once.
-	w := bitWriter{buf: make([]byte, 0, BlockSize+8)}
+	var w bitAcc
 	var dict cpackDict
 	for _, word := range ws {
 		if word == 0 {
-			w.writeBits(0b00, 2)
+			w.emit(0b00, 2)
 			continue
 		}
 		idx, kind := dict.match(word)
 		switch {
 		case kind == 4:
-			w.writeBits(0b10, 2)
-			w.writeBits(uint64(idx), 4)
+			w.emit(0b10<<4|uint64(idx), 6)
 		case kind == 3:
-			w.writeBits(0b1110, 4)
-			w.writeBits(uint64(idx), 4)
-			w.writeBits(uint64(word)&0xFF, 8)
+			w.emit(0b1110<<12|uint64(idx)<<8|uint64(word)&0xFF, 16)
 			dict.push(word)
 		case word&0xFFFFFF00 == 0:
-			w.writeBits(0b1101, 4)
-			w.writeBits(uint64(word)&0xFF, 8)
+			w.emit(0b1101<<8|uint64(word)&0xFF, 12)
 		case kind == 2:
-			w.writeBits(0b1100, 4)
-			w.writeBits(uint64(idx), 4)
-			w.writeBits(uint64(word)&0xFFFF, 16)
+			w.emit(0b1100<<20|uint64(idx)<<16|uint64(word)&0xFFFF, 24)
 			dict.push(word)
 		default:
-			w.writeBits(0b01, 2)
-			w.writeBits(uint64(word), 32)
+			w.emit(0b01<<32|uint64(word), 34)
 			dict.push(word)
 		}
 	}
 	if w.bits() >= 8*BlockSize {
-		return stored(a.Name(), block)
+		return appendStored(a.Name(), dst, block)
 	}
-	return Compressed{Alg: a.Name(), SizeBits: w.bits(), Payload: w.bytes()}
+	return Compressed{Alg: a.Name(), SizeBits: w.bits(), Payload: w.appendTo(dst)}
 }
+
+// Compress implements Algorithm.
+func (a *CPack) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
 
 // Decompress implements Algorithm.
 func (a *CPack) Decompress(c Compressed) ([]byte, error) {
+	out := new([BlockSize]byte)
+	return fresh(out, a.DecompressInto(out, c))
+}
+
+// DecompressInto implements Algorithm.
+func (a *CPack) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
-		return storedRoundTrip(c)
+		return storedInto(out, c)
 	}
 	r := bitReader{buf: c.Payload}
 	var dict cpackDict
-	out := make([]byte, 0, BlockSize)
 	for i := 0; i < BlockSize/WordSize; i++ {
 		b0, ok := r.readBit()
 		if !ok {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		if b0 == 0 {
 			b1, ok := r.readBit()
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			if b1 == 0 { // 00 zzzz
-				out = appendWord(out, 0)
+				putWord(out, i, 0)
 				continue
 			}
 			// 01 xxxx
 			v, ok := r.readBits(32)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			word := uint32(v)
 			dict.push(word)
-			out = appendWord(out, word)
+			putWord(out, i, word)
 			continue
 		}
 		b1, ok := r.readBit()
 		if !ok {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		if b1 == 0 { // 10 mmmm
 			idx, ok := r.readBits(4)
 			if !ok || int(idx) >= dict.n {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
-			out = appendWord(out, dict.entries[idx])
+			putWord(out, i, dict.entries[idx])
 			continue
 		}
 		// 11xx extended codes
 		ext, ok := r.readBits(2)
 		if !ok {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		switch ext {
 		case 0b00: // mmxx
 			idx, ok1 := r.readBits(4)
 			low, ok2 := r.readBits(16)
 			if !ok1 || !ok2 || int(idx) >= dict.n {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			word := dict.entries[idx]&0xFFFF0000 | uint32(low)
 			dict.push(word)
-			out = appendWord(out, word)
+			putWord(out, i, word)
 		case 0b01: // zzzx
 			low, ok := r.readBits(8)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
-			out = appendWord(out, uint32(low))
+			putWord(out, i, uint32(low))
 		case 0b10: // mmmx
 			idx, ok1 := r.readBits(4)
 			low, ok2 := r.readBits(8)
 			if !ok1 || !ok2 || int(idx) >= dict.n {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			word := dict.entries[idx]&0xFFFFFF00 | uint32(low)
 			dict.push(word)
-			out = appendWord(out, word)
+			putWord(out, i, word)
 		default:
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -111,12 +111,12 @@ func deltaHalfCap(req8 int) int {
 	return 0
 }
 
-// layoutDelta8 lays out the 8-byte-flit encoding at width req8:
+// layoutDelta8 appends the 8-byte-flit encoding at width req8 to dst:
 // width, base-select bitmap, base flit, then the deltas (little-endian,
 // req8 bytes each). The zero base is preferred on ties so an all-zero
 // block encodes with an all-zero delta vector.
-func layoutDelta8(flits *[BlockSize / FlitBytes]uint64, wZero *[deltaFlits]uint8, req8 int) []byte {
-	out := make([]byte, 2+FlitBytes+deltaFlits*req8)
+func layoutDelta8(dst []byte, flits *[BlockSize / FlitBytes]uint64, wZero *[deltaFlits]uint8, req8 int) []byte {
+	dst, out := grow(dst, 2+FlitBytes+deltaFlits*req8)
 	binary.LittleEndian.PutUint64(out[2:], flits[0])
 	var zeroSel uint8
 	if req8 == 1 {
@@ -147,10 +147,10 @@ func layoutDelta8(flits *[BlockSize / FlitBytes]uint64, wZero *[deltaFlits]uint8
 		}
 	}
 	out[0], out[1] = byte(req8), zeroSel
-	return out
+	return dst
 }
 
-// Compress implements Algorithm. The "multiple compressor units" of
+// AppendCompress implements Algorithm. The "multiple compressor units" of
 // Fig. 4 are tried in parallel — 8-byte flit granularity with Δ ∈
 // {1,2,4} and 4-byte half-flit granularity with Δ ∈ {1,2} — and the
 // selection logic keeps the smallest encoding. The width scans are the
@@ -158,7 +158,7 @@ func layoutDelta8(flits *[BlockSize / FlitBytes]uint64, wZero *[deltaFlits]uint8
 // monotone in the delta width, so one pass per granularity finds the
 // width the unit bank would select and only the winning plan is laid
 // out.
-func (a *Delta) Compress(block []byte) Compressed {
+func (a *Delta) AppendCompress(dst, block []byte) Compressed {
 	checkBlock(block)
 	flits := words64(block)
 	req8, wZero := deltaWidths8(&flits)
@@ -170,14 +170,17 @@ func (a *Delta) Compress(block []byte) Compressed {
 		}
 		hz, hb := halfDeltaScan(&ws)
 		if reqHalf, ok := halfDeltaReq(&hz, &hb, capHalf); ok {
-			return Compressed{Alg: a.Name(), SizeBits: halfDeltaSizeBits(reqHalf), Payload: layoutHalfDelta(&ws, &hz, reqHalf)}
+			return Compressed{Alg: a.Name(), SizeBits: halfDeltaSizeBits(reqHalf), Payload: layoutHalfDelta(dst, &ws, &hz, reqHalf)}
 		}
 	}
 	if req8 == 0 {
-		return stored(a.Name(), block)
+		return appendStored(a.Name(), dst, block)
 	}
-	return Compressed{Alg: a.Name(), SizeBits: deltaSizeBits(req8), Payload: layoutDelta8(&flits, &wZero, req8)}
+	return Compressed{Alg: a.Name(), SizeBits: deltaSizeBits(req8), Payload: layoutDelta8(dst, &flits, &wZero, req8)}
 }
+
+// Compress implements Algorithm.
+func (a *Delta) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
 
 // ProbeSizeBits implements ProbeCompressor: the unit bank's selection
 // replayed over the probe's precomputed widths.
@@ -193,41 +196,40 @@ func (a *Delta) ProbeSizeBits(p *BlockProbe) (int, bool) {
 	return deltaSizeBits(p.delta8Req), true
 }
 
-// CompressFromProbe implements ProbeCompressor.
-func (a *Delta) CompressFromProbe(block []byte, p *BlockProbe) Compressed {
+// AppendFromProbe implements ProbeCompressor.
+func (a *Delta) AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed {
 	if capHalf := deltaHalfCap(p.delta8Req); capHalf != 0 {
 		if reqHalf, ok := halfDeltaReq(&p.halfWZero, &p.halfWBase, capHalf); ok {
-			return Compressed{Alg: a.Name(), SizeBits: halfDeltaSizeBits(reqHalf), Payload: layoutHalfDelta(&p.Words, &p.halfWZero, reqHalf)}
+			return Compressed{Alg: a.Name(), SizeBits: halfDeltaSizeBits(reqHalf), Payload: layoutHalfDelta(dst, &p.Words, &p.halfWZero, reqHalf)}
 		}
 	}
 	if p.delta8Req == 0 {
-		return stored(a.Name(), block)
+		return appendStored(a.Name(), dst, block)
 	}
-	return Compressed{Alg: a.Name(), SizeBits: deltaSizeBits(p.delta8Req), Payload: layoutDelta8(&p.Lanes, &p.delta8WZero, p.delta8Req)}
+	return Compressed{Alg: a.Name(), SizeBits: deltaSizeBits(p.delta8Req), Payload: layoutDelta8(dst, &p.Lanes, &p.delta8WZero, p.delta8Req)}
 }
 
-// Decompress implements Algorithm.
-func (a *Delta) Decompress(c Compressed) ([]byte, error) {
+// DecompressInto implements Algorithm.
+func (a *Delta) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
-		return storedRoundTrip(c)
+		return storedInto(out, c)
 	}
 	if len(c.Payload) >= 1 && c.Payload[0]&0xF0 == 0xF0 {
-		return decodeHalfDelta(c.Payload)
+		return decodeHalfDelta(out, c.Payload)
 	}
 	if len(c.Payload) < 2+FlitBytes {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	width := int(c.Payload[0])
 	if width != 1 && width != 2 && width != 4 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	if len(c.Payload) != 2+FlitBytes+deltaFlits*width {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	zeroSel := c.Payload[1]
 	base := binary.LittleEndian.Uint64(c.Payload[2:])
-	out := make([]byte, BlockSize)
-	binary.LittleEndian.PutUint64(out, base)
+	binary.LittleEndian.PutUint64(out[:], base)
 	pos := 2 + FlitBytes
 	for i := 0; i < deltaFlits; i++ {
 		var raw uint64
@@ -242,21 +244,26 @@ func (a *Delta) Decompress(c Compressed) ([]byte, error) {
 		}
 		binary.LittleEndian.PutUint64(out[(i+1)*FlitBytes:], v)
 	}
-	return out, nil
+	return nil
 }
 
-// decodeHalfDelta reverses encodeHalfDelta.
-func decodeHalfDelta(p []byte) ([]byte, error) {
+// Decompress implements Algorithm.
+func (a *Delta) Decompress(c Compressed) ([]byte, error) {
+	out := new([BlockSize]byte)
+	return fresh(out, a.DecompressInto(out, c))
+}
+
+// decodeHalfDelta reverses layoutHalfDelta into out.
+func decodeHalfDelta(out *[BlockSize]byte, p []byte) error {
 	width := int(p[0] & 0x0F)
 	if width != 1 && width != 2 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	if len(p) != 7+(halfDeltaElems-1)*width {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	zeroSel := uint16(p[1]) | uint16(p[2])<<8
 	base := uint32(p[3]) | uint32(p[4])<<8 | uint32(p[5])<<16 | uint32(p[6])<<24
-	out := make([]byte, BlockSize)
 	out[0], out[1], out[2], out[3] = p[3], p[4], p[5], p[6]
 	pos := 7
 	for i := 0; i < halfDeltaElems-1; i++ {
@@ -270,13 +277,9 @@ func decodeHalfDelta(p []byte) ([]byte, error) {
 		if zeroSel&(1<<uint(i)) == 0 {
 			v += base
 		}
-		off := (i + 1) * 4
-		out[off] = byte(v)
-		out[off+1] = byte(v >> 8)
-		out[off+2] = byte(v >> 16)
-		out[off+3] = byte(v >> 24)
+		putWord(out, i+1, v)
 	}
-	return out, nil
+	return nil
 }
 
 // IncrementalDelta is the "separate compression" engine of Section 3.3A:

@@ -64,12 +64,12 @@ func trailingOnes16(m uint16) int {
 	return n
 }
 
-// fpcEncode is the kernel emission path shared by Compress and
-// CompressFromProbe: pattern selection reads the precomputed masks, and
+// fpcEncode is the kernel emission path shared by AppendCompress and
+// AppendFromProbe: pattern selection reads the precomputed masks, and
 // each word's prefix and residual are fused into a single MSB-first
 // field (bit-identical to the old prefix-then-residual writes, since
 // MSB-first concatenation is associative).
-func fpcEncode(name string, block []byte, ws *[16]uint32, m *wordMasks) Compressed {
+func fpcEncode(name string, dst, block []byte, ws *[16]uint32, m *wordMasks) Compressed {
 	var a bitAcc
 	for i := 0; i < len(ws); {
 		bit := uint16(1) << uint(i)
@@ -99,20 +99,23 @@ func fpcEncode(name string, block []byte, ws *[16]uint32, m *wordMasks) Compress
 		i++
 	}
 	if a.bits() >= 8*BlockSize {
-		return stored(name, block)
+		return appendStored(name, dst, block)
 	}
-	return Compressed{Alg: name, SizeBits: a.bits(), Payload: a.bytes()}
+	return Compressed{Alg: name, SizeBits: a.bits(), Payload: a.appendTo(dst)}
 }
 
-// Compress implements Algorithm via the word-parallel kernel: one
+// AppendCompress implements Algorithm via the word-parallel kernel: one
 // classification pass builds the pattern masks, one emission pass packs
 // the block.
-func (a *FPC) Compress(block []byte) Compressed {
+func (a *FPC) AppendCompress(dst, block []byte) Compressed {
 	checkBlock(block)
 	ws := words32(block)
 	m := classifyWords32(&ws)
-	return fpcEncode(a.Name(), block, &ws, &m)
+	return fpcEncode(a.Name(), dst, block, &ws, &m)
 }
+
+// Compress implements Algorithm.
+func (a *FPC) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
 
 // fpcProbeSize replays the pattern selection over the masks without
 // emitting a bit.
@@ -155,36 +158,41 @@ func (a *FPC) ProbeSizeBits(p *BlockProbe) (int, bool) {
 	return total, true
 }
 
-// CompressFromProbe implements ProbeCompressor.
-func (a *FPC) CompressFromProbe(block []byte, p *BlockProbe) Compressed {
-	return fpcEncode(a.Name(), block, &p.Words, &p.masks)
+// AppendFromProbe implements ProbeCompressor.
+func (a *FPC) AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed {
+	return fpcEncode(a.Name(), dst, block, &p.Words, &p.masks)
 }
 
 // Decompress implements Algorithm.
 func (a *FPC) Decompress(c Compressed) ([]byte, error) {
+	out := new([BlockSize]byte)
+	return fresh(out, a.DecompressInto(out, c))
+}
+
+// DecompressInto implements Algorithm.
+func (a *FPC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
-		return storedRoundTrip(c)
+		return storedInto(out, c)
 	}
 	r := bitReader{buf: c.Payload}
-	out := make([]byte, 0, BlockSize)
 	words := 0
 	for words < BlockSize/WordSize {
 		prefix, ok := r.readBits(3)
 		if !ok {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		switch prefix {
 		case fpcZeroRun:
 			rl, ok := r.readBits(3)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			n := int(rl) + 1
 			if words+n > BlockSize/WordSize {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			for j := 0; j < n; j++ {
-				out = appendWord(out, 0)
+				putWord(out, words+j, 0)
 			}
 			words += n
 		case fpcSE4, fpcSE8, fpcSE16:
@@ -197,50 +205,45 @@ func (a *FPC) Decompress(c Compressed) ([]byte, error) {
 			}
 			v, ok := r.readBits(width)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
-			out = appendWord(out, uint32(signExtend(v, width)))
+			putWord(out, words, uint32(signExtend(v, width)))
 			words++
 		case fpcPadded16:
 			v, ok := r.readBits(16)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
-			out = appendWord(out, uint32(v)<<16)
+			putWord(out, words, uint32(v)<<16)
 			words++
 		case fpcTwoHalf:
 			hi, ok1 := r.readBits(8)
 			lo, ok2 := r.readBits(8)
 			if !ok1 || !ok2 {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			h := uint32(uint16(signExtend(hi, 8)))
 			l := uint32(uint16(signExtend(lo, 8)))
-			out = appendWord(out, h<<16|l)
+			putWord(out, words, h<<16|l)
 			words++
 		case fpcRepByte:
 			v, ok := r.readBits(8)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			b := uint32(v)
-			out = appendWord(out, b|b<<8|b<<16|b<<24)
+			putWord(out, words, b|b<<8|b<<16|b<<24)
 			words++
 		case fpcUncompact:
 			v, ok := r.readBits(32)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
-			out = appendWord(out, uint32(v))
+			putWord(out, words, uint32(v))
 			words++
 		}
 	}
-	return out, nil
-}
-
-// appendWord appends a 32-bit word little-endian.
-func appendWord(out []byte, w uint32) []byte {
-	return append(out, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
+	return nil
 }
 
 // SFPC is the simplified FPC variant of Table 1 (4-cycle decompression,
@@ -269,9 +272,9 @@ const (
 	sfpcUncomp = 3
 )
 
-// sfpcEncode is the kernel emission path shared by Compress and
-// CompressFromProbe (prefix and residual fused per word, as in FPC).
-func sfpcEncode(name string, block []byte, ws *[16]uint32, m *wordMasks) Compressed {
+// sfpcEncode is the kernel emission path shared by AppendCompress and
+// AppendFromProbe (prefix and residual fused per word, as in FPC).
+func sfpcEncode(name string, dst, block []byte, ws *[16]uint32, m *wordMasks) Compressed {
 	var a bitAcc
 	for i := 0; i < len(ws); i++ {
 		bit := uint16(1) << uint(i)
@@ -288,18 +291,21 @@ func sfpcEncode(name string, block []byte, ws *[16]uint32, m *wordMasks) Compres
 		}
 	}
 	if a.bits() >= 8*BlockSize {
-		return stored(name, block)
+		return appendStored(name, dst, block)
 	}
-	return Compressed{Alg: name, SizeBits: a.bits(), Payload: a.bytes()}
+	return Compressed{Alg: name, SizeBits: a.bits(), Payload: a.appendTo(dst)}
 }
 
-// Compress implements Algorithm via the word-parallel kernel.
-func (a *SFPC) Compress(block []byte) Compressed {
+// AppendCompress implements Algorithm via the word-parallel kernel.
+func (a *SFPC) AppendCompress(dst, block []byte) Compressed {
 	checkBlock(block)
 	ws := words32(block)
 	m := classifyWords32(&ws)
-	return sfpcEncode(a.Name(), block, &ws, &m)
+	return sfpcEncode(a.Name(), dst, block, &ws, &m)
 }
+
+// Compress implements Algorithm.
+func (a *SFPC) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
 
 // ProbeSizeBits implements ProbeCompressor.
 func (a *SFPC) ProbeSizeBits(p *BlockProbe) (int, bool) {
@@ -324,45 +330,50 @@ func (a *SFPC) ProbeSizeBits(p *BlockProbe) (int, bool) {
 	return total, true
 }
 
-// CompressFromProbe implements ProbeCompressor.
-func (a *SFPC) CompressFromProbe(block []byte, p *BlockProbe) Compressed {
-	return sfpcEncode(a.Name(), block, &p.Words, &p.masks)
+// AppendFromProbe implements ProbeCompressor.
+func (a *SFPC) AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed {
+	return sfpcEncode(a.Name(), dst, block, &p.Words, &p.masks)
 }
 
 // Decompress implements Algorithm.
 func (a *SFPC) Decompress(c Compressed) ([]byte, error) {
+	out := new([BlockSize]byte)
+	return fresh(out, a.DecompressInto(out, c))
+}
+
+// DecompressInto implements Algorithm.
+func (a *SFPC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
-		return storedRoundTrip(c)
+		return storedInto(out, c)
 	}
 	r := bitReader{buf: c.Payload}
-	out := make([]byte, 0, BlockSize)
 	for i := 0; i < BlockSize/WordSize; i++ {
 		prefix, ok := r.readBits(2)
 		if !ok {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		switch prefix {
 		case sfpcZero:
-			out = appendWord(out, 0)
+			putWord(out, i, 0)
 		case sfpcSE8:
 			v, ok := r.readBits(8)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
-			out = appendWord(out, uint32(signExtend(v, 8)))
+			putWord(out, i, uint32(signExtend(v, 8)))
 		case sfpcSE16:
 			v, ok := r.readBits(16)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
-			out = appendWord(out, uint32(signExtend(v, 16)))
+			putWord(out, i, uint32(signExtend(v, 16)))
 		case sfpcUncomp:
 			v, ok := r.readBits(32)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
-			out = appendWord(out, uint32(v))
+			putWord(out, i, uint32(v))
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -23,6 +23,17 @@ func TestDecompressNeverPanicsOnGarbage(t *testing.T) {
 			Stored:   stored,
 			Payload:  payload,
 		}
+		if !raceEnabled {
+			var into [BlockSize]byte
+			allocs := testing.AllocsPerRun(1, func() {
+				for _, alg := range algs {
+					_ = alg.DecompressInto(&into, c)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("DecompressInto made %.0f allocations across the decoders, want 0", allocs)
+			}
+		}
 		for _, alg := range algs {
 			out, err := alg.Decompress(c)
 			if err == nil && len(out) != BlockSize {
@@ -207,8 +218,10 @@ func TestIncrementalDeltaFragmentSizesConsistent(t *testing.T) {
 
 // FuzzDecompress is the native fuzz target behind `make fuzz-smoke`
 // (go test -fuzz=Fuzz): arbitrary payloads through every decoder must
-// return a full block or ErrCorrupt — never panic, never a short block.
-// Compressing the result of a successful decode must round-trip.
+// return a full block or ErrCorrupt — never panic, never a short block —
+// and decoding into caller memory must allocate nothing, accepted or
+// rejected. Compressing the result of a successful decode must
+// round-trip.
 func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{}, uint16(1), false)
 	f.Add([]byte{0x00, 0xFF, 0x13, 0x37}, uint16(32), false)
@@ -220,6 +233,17 @@ func FuzzDecompress(f *testing.F) {
 			SizeBits: int(sizeBits%600) + 1,
 			Stored:   stored,
 			Payload:  payload,
+		}
+		if !raceEnabled {
+			var into [BlockSize]byte
+			allocs := testing.AllocsPerRun(1, func() {
+				for _, alg := range algs {
+					_ = alg.DecompressInto(&into, c)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("DecompressInto made %.0f allocations across the decoders, want 0", allocs)
+			}
 		}
 		for _, alg := range algs {
 			out, err := alg.Decompress(c)

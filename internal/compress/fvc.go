@@ -49,9 +49,11 @@ func (f *FVC) Observe(block []byte) { f.hist.observe(block) }
 // fvcTableSize most frequent values, ties to the lower value, in
 // O(distinct values).
 func (f *FVC) Retrain() {
-	top := f.hist.topK(fvcTableSize)
+	sc := retrainPool.Get().(*retrainScratch)
+	defer retrainPool.Put(sc)
+	top := f.hist.topK(fvcTableSize, sc)
 	f.values = f.values[:0]
-	f.valueIdx = make(map[uint32]int, len(top))
+	clear(f.valueIdx)
 	for i, e := range top {
 		f.values = append(f.values, e.v)
 		f.valueIdx[e.v] = i
@@ -70,57 +72,63 @@ func (f *FVC) Train(samples [][]byte) {
 // Trained reports whether the table has been built.
 func (f *FVC) Trained() bool { return f.trained }
 
-// Compress implements Algorithm.
-func (f *FVC) Compress(block []byte) Compressed {
+// AppendCompress implements Algorithm.
+func (f *FVC) AppendCompress(dst, block []byte) Compressed {
 	checkBlock(block)
 	if !f.trained {
-		return stored(f.Name(), block)
+		return appendStored(f.Name(), dst, block)
 	}
-	var w bitWriter
+	var w bitAcc
 	for i := 0; i < BlockSize; i += WordSize {
 		word := binary.LittleEndian.Uint32(block[i:])
 		if idx, ok := f.valueIdx[word]; ok {
-			w.writeBits(1, 1)
-			w.writeBits(uint64(idx), fvcIndexBits)
+			w.emit(1<<fvcIndexBits|uint64(idx), 1+fvcIndexBits)
 		} else {
-			w.writeBits(0, 1)
-			w.writeBits(uint64(word), 32)
+			w.emit(uint64(word), 1+32)
 		}
 	}
 	if w.bits() >= 8*BlockSize {
-		return stored(f.Name(), block)
+		return appendStored(f.Name(), dst, block)
 	}
-	return Compressed{Alg: f.Name(), SizeBits: w.bits(), Payload: w.bytes()}
+	return Compressed{Alg: f.Name(), SizeBits: w.bits(), Payload: w.appendTo(dst)}
 }
+
+// Compress implements Algorithm.
+func (f *FVC) Compress(block []byte) Compressed { return f.AppendCompress(nil, block) }
 
 // Decompress implements Algorithm.
 func (f *FVC) Decompress(c Compressed) ([]byte, error) {
+	out := new([BlockSize]byte)
+	return fresh(out, f.DecompressInto(out, c))
+}
+
+// DecompressInto implements Algorithm.
+func (f *FVC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
-		return storedRoundTrip(c)
+		return storedInto(out, c)
 	}
 	if !f.trained {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	r := bitReader{buf: c.Payload}
-	out := make([]byte, 0, BlockSize)
 	for i := 0; i < BlockSize/WordSize; i++ {
 		flag, ok := r.readBit()
 		if !ok {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		if flag == 1 {
 			idx, ok := r.readBits(fvcIndexBits)
 			if !ok || int(idx) >= len(f.values) {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
-			out = appendWord(out, f.values[idx])
+			putWord(out, i, f.values[idx])
 			continue
 		}
 		v, ok := r.readBits(32)
 		if !ok {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
-		out = appendWord(out, uint32(v))
+		putWord(out, i, uint32(v))
 	}
-	return out, nil
+	return nil
 }

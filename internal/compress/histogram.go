@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // valueHist is the dense 32-bit value histogram behind the trainable
@@ -17,11 +18,23 @@ type valueHist struct {
 	vals  []uint32
 	cnts  []uint64
 	total uint64 // sum of cnts
-	// topK scratch, reused across retrains
-	sel  []valueCount
-	ties []uint32
-	big  []uint64
 }
+
+// retrainScratch is one retrain's working memory: topK's selection
+// buffers plus SC²'s code-build scratch. A retrain needs it only while
+// it runs, so it comes from a pool rather than living in each codec:
+// concurrent streams share a few (about 400 KB each at SC²'s table
+// size) instead of every idle stream holding its own, and a retrain
+// that finds a pooled one large enough allocates nothing.
+type retrainScratch struct {
+	sel   []valueCount
+	ties  []uint32
+	big   []uint64
+	freqs []uint64 // SC² symbol weights
+	huff  huffScratch
+}
+
+var retrainPool = sync.Pool{New: func() any { return new(retrainScratch) }}
 
 // observe folds every whole 32-bit word of block into the histogram.
 func (h *valueHist) observe(block []byte) {
@@ -65,34 +78,35 @@ type valueCount struct {
 // the k-th best count (the cut), takes every entry above the cut, fills
 // the rest with the lowest values among the entries at the cut, and
 // sorts only those k: O(distinct values) + O(k log k) on any input. The
-// returned slice is scratch owned by h, valid until the next call.
-func (h *valueHist) topK(k int) []valueCount {
+// returned slice lives in sc, valid until sc's next use.
+//
+// The scratch is sized by k alone: the large counts and the entries at
+// the cut are each gathered into 2k slots, compacted to the k that can
+// still matter whenever the slots fill. k depends only on how many
+// distinct values h holds, so once sc has served a histogram this large
+// it never grows again.
+func (h *valueHist) topK(k int, sc *retrainScratch) []valueCount {
 	k = min(k, len(h.vals))
-	sel := h.sel[:0]
 	if k <= 0 {
-		return sel
+		return sc.sel[:0]
 	}
-	cut := h.kthCount(k)
-	ties := h.ties[:0]
+	if cap(sc.sel) < k {
+		sc.sel, sc.ties, sc.big = make([]valueCount, 0, k), make([]uint32, 0, 2*k), make([]uint64, 0, 2*k)
+	}
+	cut := h.kthCount(k, sc.big[:0])
+	sel, ties := sc.sel[:0], sc.ties[:0]
 	for i, c := range h.cnts {
-		if c > cut {
+		switch {
+		case c > cut: // fewer than k entries
 			sel = append(sel, valueCount{h.vals[i], c})
-		} else if c == cut {
+		case c == cut:
+			if len(ties) == cap(ties) {
+				ties = keepLowest(ties, k)
+			}
 			ties = append(ties, h.vals[i])
 		}
 	}
-	if need := k - len(sel); need < len(ties) {
-		last := kthSmallest(ties, need)
-		n := 0
-		for _, v := range ties {
-			if v <= last {
-				ties[n] = v
-				n++
-			}
-		}
-		ties = ties[:n]
-	}
-	for _, v := range ties {
+	for _, v := range keepLowest(ties, k-len(sel)) {
 		sel = append(sel, valueCount{v, cut})
 	}
 	slices.SortFunc(sel, func(a, b valueCount) int {
@@ -101,35 +115,71 @@ func (h *valueHist) topK(k int) []valueCount {
 		}
 		return cmp.Compare(a.v, b.v)
 	})
-	h.sel, h.ties = sel, ties
 	return sel
 }
 
 // kthCount returns the k-th largest count, 1 <= k <= len(h.cnts): one
 // counting pass over the small counts, with the few counts of 256 and
-// more (at most total/256 of them) set aside for a selection of their
-// own.
-func (h *valueHist) kthCount(k int) uint64 {
+// more set aside in big (2k slots, at most the k largest of them kept)
+// for a selection of their own.
+func (h *valueHist) kthCount(k int, big []uint64) uint64 {
 	var small [256]int
-	big := h.big[:0]
+	nbig := 0
 	for _, c := range h.cnts {
 		if c < uint64(len(small)) {
 			small[c]++
-		} else {
-			big = append(big, c)
+			continue
 		}
+		if len(big) == cap(big) {
+			big = keepHighest(big, k)
+		}
+		big = append(big, c)
+		nbig++
 	}
-	h.big = big
-	if k <= len(big) {
+	if k <= nbig {
 		return kthSmallest(big, len(big)-k+1)
 	}
-	k -= len(big)
+	k -= nbig
 	c := len(small) - 1
 	for k > small[c] {
 		k -= small[c]
 		c--
 	}
 	return uint64(c)
+}
+
+// keepLowest keeps the n lowest of the distinct values xs (all of them
+// when there are no more than n), permuting xs.
+func keepLowest(xs []uint32, n int) []uint32 {
+	if n >= len(xs) {
+		return xs
+	}
+	last := kthSmallest(xs, n)
+	m := 0
+	for _, v := range xs {
+		if v <= last {
+			xs[m] = v
+			m++
+		}
+	}
+	return xs[:m]
+}
+
+// keepHighest keeps the n largest of xs, counting repeats, permuting
+// xs. 1 <= n <= len(xs).
+func keepHighest(xs []uint64, n int) []uint64 {
+	t := kthSmallest(xs, len(xs)-n+1) // the n-th largest
+	m := 0
+	for _, x := range xs {
+		if x > t {
+			xs[m] = x
+			m++
+		}
+	}
+	for ; m < n; m++ {
+		xs[m] = t
+	}
+	return xs[:m]
 }
 
 // kthSmallest returns the k-th smallest element of xs, 1 <= k <=

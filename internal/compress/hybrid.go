@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Hybrid runs several compressor units in parallel and keeps the smallest
@@ -63,73 +64,86 @@ func (h *Hybrid) DecompLatency() int {
 // hybridTagBits is the per-block unit-select tag.
 const hybridTagBits = 3
 
-// Compress implements Algorithm: the fused compress-probe. One shared
-// scan (Probe) feeds every probe-aware unit, which answers "cannot win"
-// or its exact compressed size without encoding anything; only units
-// without a probe path run their full encoder. The winner — selected by
-// the same strictly-smallest-size, earliest-unit-wins-ties rule as the
-// old run-everything loop, which FuzzKernelEquivalence pins — is then
-// encoded once from the precomputed facts. N full encodes become one
-// scan plus (usually) one encode.
-func (h *Hybrid) Compress(block []byte) Compressed {
+// hybridScratch is one AppendCompress call's working memory: the
+// shared probe and two payload buffers, one holding the best encoding
+// so far and one for the unit being tried. The units are called through
+// interfaces, so escape analysis would move stack scratch to the heap on
+// every call; a pool keeps the call allocation-free and Hybrid safe for
+// concurrent use.
+type hybridScratch struct {
+	probe BlockProbe
+	enc   [2][BlockSize]byte
+}
+
+var hybridPool = sync.Pool{New: func() any { return new(hybridScratch) }}
+
+// AppendCompress implements Algorithm: the fused compress-probe. One
+// shared scan (Probe) feeds every probe-aware unit, which answers
+// "cannot win" or its exact compressed size without encoding anything;
+// only units without a probe path run their full encoder, into
+// scratch. The winner — selected by the same strictly-smallest-size,
+// earliest-unit-wins-ties rule as the old run-everything loop, which
+// FuzzKernelEquivalence pins — is encoded once from the precomputed
+// facts, and its tag and payload are appended to dst together.
+func (h *Hybrid) AppendCompress(dst, block []byte) Compressed {
 	checkBlock(block)
-	var p BlockProbe
-	ProbeInto(&p, block)
-	best := -1
-	bestBits := 0
-	bestFull := -1 // index of the winning fallback unit, if any
+	sc := hybridPool.Get().(*hybridScratch)
+	defer hybridPool.Put(sc)
+	ProbeInto(&sc.probe, block)
+	best, bestBits, fromProbe := -1, 0, false
+	trial := 0 // sc.enc slot for the next non-probe unit
 	var bestC Compressed
 	for i, u := range h.units {
 		if pc, ok := u.(ProbeCompressor); ok {
-			bits, feasible := pc.ProbeSizeBits(&p)
+			bits, feasible := pc.ProbeSizeBits(&sc.probe)
 			if feasible && (best < 0 || bits < bestBits) {
-				best, bestBits, bestFull = i, bits, -1
+				best, bestBits, fromProbe = i, bits, true
 			}
 			continue
 		}
-		c := u.Compress(block)
-		if c.Stored {
-			continue
-		}
-		if best < 0 || c.SizeBits < bestBits {
-			best, bestBits, bestFull, bestC = i, c.SizeBits, i, c
+		c := u.AppendCompress(sc.enc[trial][:0], block)
+		if !c.Stored && (best < 0 || c.SizeBits < bestBits) {
+			best, bestBits, fromProbe, bestC = i, c.SizeBits, false, c
+			trial ^= 1 // the winner keeps its slot
 		}
 	}
 	if best < 0 || bestBits+hybridTagBits >= 8*BlockSize {
-		return stored(h.name, block)
+		return appendStored(h.name, dst, block)
 	}
-	if bestFull < 0 {
-		bestC = h.units[best].(ProbeCompressor).CompressFromProbe(block, &p)
+	if fromProbe {
+		bestC = h.units[best].(ProbeCompressor).AppendFromProbe(sc.enc[trial][:0], block, &sc.probe)
 	}
-	// Tag + payload in one allocation (the old append([]byte{tag}, ...)
-	// allocated the 1-byte literal and then again for the copy).
-	payload := make([]byte, 1+len(bestC.Payload))
-	payload[0] = byte(best)
-	copy(payload[1:], bestC.Payload)
-	return Compressed{
-		Alg:      h.name,
-		SizeBits: bestC.SizeBits + hybridTagBits,
-		Stored:   bestC.Stored,
-		Payload:  payload,
-	}
+	dst, out := grow(dst, 1+len(bestC.Payload))
+	out[0] = byte(best)
+	copy(out[1:], bestC.Payload)
+	return Compressed{Alg: h.name, SizeBits: bestC.SizeBits + hybridTagBits, Payload: dst}
 }
+
+// Compress implements Algorithm.
+func (h *Hybrid) Compress(block []byte) Compressed { return h.AppendCompress(nil, block) }
 
 // Decompress implements Algorithm.
 func (h *Hybrid) Decompress(c Compressed) ([]byte, error) {
+	out := new([BlockSize]byte)
+	return fresh(out, h.DecompressInto(out, c))
+}
+
+// DecompressInto implements Algorithm.
+func (h *Hybrid) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
-		return storedRoundTrip(c)
+		return storedInto(out, c)
 	}
 	if len(c.Payload) < 1 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	idx := int(c.Payload[0])
 	if idx >= len(h.units) {
-		return nil, fmt.Errorf("compress: hybrid tag %d out of range: %w", idx, ErrCorrupt)
+		return fmt.Errorf("compress: hybrid tag %d out of range: %w", idx, ErrCorrupt)
 	}
 	inner := Compressed{
 		Alg:      h.units[idx].Name(),
 		SizeBits: c.SizeBits - hybridTagBits,
 		Payload:  c.Payload[1:],
 	}
-	return h.units[idx].Decompress(inner)
+	return h.units[idx].DecompressInto(out, inner)
 }

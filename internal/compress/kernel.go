@@ -9,7 +9,7 @@ import "math/bits"
 // feasibility — is computed in a single branch-poor scan over those
 // registers and cached in a BlockProbe. Encoders then either answer
 // "exact compressed size" straight from the probe (ProbeSizeBits) or lay
-// out the winning encoding from the precomputed facts (CompressFromProbe)
+// out the winning encoding from the precomputed facts (AppendFromProbe)
 // without rescanning the block. The bit formats are unchanged: the
 // kernels only restructure HOW the facts are computed, every emitted bit
 // is pinned by the scalar reference encoders (reference_test.go), the
@@ -128,10 +128,10 @@ func halfDeltaReq(wZero, wBase *[halfDeltaElems - 1]uint8, max int) (req int, ok
 	return req, true
 }
 
-// layoutHalfDelta lays out the half-flit encoding at width req:
+// layoutHalfDelta appends the half-flit encoding at width req to dst:
 // marker 0xF0|width, 2-byte base-select bitmap, 4-byte base, deltas.
-func layoutHalfDelta(ws *[16]uint32, wZero *[halfDeltaElems - 1]uint8, req int) []byte {
-	out := make([]byte, 7+(halfDeltaElems-1)*req)
+func layoutHalfDelta(dst []byte, ws *[16]uint32, wZero *[halfDeltaElems - 1]uint8, req int) []byte {
+	dst, out := grow(dst, 7+(halfDeltaElems-1)*req)
 	out[3], out[4], out[5], out[6] = byte(ws[0]), byte(ws[0]>>8), byte(ws[0]>>16), byte(ws[0]>>24)
 	var zeroSel uint16
 	pos := 7
@@ -150,7 +150,7 @@ func layoutHalfDelta(ws *[16]uint32, wZero *[halfDeltaElems - 1]uint8, req int) 
 		pos += req
 	}
 	out[0], out[1], out[2] = byte(0xF0|req), byte(zeroSel), byte(zeroSel>>8)
-	return out
+	return dst
 }
 
 // bdiFact is one BΔI geometry's probe result: feasibility, the explicit
@@ -290,10 +290,12 @@ func ProbeInto(p *BlockProbe, block []byte) {
 //   - ProbeSizeBits(p) returns (c.SizeBits, true) exactly when
 //     Compress(block) would return a non-stored c, and (0, false)
 //     exactly when it would fall back to a stored block;
-//   - CompressFromProbe(block, p) is bit-identical to Compress(block).
+//   - AppendFromProbe(dst, block, p) is bit-identical to
+//     AppendCompress(dst, block), and appends to dst the same way.
 //
-// Hybrid uses it to skip every losing unit without encoding anything.
+// Hybrid and Stateful use it to skip every losing candidate without
+// encoding anything.
 type ProbeCompressor interface {
 	ProbeSizeBits(p *BlockProbe) (sizeBits int, ok bool)
-	CompressFromProbe(block []byte, p *BlockProbe) Compressed
+	AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed
 }

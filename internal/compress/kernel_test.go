@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -40,7 +41,7 @@ func kernelRefPairs(t testing.TB) []kernelRefPair {
 // checkKernelBlock asserts, for one block, that every kernel codec is
 // bit-identical to its scalar reference and that every ProbeCompressor
 // honours the probe contract: ProbeSizeBits answers (SizeBits, true)
-// exactly when Compress returns non-stored, and CompressFromProbe
+// exactly when Compress returns non-stored, and AppendFromProbe
 // reproduces Compress bit for bit.
 func checkKernelBlock(t testing.TB, pairs []kernelRefPair, block []byte) {
 	p := Probe(block)
@@ -67,9 +68,9 @@ func checkKernelBlock(t testing.TB, pairs []kernelRefPair, block []byte) {
 				t.Fatalf("%s: probe size %d, Compress size %d (block %x)",
 					pair.alg.Name(), bits, got.SizeBits, block)
 			}
-			fp := pc.CompressFromProbe(block, &p)
+			fp := pc.AppendFromProbe(nil, block, &p)
 			if !equalCompressed(fp, got) {
-				t.Fatalf("%s: CompressFromProbe differs from Compress (block %x)",
+				t.Fatalf("%s: AppendFromProbe differs from Compress (block %x)",
 					pair.alg.Name(), block)
 			}
 		}
@@ -103,4 +104,46 @@ func FuzzKernelEquivalence(f *testing.F) {
 		copy(block, data)
 		checkKernelBlock(t, pairs, block)
 	})
+}
+
+// TestBufferContract pins the codec buffer API for every codec, Hybrid
+// and None included, over the block zoo: AppendCompress appends exactly
+// Compress's payload after whatever dst already holds, and allocates
+// nothing when dst has BlockSize spare bytes; DecompressInto decodes
+// what Decompress does without allocating; and each wrapper allocates
+// exactly once, its fresh result.
+func TestBufferContract(t *testing.T) {
+	algs := append(trained(t), NewNone())
+	algs = append(algs, NewHybrid(algs[0], algs[4], algs[5]))
+	prefix := []byte("dst")
+	for _, alg := range algs {
+		for i, b := range testBlocks(t) {
+			c := alg.Compress(b)
+			a := alg.AppendCompress(slices.Clone(prefix), b)
+			if a.Stored != c.Stored || a.SizeBits != c.SizeBits ||
+				!bytes.Equal(a.Payload, append(slices.Clone(prefix), c.Payload...)) {
+				t.Fatalf("%s block %d: AppendCompress onto %q differs from Compress", alg.Name(), i, prefix)
+			}
+			var out [BlockSize]byte
+			if err := alg.DecompressInto(&out, c); err != nil || !bytes.Equal(out[:], b) {
+				t.Fatalf("%s block %d: DecompressInto: %v", alg.Name(), i, err)
+			}
+			if raceEnabled || i%8 != 0 {
+				continue // the race detector allocates; sample the rest
+			}
+			var dst [BlockSize]byte
+			allocs := map[string]float64{
+				"AppendCompress": testing.AllocsPerRun(5, func() { alg.AppendCompress(dst[:0], b) }),
+				"DecompressInto": testing.AllocsPerRun(5, func() { _ = alg.DecompressInto(&out, c) }),
+				"Compress":       testing.AllocsPerRun(5, func() { alg.Compress(b) }) - 1,
+				"Decompress":     testing.AllocsPerRun(5, func() { _, _ = alg.Decompress(c) }) - 1,
+			}
+			for name, n := range allocs {
+				if n != 0 {
+					t.Fatalf("%s block %d: %s made %+.0f allocations beyond its contract (wrappers 1, the rest 0)",
+						alg.Name(), i, name, n)
+				}
+			}
+		}
+	}
 }

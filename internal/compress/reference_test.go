@@ -110,7 +110,7 @@ func refCompressDelta(name string, block []byte) Compressed {
 		}
 	}
 	if req8 == 0 {
-		return stored(name, block)
+		return appendStored(name, nil, block)
 	}
 	out := make([]byte, 2+FlitBytes+deltaFlits*req8)
 	binary.LittleEndian.PutUint64(out[2:], flits[0])
@@ -234,7 +234,7 @@ func refCompressBDI(name string, block []byte) Compressed {
 	if found && best.SizeBits < 8*BlockSize {
 		return best
 	}
-	return stored(name, block)
+	return appendStored(name, nil, block)
 }
 
 // --- fpc / sfpc -------------------------------------------------------------
@@ -284,7 +284,7 @@ func refCompressFPC(name string, block []byte) Compressed {
 		i++
 	}
 	if w.bits() >= 8*BlockSize {
-		return stored(name, block)
+		return appendStored(name, nil, block)
 	}
 	return Compressed{Alg: name, SizeBits: w.bits(), Payload: w.bytes()}
 }
@@ -309,7 +309,7 @@ func refCompressSFPC(name string, block []byte) Compressed {
 		}
 	}
 	if w.bits() >= 8*BlockSize {
-		return stored(name, block)
+		return appendStored(name, nil, block)
 	}
 	return Compressed{Alg: name, SizeBits: w.bits(), Payload: w.bytes()}
 }
@@ -328,7 +328,7 @@ func refSC2Index(s *SC2) map[uint32]int {
 
 func refCompressSC2(s *SC2, idx map[uint32]int, block []byte) Compressed {
 	if !s.trained {
-		return stored(s.Name(), block)
+		return appendStored(s.Name(), nil, block)
 	}
 	var w bitWriter
 	w.buf = make([]byte, 0, BlockSize+8)
@@ -343,7 +343,7 @@ func refCompressSC2(s *SC2, idx map[uint32]int, block []byte) Compressed {
 			w.writeBits(uint64(word), 32)
 		}
 		if w.bits()+sc2HeaderBits >= 8*BlockSize {
-			return stored(s.Name(), block)
+			return appendStored(s.Name(), nil, block)
 		}
 	}
 	return Compressed{Alg: s.Name(), SizeBits: w.bits() + sc2HeaderBits, Payload: w.bytes()}
@@ -563,6 +563,17 @@ func refDecoderBuild(d *huffDecoder, codes []huffCode) {
 	}
 }
 
+// buildLengths, huffLengths and canonicalAssign run the production
+// Huffman build on fresh scratch, for the tests that pin it to the
+// oracles above.
+func buildLengths(freq []uint64) []int { return new(huffScratch).buildLengths(freq) }
+
+func huffLengths(freq []uint64, maxLen int) []int {
+	return new(huffScratch).huffLengths(freq, maxLen)
+}
+
+func canonicalAssign(lens []int) []huffCode { return new(huffScratch).canonicalAssign(nil, lens) }
+
 // --- hybrid -----------------------------------------------------------------
 
 // refCompressHybrid is the pre-probe selection loop: run every unit's
@@ -581,7 +592,7 @@ func refCompressHybrid(h *Hybrid, block []byte) Compressed {
 		}
 	}
 	if best < 0 || bestC.SizeBits+hybridTagBits >= 8*BlockSize {
-		return stored(h.name, block)
+		return appendStored(h.name, nil, block)
 	}
 	payload := append([]byte{byte(best)}, bestC.Payload...)
 	return Compressed{

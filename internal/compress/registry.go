@@ -18,14 +18,23 @@ func (*None) CompLatency() int { return 0 }
 // DecompLatency implements Algorithm.
 func (*None) DecompLatency() int { return 0 }
 
-// Compress implements Algorithm.
-func (a *None) Compress(block []byte) Compressed {
+// AppendCompress implements Algorithm.
+func (a *None) AppendCompress(dst, block []byte) Compressed {
 	checkBlock(block)
-	return stored(a.Name(), block)
+	return appendStored(a.Name(), dst, block)
 }
 
+// DecompressInto implements Algorithm.
+func (*None) DecompressInto(dst *[BlockSize]byte, c Compressed) error { return storedInto(dst, c) }
+
+// Compress implements Algorithm.
+func (a *None) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
+
 // Decompress implements Algorithm.
-func (*None) Decompress(c Compressed) ([]byte, error) { return storedRoundTrip(c) }
+func (a *None) Decompress(c Compressed) ([]byte, error) {
+	out := new([BlockSize]byte)
+	return fresh(out, a.DecompressInto(out, c))
+}
 
 // New returns a fresh instance of the named algorithm. SC² is returned
 // untrained; callers that measure ratios should Train it on sampled blocks

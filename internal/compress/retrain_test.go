@@ -253,3 +253,32 @@ func FuzzRetrainEquivalence(f *testing.F) {
 		c.retrainAndCheck(t, "final")
 	})
 }
+
+// TestRetrainAllocs: a retrain over a histogram that has gained no
+// distinct value since the previous retrain reuses every table and
+// scratch slice, so it allocates nothing — whether or not the counts
+// moved in between.
+func TestRetrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	blocks := streamBlocks(400)
+	for _, alg := range []Trainable{NewSC2(), NewFVC()} {
+		for _, b := range blocks {
+			alg.Observe(b)
+		}
+		alg.Retrain()
+		if a := testing.AllocsPerRun(1, alg.Retrain); a != 0 {
+			t.Errorf("%T: Retrain over an unchanged histogram made %.0f allocations, want 0", alg, a)
+		}
+		recount := testing.AllocsPerRun(1, func() {
+			for _, b := range blocks[:100] {
+				alg.Observe(b)
+			}
+			alg.Retrain()
+		})
+		if recount != 0 {
+			t.Errorf("%T: Observe of known words plus Retrain made %.0f allocations, want 0", alg, recount)
+		}
+	}
+}

@@ -83,9 +83,12 @@ func (s *SC2) Observe(block []byte) { s.hist.observe(block) }
 // to the lower value) plus the escape. It costs O(distinct values) for
 // the selection plus O(table size · log table size) for the code build.
 func (s *SC2) Retrain() {
-	top := s.hist.topK(sc2TableSize - 1)
+	sc := retrainPool.Get().(*retrainScratch)
+	defer retrainPool.Put(sc)
+	top := s.hist.topK(sc2TableSize-1, sc)
 	s.values = s.values[:0]
-	freqs := make([]uint64, len(top)+1)
+	freqs := resize(sc.freqs, len(top)+1)
+	sc.freqs = freqs
 	var covered uint64
 	for i, e := range top {
 		s.values = append(s.values, e.v)
@@ -93,8 +96,8 @@ func (s *SC2) Retrain() {
 		covered += e.n
 	}
 	freqs[len(top)] = s.hist.total - covered + 1 // escape
-	lens := huffLengths(freqs, sc2MaxCodeLen)
-	s.codes = canonicalAssign(lens)
+	lens := sc.huff.huffLengths(freqs, sc2MaxCodeLen)
+	s.codes = sc.huff.canonicalAssign(s.codes, lens)
 	s.decoder.build(s.codes)
 	s.buildLookup()
 	s.trained = true
@@ -164,16 +167,16 @@ func (s *SC2) lookup(word uint32) uint32 {
 	}
 }
 
-// Compress implements Algorithm. The word-parallel kernel path: one
+// AppendCompress implements Algorithm. The word-parallel kernel path: one
 // block load, one open-addressed table lookup per word, batched MSB-
 // first emission through a register accumulator. Bit format and the
 // per-word stored bail-out are unchanged from the scalar encoder (the
 // written bits grow monotonically, so checking after each word's
 // emission is exactly the old per-word check).
-func (s *SC2) Compress(block []byte) Compressed {
+func (s *SC2) AppendCompress(dst, block []byte) Compressed {
 	checkBlock(block)
 	if !s.trained {
-		return stored(s.Name(), block)
+		return appendStored(s.Name(), dst, block)
 	}
 	ws := words32(block)
 	esc := s.codes[s.escapeSym()]
@@ -187,11 +190,14 @@ func (s *SC2) Compress(block []byte) Compressed {
 			a.emit(uint64(word), 32)
 		}
 		if a.bits()+sc2HeaderBits >= 8*BlockSize {
-			return stored(s.Name(), block)
+			return appendStored(s.Name(), dst, block)
 		}
 	}
-	return Compressed{Alg: s.Name(), SizeBits: a.bits() + sc2HeaderBits, Payload: a.bytes()}
+	return Compressed{Alg: s.Name(), SizeBits: a.bits() + sc2HeaderBits, Payload: a.appendTo(dst)}
 }
+
+// Compress implements Algorithm.
+func (s *SC2) Compress(block []byte) Compressed { return s.AppendCompress(nil, block) }
 
 // fillProbe caches this instance's per-word codewords and the exact
 // compressed size in the probe (tagged by owner, so a probe shared
@@ -227,17 +233,17 @@ func (s *SC2) ProbeSizeBits(p *BlockProbe) (int, bool) {
 	return p.sc2Bits, true
 }
 
-// CompressFromProbe implements ProbeCompressor: emission straight from
+// AppendFromProbe implements ProbeCompressor: emission straight from
 // the cached codewords, no table lookups.
-func (s *SC2) CompressFromProbe(block []byte, p *BlockProbe) Compressed {
+func (s *SC2) AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed {
 	if !s.trained {
-		return stored(s.Name(), block)
+		return appendStored(s.Name(), dst, block)
 	}
 	if p.sc2Owner != s {
 		s.fillProbe(p)
 	}
 	if p.sc2Stored {
-		return stored(s.Name(), block)
+		return appendStored(s.Name(), dst, block)
 	}
 	esc := s.codes[s.escapeSym()]
 	escBits, escLen := uint64(esc.bits), esc.len
@@ -250,49 +256,79 @@ func (s *SC2) CompressFromProbe(block []byte, p *BlockProbe) Compressed {
 			a.emit(uint64(p.Words[i]), 32)
 		}
 	}
-	return Compressed{Alg: s.Name(), SizeBits: a.bits() + sc2HeaderBits, Payload: a.bytes()}
+	return Compressed{Alg: s.Name(), SizeBits: a.bits() + sc2HeaderBits, Payload: a.appendTo(dst)}
 }
 
 // Decompress implements Algorithm.
 func (s *SC2) Decompress(c Compressed) ([]byte, error) {
+	out := new([BlockSize]byte)
+	return fresh(out, s.DecompressInto(out, c))
+}
+
+// DecompressInto implements Algorithm.
+func (s *SC2) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
-		return storedRoundTrip(c)
+		return storedInto(out, c)
 	}
 	if !s.trained {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	r := bitReader{buf: c.Payload}
-	out := make([]byte, 0, BlockSize)
 	for i := 0; i < BlockSize/WordSize; i++ {
 		sym, ok := s.decoder.decode(&r)
 		if !ok {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		if sym == s.escapeSym() {
 			v, ok := r.readBits(32)
 			if !ok {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
-			out = appendWord(out, uint32(v))
+			putWord(out, i, uint32(v))
 			continue
 		}
 		if sym > len(s.values) {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
-		out = appendWord(out, s.values[sym])
+		putWord(out, i, s.values[sym])
 	}
-	return out, nil
+	return nil
 }
 
 // --- canonical Huffman machinery -------------------------------------------
 
+// resize returns s with length n, reusing its backing array when it has
+// room. The contents are unspecified: callers overwrite every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// huffScratch is the Huffman build's working memory, part of the pooled
+// retrainScratch: a rebuild whose symbol count it has served before
+// allocates nothing. Returned slices alias it until the next call.
+type huffScratch struct {
+	f      []uint64
+	lens   []int
+	leaves []int32
+	merged []uint64
+	parent []int32
+	depth  []int
+	start  []int
+	order  []int
+}
+
 // huffLengths computes code lengths for all symbols, iteratively
 // flattening the frequency distribution until the longest code fits in
 // maxLen (the standard hardware-friendly length-limiting trick).
-func huffLengths(freq []uint64, maxLen int) []int {
-	f := append([]uint64(nil), freq...)
+func (h *huffScratch) huffLengths(freq []uint64, maxLen int) []int {
+	f := resize(h.f, len(freq))
+	h.f = f
+	copy(f, freq)
 	for {
-		lens := buildLengths(f)
+		lens := h.buildLengths(f)
 		maxSeen := 0
 		for _, l := range lens {
 			if l > maxSeen {
@@ -316,9 +352,10 @@ func huffLengths(freq []uint64, maxLen int) []int {
 // front twice per merge pops nodes in exactly the order a priority
 // queue keyed on (weight, node index) would. The merge tree, and with
 // it every length, is that of the textbook heap construction.
-func buildLengths(freq []uint64) []int {
+func (h *huffScratch) buildLengths(freq []uint64) []int {
 	n := len(freq)
-	lens := make([]int, n)
+	lens := resize(h.lens, n)
+	h.lens = lens
 	if n == 0 {
 		return lens
 	}
@@ -326,7 +363,8 @@ func buildLengths(freq []uint64) []int {
 		lens[0] = 1
 		return lens
 	}
-	leaves := make([]int32, n)
+	leaves := resize(h.leaves, n)
+	h.leaves = leaves
 	for i := range leaves {
 		leaves[i] = int32(i)
 	}
@@ -336,10 +374,11 @@ func buildLengths(freq []uint64) []int {
 		}
 		return cmp.Compare(a, b)
 	})
-	merged := make([]uint64, n-1)  // weight of node n+j
-	parent := make([]int32, 2*n-1) // node -> merge that consumed it
-	li := 0                        // leaf queue front
-	mi := 0                        // merged queue front
+	merged := resize(h.merged, n-1)   // weight of node n+j
+	parent := resize(h.parent, 2*n-1) // node -> merge that consumed it
+	h.merged, h.parent = merged, parent
+	li := 0 // leaf queue front
+	mi := 0 // merged queue front
 	pop := func(j int) int32 {
 		if li < n && (mi == j || freq[leaves[li]] <= merged[mi]) {
 			li++
@@ -361,7 +400,9 @@ func buildLengths(freq []uint64) []int {
 	}
 	// A node is merged before its parent, so walking merges newest
 	// first (the root is the last) sees every parent's depth first.
-	depth := make([]int, n-1)
+	depth := resize(h.depth, n-1)
+	h.depth = depth
+	depth[n-2] = 0 // the root
 	for j := n - 3; j >= 0; j-- {
 		depth[j] = depth[int(parent[n+j])-n] + 1
 	}
@@ -371,28 +412,32 @@ func buildLengths(freq []uint64) []int {
 	return lens
 }
 
-// canonicalAssign turns code lengths into canonical codewords: symbols
-// take consecutive codes in (length, symbol) order, each length step
-// shifting the running code left. A counting pass over the lengths
-// yields that order without a comparison sort.
-func canonicalAssign(lens []int) []huffCode {
+// canonicalAssign turns code lengths into canonical codewords, written
+// over codes' backing array when it has room: symbols take consecutive
+// codes in (length, symbol) order, each length step shifting the
+// running code left. A counting pass over the lengths yields that order
+// without a comparison sort.
+func (h *huffScratch) canonicalAssign(codes []huffCode, lens []int) []huffCode {
 	maxLen := 0
 	for _, l := range lens {
 		maxLen = max(maxLen, l)
 	}
-	start := make([]int, maxLen+2) // start[l] = first slot of length l
+	start := resize(h.start, maxLen+2) // start[l] = first slot of length l
+	h.start = start
+	clear(start)
 	for _, l := range lens {
 		start[l+1]++
 	}
 	for l := 1; l < len(start); l++ {
 		start[l] += start[l-1]
 	}
-	order := make([]int, len(lens))
+	order := resize(h.order, len(lens))
+	h.order = order
 	for sym, l := range lens {
 		order[start[l]] = sym
 		start[l]++
 	}
-	codes := make([]huffCode, len(lens))
+	codes = resize(codes, len(lens))
 	code := uint32(0)
 	prevLen := 0
 	for _, sym := range order {
@@ -420,6 +465,7 @@ type huffDecoder struct {
 // them by codeword. Lengths outside 1..sc2MaxCodeLen are not decodable
 // and are left out.
 func (d *huffDecoder) build(codes []huffCode) {
+	symbols := d.symbols
 	*d = huffDecoder{}
 	for _, c := range codes {
 		if c.len >= 1 && c.len <= sc2MaxCodeLen {
@@ -431,7 +477,7 @@ func (d *huffDecoder) build(codes []huffCode) {
 		d.firstIdx[l] = next
 		next += d.count[l]
 	}
-	d.symbols = make([]int, next)
+	d.symbols = resize(symbols, next)
 	slot := d.firstIdx
 	for sym, c := range codes {
 		l := c.len

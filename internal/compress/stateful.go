@@ -26,6 +26,12 @@ package compress
 // Observe every plaintext block and Retrain at the same fixed block
 // counts, so the value tables on the two ends of a stream are always
 // identical when a block is encoded and when it is decoded.
+//
+// Encode and Decode allocate nothing: every candidate is encoded into
+// per-instance scratch and Decode decodes into per-instance scratch, so
+// their results alias that scratch (see Encode and Decode for how long
+// each stays valid). A Stateful is one stream direction's state and is
+// not safe for concurrent use.
 type Stateful struct {
 	alg   Algorithm
 	pc    ProbeCompressor // non-nil when alg offers the probe fast path
@@ -35,6 +41,11 @@ type Stateful struct {
 	seen  uint64          // plaintext blocks folded through this side
 	probe BlockProbe      // probe scratch (direct candidate)
 	rprob BlockProbe      // probe scratch (residual candidate)
+	// enc holds Encode's candidate payloads, one buffer per BlockMode
+	// (stored, direct, residual), so comparing two full encodes needs
+	// no copy and the winner is returned in place.
+	enc [ModeResidual + 1][BlockSize]byte
+	dec [BlockSize]byte // Decode's output block
 }
 
 // Trainable is the online-adaptation surface of SC² and FVC: fold a
@@ -65,7 +76,9 @@ const retrainEvery = 256
 // StatefulBlock is one encoded streamed block: the mode tag plus the
 // codec payload. SizeBits is the hardware-style encoded size
 // (ModeStored: exactly 8*BlockSize); the wire layer transmits it so the
-// decoder can rebuild the exact Compressed the codec produced.
+// decoder can rebuild the exact Compressed the codec produced. A
+// Payload returned by Encode aliases the encoder's scratch and is valid
+// until its next Encode.
 type StatefulBlock struct {
 	Mode     BlockMode
 	SizeBits int
@@ -112,7 +125,10 @@ func (s *Stateful) advance(block []byte) {
 
 // Encode compresses one BlockSize-byte block against the persistent
 // stream state and advances it. It panics if len(block) != BlockSize
-// (caller bug, mirroring Algorithm.Compress).
+// (caller bug, mirroring Algorithm.Compress). The returned Payload
+// aliases the Stateful's scratch: it is valid until the next Encode,
+// and a caller that keeps a frame longer must copy it. block itself is
+// not retained.
 func (s *Stateful) Encode(block []byte) StatefulBlock {
 	checkBlock(block)
 	hasBase := s.seen > 0
@@ -122,12 +138,11 @@ func (s *Stateful) Encode(block []byte) StatefulBlock {
 		}
 	}
 
-	mode := ModeStored
-	var best Compressed
-	bestBits := 8 * BlockSize
+	out := StatefulBlock{Mode: ModeStored, SizeBits: 8 * BlockSize}
+	direct, resid := s.enc[ModeDirect][:0], s.enc[ModeResidual][:0]
 	if s.pc != nil {
 		// Probe fast path: exact candidate sizes without encoding, then
-		// one CompressFromProbe for the winner.
+		// one AppendFromProbe for the winner.
 		ProbeInto(&s.probe, block)
 		dBits, dOK := s.pc.ProbeSizeBits(&s.probe)
 		rBits, rOK := 0, false
@@ -136,85 +151,70 @@ func (s *Stateful) Encode(block []byte) StatefulBlock {
 			rBits, rOK = s.pc.ProbeSizeBits(&s.rprob)
 		}
 		// Strictly-smaller wins; ties prefer direct (no base coupling).
-		if dOK && dBits < bestBits {
-			mode, bestBits = ModeDirect, dBits
+		if dOK && dBits < out.SizeBits {
+			out.Mode, out.SizeBits = ModeDirect, dBits
 		}
-		if rOK && rBits < bestBits {
-			mode, bestBits = ModeResidual, rBits
+		if rOK && rBits < out.SizeBits {
+			out.Mode, out.SizeBits = ModeResidual, rBits
 		}
-		switch mode {
+		switch out.Mode {
 		case ModeDirect:
-			best = s.pc.CompressFromProbe(block, &s.probe)
+			out.Payload = s.pc.AppendFromProbe(direct, block, &s.probe).Payload
 		case ModeResidual:
-			best = s.pc.CompressFromProbe(s.resid[:], &s.rprob)
+			out.Payload = s.pc.AppendFromProbe(resid, s.resid[:], &s.rprob).Payload
 		}
 	} else {
-		if c := s.alg.Compress(block); !c.Stored && c.SizeBits < bestBits {
-			mode, bestBits, best = ModeDirect, c.SizeBits, c
+		if c := s.alg.AppendCompress(direct, block); !c.Stored && c.SizeBits < out.SizeBits {
+			out = StatefulBlock{Mode: ModeDirect, SizeBits: c.SizeBits, Payload: c.Payload}
 		}
 		if hasBase {
-			if c := s.alg.Compress(s.resid[:]); !c.Stored && c.SizeBits < bestBits {
-				mode, bestBits, best = ModeResidual, c.SizeBits, c
+			if c := s.alg.AppendCompress(resid, s.resid[:]); !c.Stored && c.SizeBits < out.SizeBits {
+				out = StatefulBlock{Mode: ModeResidual, SizeBits: c.SizeBits, Payload: c.Payload}
 			}
 		}
 	}
-
-	out := StatefulBlock{Mode: mode, SizeBits: bestBits}
-	if mode == ModeStored {
-		out.Payload = make([]byte, BlockSize)
-		copy(out.Payload, block)
-	} else {
-		out.Payload = best.Payload
+	if out.Mode == ModeStored {
+		stored := &s.enc[ModeStored]
+		copy(stored[:], block)
+		out.Payload = stored[:]
 	}
 	s.advance(block)
 	return out
 }
 
-// Decode reverses Encode and advances the stream state. A
-// ModeResidual block arriving before any base exists, or a payload the
-// codec rejects, returns an error wrapping ErrCorrupt; the stream state
-// is NOT advanced on error (the connection is already broken — the
-// caller must tear it down, not resynchronize).
+// Decode reverses Encode and advances the stream state. The returned
+// block aliases the Stateful's scratch and is valid until the next
+// Decode. A ModeResidual block arriving before any base exists, or a
+// payload the codec rejects, returns an error wrapping ErrCorrupt; the
+// codec decodes into scratch and the base is replaced only after a
+// successful decode, so the stream state is NOT advanced on error (the
+// connection is already broken — the caller must tear it down, not
+// resynchronize).
 func (s *Stateful) Decode(b StatefulBlock) ([]byte, error) {
+	out := &s.dec
 	switch b.Mode {
 	case ModeStored:
 		if len(b.Payload) != BlockSize || b.SizeBits != 8*BlockSize {
 			return nil, ErrCorrupt
 		}
-		out := make([]byte, BlockSize)
-		copy(out, b.Payload)
-		s.advance(out)
-		return out, nil
-
-	case ModeDirect:
-		out, err := s.alg.Decompress(Compressed{
-			Alg: s.alg.Name(), SizeBits: b.SizeBits, Payload: b.Payload,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.advance(out)
-		return out, nil
-
-	case ModeResidual:
-		if s.seen == 0 {
+		copy(out[:], b.Payload)
+	case ModeDirect, ModeResidual:
+		if b.Mode == ModeResidual && s.seen == 0 {
 			return nil, ErrCorrupt
 		}
-		resid, err := s.alg.Decompress(Compressed{
+		if err := s.alg.DecompressInto(out, Compressed{
 			Alg: s.alg.Name(), SizeBits: b.SizeBits, Payload: b.Payload,
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
-		if len(resid) != BlockSize {
-			return nil, ErrCorrupt
+		if b.Mode == ModeResidual {
+			for i := range out {
+				out[i] ^= s.base[i]
+			}
 		}
-		out := make([]byte, BlockSize)
-		for i := range out {
-			out[i] = resid[i] ^ s.base[i]
-		}
-		s.advance(out)
-		return out, nil
+	default:
+		return nil, ErrCorrupt
 	}
-	return nil, ErrCorrupt
+	s.advance(out[:])
+	return out[:], nil
 }

@@ -231,3 +231,154 @@ func TestStatefulProbeParity(t *testing.T) {
 		})
 	}
 }
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// TestStatefulAllocs is the runtime gate behind Stateful's hotalloc
+// roots: once the stream has warmed up on a block set whose words are
+// all in the histogram (so retrains rebuild over an unchanged value
+// set), Encode and Decode allocate nothing for any codec, stored,
+// direct and residual modes and retrains included. Each measurement is
+// one AllocsPerRun over a whole batch, so it is the batch's exact
+// allocation count, not a per-call average rounded down.
+func TestStatefulAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	blocks := streamBlocks(40)
+	const batch = 3 * retrainEvery
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			ea, _ := New(name)
+			da, _ := New(name)
+			enc, dec := NewStateful(ea), NewStateful(da)
+			for i := 0; i < 2*retrainEvery; i++ {
+				if _, err := dec.Decode(enc.Encode(blocks[i%len(blocks)])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Encode batches, stashing every frame in preallocated
+			// storage, then Decode batches over the stash. AllocsPerRun
+			// runs its function twice (warm-up, measured), so both sides
+			// see the same 2*batch blocks in the same order.
+			type frame struct {
+				sb      StatefulBlock
+				payload [BlockSize]byte
+			}
+			frames := make([]frame, 2*batch)
+			next := 0
+			encAllocs := testing.AllocsPerRun(1, func() {
+				for range batch {
+					sb := enc.Encode(blocks[next%len(blocks)])
+					f := &frames[next]
+					f.sb = sb
+					f.sb.Payload = f.payload[:copy(f.payload[:], sb.Payload)]
+					next++
+				}
+			})
+			next = 0
+			var bad error
+			decAllocs := testing.AllocsPerRun(1, func() {
+				for range batch {
+					out, err := dec.Decode(frames[next].sb)
+					if err == nil && !bytes.Equal(out, blocks[next%len(blocks)]) {
+						err = ErrCorrupt
+					}
+					if err != nil && bad == nil {
+						bad = err
+					}
+					next++
+				}
+			})
+			if bad != nil {
+				t.Fatalf("round trip failed: %v", bad)
+			}
+			t.Logf("%s: %.0f allocs over %d Encodes, %.0f over %d Decodes", name, encAllocs, batch, decAllocs, batch)
+			if encAllocs != 0 || decAllocs != 0 {
+				t.Fatalf("%s: %.0f allocs over %d Encodes and %.0f over %d Decodes, want 0",
+					name, encAllocs, batch, decAllocs, batch)
+			}
+		})
+	}
+}
+
+// TestStatefulScratchOwnership pins the buffer contract of Encode and
+// Decode: a frame's Payload aliases encoder scratch until the next
+// Encode, so a caller that keeps frames copies them, and those copies
+// decode exactly; the caller's input block is never retained, so
+// changing it after Encode cannot change the frame.
+func TestStatefulScratchOwnership(t *testing.T) {
+	blocks := streamBlocks(300)
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			ea, _ := New(name)
+			da, _ := New(name)
+			enc, dec := NewStateful(ea), NewStateful(da)
+			kept := make([]StatefulBlock, len(blocks))
+			for i, b := range blocks {
+				in := slices.Clone(b)
+				sb := enc.Encode(in)
+				frame := slices.Clone(sb.Payload)
+				for j := range in {
+					in[j] ^= 0xA5 // the caller reuses its buffer
+				}
+				if !bytes.Equal(sb.Payload, frame) {
+					t.Fatalf("block %d (mode %d): changing the input block changed the frame", i, sb.Mode)
+				}
+				sb.Payload = frame
+				kept[i] = sb
+			}
+			for i, sb := range kept {
+				got, err := dec.Decode(sb)
+				if err != nil || !bytes.Equal(got, blocks[i]) {
+					t.Fatalf("block %d (mode %d): a frame copied before later Encodes no longer decodes: %v", i, sb.Mode, err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzStatefulDecode feeds one arbitrary (mode, sizeBits, payload)
+// frame to a decoder that is in step with a genuine stream (the prefix
+// may cross a retrain). It must never panic. If the frame is rejected,
+// the decoder must be exactly where it was: Blocks() unchanged, and the
+// next genuine frame — which may be a residual against the base —
+// still decodes to its plaintext, proving the failed decode touched
+// neither the base nor a trained table.
+func FuzzStatefulDecode(f *testing.F) {
+	f.Add(uint8(0), uint16(40), uint8(ModeResidual), uint16(100), make([]byte, 16))
+	f.Add(uint8(5), uint16(retrainEvery+3), uint8(ModeDirect), uint16(200), []byte{0xFF, 0x00, 0x13, 0x37, 0x42})
+	f.Add(uint8(6), uint16(retrainEvery+1), uint8(ModeDirect), uint16(96), bytes.Repeat([]byte{0x80}, 12))
+	f.Add(uint8(4), uint16(7), uint8(ModeStored), uint16(8*BlockSize), make([]byte, BlockSize-1))
+	f.Add(uint8(2), uint16(1), uint8(0x7F), uint16(8), []byte{1, 2, 3})
+	names := Names()
+	blocks := streamBlocks(retrainEvery + 9)
+	f.Fuzz(func(t *testing.T, codec uint8, prefix uint16, mode uint8, sizeBits uint16, payload []byte) {
+		name := names[int(codec)%len(names)]
+		n := int(prefix) % (len(blocks) - 1)
+		ea, _ := New(name)
+		da, _ := New(name)
+		enc, dec := NewStateful(ea), NewStateful(da)
+		for i, b := range blocks[:n] {
+			if _, err := dec.Decode(enc.Encode(b)); err != nil {
+				t.Fatalf("%s: genuine block %d failed: %v", name, i, err)
+			}
+		}
+		before := dec.Blocks()
+		out, err := dec.Decode(StatefulBlock{Mode: BlockMode(mode), SizeBits: int(sizeBits), Payload: payload})
+		if err == nil {
+			if len(out) != BlockSize {
+				t.Fatalf("%s: decoded %d bytes, want %d", name, len(out), BlockSize)
+			}
+			return // a well-formed frame: the stream has legitimately moved on
+		}
+		if dec.Blocks() != before {
+			t.Fatalf("%s: a rejected frame advanced the stream (%d -> %d blocks)", name, before, dec.Blocks())
+		}
+		got, err := dec.Decode(enc.Encode(blocks[n]))
+		if err != nil || !bytes.Equal(got, blocks[n]) {
+			t.Fatalf("%s: genuine block after a rejected frame failed to decode (%v): the failed decode changed the state", name, err)
+		}
+	})
+}

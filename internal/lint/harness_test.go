@@ -170,6 +170,10 @@ func TestHotAllocCmpFixture(t *testing.T) {
 	runFixture(t, HotAlloc, "hotalloc_cmp", "fixturemod/internal/cmp")
 }
 
+func TestHotAllocStreamFixture(t *testing.T) {
+	runFixture(t, HotAlloc, "hotalloc_stream", "fixturemod/internal/stream")
+}
+
 // TestLintIgnoreFixture runs the auditor together with nodeterminism so
 // used/stale verdicts are grounded in a real analyzer's findings.
 func TestLintIgnoreFixture(t *testing.T) {

@@ -15,8 +15,12 @@ import (
 //
 //	internal/noc       (*Network).Step       — the cycle loop
 //	internal/disco     (*Engine).Tick        — per-cycle engine service
-//	internal/compress  Compress / Decompress — the codec block paths
+//	internal/compress  AppendCompress / DecompressInto (and their
+//	                   Compress / Decompress wrappers), the probe
+//	                   kernel, (*Stateful).Encode / Decode
+//	                                         — the codec block paths
 //	internal/cmp       (*System).Step        — the full-system cycle loop
+//	internal/stream    (*Conn).Read / Write  — the discod per-block path
 //
 // Exemptions, in order of preference when fixing a finding:
 //
@@ -24,8 +28,12 @@ import (
 //     `s = s[:0]` anywhere in the package amortize to zero in steady
 //     state (the staged-effect idiom of internal/noc);
 //   - escaping results: an allocation bound to a returned value is the
-//     function's product, not scratch — codec output buffers must be
-//     fresh because payloads are retained by packets and caches;
+//     function's product, not scratch. For codecs that product is an
+//     append onto the caller's dst, which allocates only when the
+//     caller sized dst too small (Stateful's scratch never is:
+//     TestStatefulAllocs and TestConnEchoAllocs hold the stream path to
+//     zero at run time); only the Compress/Decompress wrappers return
+//     fresh buffers, for callers that retain payloads (packets, caches);
 //   - init paths: traversal is pruned at functions named new*/New*/
 //     init*/Init* — construction may allocate, cycles may not.
 //
@@ -33,14 +41,14 @@ import (
 // CHANGES.md), e.g. a one-time lazy init or a fault-injection-only path.
 var HotAlloc = &Analyzer{
 	Name:  "hotalloc",
-	Doc:   "no heap allocation reachable from the cycle loop or codec entry points (recycled scratch, escaping results and init paths exempt)",
+	Doc:   "no heap allocation reachable from the cycle loop, codec or stream entry points (recycled scratch, escaping results and init paths exempt)",
 	Match: isHotPathPkg,
 	Run:   runHotAlloc,
 }
 
 // isHotPathPkg restricts hotalloc to the packages holding hot-path roots.
 func isHotPathPkg(path string) bool {
-	for _, sub := range []string{"internal/noc", "internal/disco", "internal/compress", "internal/cmp"} {
+	for _, sub := range []string{"internal/noc", "internal/disco", "internal/compress", "internal/cmp", "internal/stream"} {
 		if strings.HasSuffix(path, sub) {
 			return true
 		}
@@ -59,17 +67,23 @@ func hotAllocRoots(pass *Pass, pf *pkgFacts) []*types.Func {
 	case strings.HasSuffix(pass.PkgPath, "internal/cmp"):
 		return pf.rootsNamed("System", func(name string) bool { return name == "Step" })
 	case strings.HasSuffix(pass.PkgPath, "internal/compress"):
-		// Probe/ProbeSizeBits/CompressFromProbe are the word-parallel
+		// Probe/ProbeSizeBits/AppendFromProbe are the word-parallel
 		// kernel entry points (DESIGN.md §12): the fused probe path runs
-		// once per block, same as Compress.
-		return pf.rootsNamed("", func(name string) bool {
+		// once per block, same as AppendCompress. Stateful's Encode and
+		// Decode are the streaming service's per-block codec calls.
+		codec := pf.rootsNamed("", func(name string) bool {
 			switch name {
-			case "Compress", "Decompress",
-				"Probe", "ProbeInto", "ProbeSizeBits", "CompressFromProbe":
+			case "AppendCompress", "DecompressInto", "Compress", "Decompress",
+				"Probe", "ProbeInto", "ProbeSizeBits", "AppendFromProbe":
 				return true
 			}
 			return false
 		})
+		return append(codec, pf.rootsNamed("Stateful", func(name string) bool {
+			return name == "Encode" || name == "Decode"
+		})...)
+	case strings.HasSuffix(pass.PkgPath, "internal/stream"):
+		return pf.rootsNamed("Conn", func(name string) bool { return name == "Read" || name == "Write" })
 	}
 	return nil
 }

@@ -1,7 +1,8 @@
 // Package fixture exercises the hotalloc analyzer's codec roots: the
 // word-parallel kernel entry points (Probe, ProbeSizeBits,
-// CompressFromProbe) are per-block hot paths exactly like Compress, so
-// heap allocations reachable from them are findings unless recycled,
+// AppendFromProbe) and the streaming adapter's (*Stateful).Encode and
+// Decode are per-block hot paths exactly like AppendCompress, so heap
+// allocations reachable from them are findings unless recycled,
 // escaping, or on an init path.
 package fixture
 
@@ -32,12 +33,45 @@ func (c *Codec) ProbeSizeBits(p *BlockProbe) (int, bool) {
 	return len(c.scratch) * 8, true
 }
 
-// CompressFromProbe is a kernel root; its encoding is the function's
-// product (allowed: escaping result), but per-call scratch is not.
-func (c *Codec) CompressFromProbe(p *BlockProbe) []byte {
+// AppendFromProbe is a kernel root; appending its encoding to the
+// caller's dst is the function's product (allowed: escaping result),
+// but per-call scratch is not.
+func (c *Codec) AppendFromProbe(dst []byte, p *BlockProbe) []byte {
 	tmp := make([]uint64, 8) // want "heap allocation on the hot path"
 	tmp[0] = p.lanes[0]
-	out := make([]byte, 0, 8)
-	out = append(out, byte(tmp[0])) // allowed: bound to the returned value
-	return out
+	dst = append(dst, byte(tmp[0])) // allowed: bound to the returned value
+	return dst
 }
+
+// Stateful mimics the streaming adapter: per-instance scratch that its
+// results alias.
+type Stateful struct {
+	enc [64]byte
+	dec [64]byte
+}
+
+// Encode is a root: encoding into per-instance scratch is allowed, a
+// per-call buffer is not, even when its bytes end up in the result.
+func (s *Stateful) Encode(block []byte) []byte {
+	tmp := make([]byte, len(block)) // want "heap allocation on the hot path"
+	copy(tmp, block)
+	n := copy(s.enc[:], tmp)
+	return s.enc[:n]
+}
+
+// Decode is a root, and so is every function it reaches.
+func (s *Stateful) Decode(payload []byte) []byte {
+	s.commit(payload)
+	return s.dec[:]
+}
+
+func (s *Stateful) commit(payload []byte) {
+	s.dec = [64]byte{}
+	copy(s.dec[:], payload)
+	_ = map[int]int{} // want "heap allocation on the hot path"
+}
+
+// frame has an Encode too, but only Stateful's are roots.
+type frame struct{ buf []byte }
+
+func (f *frame) Encode(n int) { f.buf = make([]byte, n) }

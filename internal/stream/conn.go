@@ -42,7 +42,8 @@ var bufPool = sync.Pool{New: func() any {
 // stream's persistent state, and whose Read reverses it. The two
 // directions carry independent state, so Read and Write are safe to
 // use concurrently (one reader plus one writer; neither method is
-// reentrant).
+// reentrant). Neither allocates per block: frames are encoded into and
+// decoded out of each direction's compress.Stateful scratch.
 type Conn struct {
 	nc    net.Conn
 	codec string
@@ -61,8 +62,7 @@ type Conn struct {
 	dec      *compress.Stateful
 	rhdr     [frameHeaderLen]byte
 	rscratch [maxFramePayload]byte
-	rblock   [compress.BlockSize]byte
-	rbuf     []byte // unread tail of rblock
+	rbuf     []byte // unread tail of the last decoded block (dec's scratch)
 	reof     bool
 	rerr     error
 }
@@ -264,8 +264,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 			c.rerr = fmt.Errorf("%w: block decode: %v", ErrProtocol, err)
 			return 0, c.rerr
 		}
-		copy(c.rblock[:], out)
-		c.rbuf = c.rblock[:f.n]
+		c.rbuf = out[:f.n] // valid until the next Decode, which waits for it to drain
 		if c.stats != nil {
 			c.stats.BlocksIn.Add(1)
 			c.stats.BytesIn.Add(uint64(f.n))

@@ -294,3 +294,160 @@ func TestConnDeadlinePropagates(t *testing.T) {
 		t.Fatalf("got %v, want a timeout", err)
 	}
 }
+
+// tcpPair builds a handshaken client/server Conn pair over a real TCP
+// loopback connection.
+func tcpPair(t *testing.T, codec string) (*Conn, *Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	type result struct {
+		c   *Conn
+		err error
+	}
+	accepted := make(chan result, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			accepted <- result{nil, err}
+			return
+		}
+		t.Cleanup(func() { _ = nc.Close() })
+		c, err := Accept(nc, nil)
+		accepted <- result{c, err}
+	}()
+	cn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cn.Close() })
+	cli, err := Client(cn, codec)
+	if err != nil {
+		t.Fatalf("client handshake: %v", err)
+	}
+	r := <-accepted
+	if r.err != nil {
+		t.Fatalf("server handshake: %v", r.err)
+	}
+	return cli, r.c
+}
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// TestConnEchoAllocs is the runtime gate behind Conn's hotalloc roots:
+// a TCP loopback client+server echo of one 64-byte block at a time,
+// both ends in this process, allocates nothing per round trip once
+// warmed up on blocks whose words are already in the codec histogram —
+// four Stateful passes (client encode, server decode, server encode,
+// client decode) plus the framing, for every codec. One AllocsPerRun
+// covers a whole batch of round trips (two SC²/FVC retrains included),
+// so the result is the batch's exact allocation count.
+func TestConnEchoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	payload := testPayload(64 * 24)
+	const batch = 600
+	for _, codec := range compress.Names() {
+		t.Run(codec, func(t *testing.T) {
+			cli, srv := tcpPair(t, codec)
+			done := make(chan error, 1)
+			go func() {
+				var buf [compress.BlockSize]byte
+				_, err := io.CopyBuffer(onlyWriter{srv}, onlyReader{srv}, buf[:])
+				if err == nil {
+					err = srv.CloseWrite()
+				}
+				done <- err
+			}()
+			var echo [compress.BlockSize]byte
+			next := 0
+			var bad error
+			roundTrip := func() {
+				blk := payload[(next%24)*64 : (next%24+1)*64]
+				next++
+				if _, err := cli.Write(blk); err != nil {
+					bad = err
+					return
+				}
+				if _, err := io.ReadFull(cli, echo[:]); err != nil {
+					bad = err
+					return
+				}
+				if !bytes.Equal(echo[:], blk) && bad == nil {
+					bad = errors.New("echo mismatch")
+				}
+			}
+			for i := 0; i < 2*256; i++ { // two retrain periods of warm-up
+				roundTrip()
+			}
+			allocs := testing.AllocsPerRun(1, func() {
+				for range batch {
+					roundTrip()
+				}
+			})
+			if bad != nil {
+				t.Fatal(bad)
+			}
+			if err := cli.CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: %.0f allocs over %d round trips", codec, allocs, batch)
+			if allocs != 0 {
+				t.Fatalf("%s: %.0f allocs over %d 64-byte round trips, want 0", codec, allocs, batch)
+			}
+		})
+	}
+}
+
+// TestConnConcurrentEcho runs one writer and one reader on the same
+// client Conn at once, against a server echoing block by block: the
+// two directions decode and encode out of separate Stateful scratch,
+// which `go test -race` checks, and every echoed byte must match.
+func TestConnConcurrentEcho(t *testing.T) {
+	payload := testPayload(64 * 300)
+	for _, codec := range []string{"delta", "cpack", "sc2", "none"} {
+		t.Run(codec, func(t *testing.T) {
+			cli, srv := tcpPair(t, codec)
+			srvDone := make(chan error, 1)
+			go func() {
+				var buf [compress.BlockSize]byte
+				_, err := io.CopyBuffer(onlyWriter{srv}, onlyReader{srv}, buf[:])
+				if err == nil {
+					err = srv.CloseWrite()
+				}
+				srvDone <- err
+			}()
+			writeDone := make(chan error, 1)
+			go func() {
+				for off := 0; off < len(payload); off += compress.BlockSize {
+					if _, err := cli.Write(payload[off : off+compress.BlockSize]); err != nil {
+						writeDone <- err
+						return
+					}
+				}
+				writeDone <- cli.CloseWrite()
+			}()
+			back, err := io.ReadAll(cli)
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			if err := <-writeDone; err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if err := <-srvDone; err != nil {
+				t.Fatalf("server: %v", err)
+			}
+			if !bytes.Equal(back, payload) {
+				t.Fatalf("concurrent echo corrupted the stream")
+			}
+		})
+	}
+}
