@@ -169,7 +169,7 @@ bench-snapshot:
 	@mkdir -p bench
 	$(GO) test -run TestNone -bench=. -benchtime=1x . | tee bench/full.txt
 	$(GO) test -run TestNone \
-		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
+		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkStatefulEncode|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
 		-benchtime=50000x -count=5 -benchmem . | tee bench/bench.txt
 	$(GO) test -run TestNone -bench '^BenchmarkRetrain' \
 		-benchtime=100x -count=5 -benchmem . | tee -a bench/bench.txt
@@ -180,23 +180,24 @@ bench-snapshot:
 
 # Re-run the tier-2 micro-benchmarks (best of 5) and diff them against
 # the committed baseline (bench/bench.txt) with cmd/benchcmp. Fails when
-# a gated hot path (Compress*, Decompress*, NoCStep*, Retrain*) regresses
-# its ns/op by more than 10%, or — on a multi-CPU host — when the two-phase
-# engine's 4-worker 8x8 mesh speedup over the serial engine falls below
-# 1.5x (single-CPU hosts report the ratio without enforcing the floor).
+# a gated hot path (Compress*, Decompress*, StatefulEncode*, NoCStep*,
+# Retrain*) regresses its ns/op by more than 10%, or — on a multi-CPU
+# host — when the two-phase engine's 4-worker 8x8 mesh speedup over the
+# serial engine falls below 1.5x (single-CPU hosts report the ratio
+# without enforcing the floor).
 # The second benchcmp holds two earlier wins against the frozen pre-kernel
 # snapshot e2ebench/baseline_pr6.txt (read only, never regenerated).
 bench-compare:
 	@mkdir -p bench
 	$(GO) test -run TestNone \
-		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
+		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkStatefulEncode|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
 		-benchtime=50000x -count=5 -benchmem . | tee bench/new.txt
 	$(GO) test -run TestNone -bench '^BenchmarkRetrain' \
 		-benchtime=100x -count=5 -benchmem . | tee -a bench/new.txt
 	$(GO) test -run TestNone -bench '^BenchmarkSystemRun$$' \
 		-benchtime=2x -count=5 -benchmem . | tee -a bench/new.txt
 	$(GO) run ./cmd/benchcmp -baseline bench/bench.txt -new bench/new.txt \
-		-gate '^BenchmarkCompress|^BenchmarkDecompress|^BenchmarkNoCStep|^BenchmarkRetrain' -max-regress 10 \
+		-gate '^BenchmarkCompress|^BenchmarkDecompress|^BenchmarkStatefulEncode|^BenchmarkNoCStep|^BenchmarkRetrain' -max-regress 10 \
 		-speedup 'BenchmarkNoCStepMesh8Serial=BenchmarkNoCStepMesh8Workers4' -min-speedup 1.5
 	$(GO) run ./cmd/benchcmp -baseline e2ebench/baseline_pr6.txt -new bench/new.txt \
 		-require 'BenchmarkCompressSC2=50,BenchmarkNoCStepMesh8Serial=30'

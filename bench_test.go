@@ -209,16 +209,6 @@ func BenchmarkCompressCPack(b *testing.B) { benchCompress(b, compress.NewCPack()
 // BenchmarkCompressSC2 measures the SC² codec throughput.
 func BenchmarkCompressSC2(b *testing.B) { benchCompress(b, compress.NewSC2()) }
 
-// BenchmarkCompressHybrid measures the fused probe-then-encode selection
-// path: one shared scan feeds every probe-aware unit; only the winner
-// (or a non-probe fallback like CPack) runs a full encode.
-func BenchmarkCompressHybrid(b *testing.B) {
-	s := compress.NewSC2()
-	s.Train(benchBlocks())
-	benchCompress(b, compress.NewHybrid(
-		compress.NewDelta(), compress.NewBDI(), compress.NewFPC(), s))
-}
-
 // BenchmarkDecompressDelta measures delta decode throughput.
 func BenchmarkDecompressDelta(b *testing.B) {
 	alg := compress.NewDelta()
@@ -235,6 +225,36 @@ func BenchmarkDecompressDelta(b *testing.B) {
 		}
 	}
 }
+
+// benchStatefulEncode measures discod's per-block encoder: a
+// compress.Stateful encodes each block directly and as an XOR residual
+// against the previous block, and keeps the smaller. The stream is warmed
+// over two passes of benchBlocks first, so SC²'s table is trained; the
+// retrains every 256 blocks stay inside the timed loop, as they do on a
+// real stream.
+func benchStatefulEncode(b *testing.B, alg compress.Algorithm) {
+	b.Helper()
+	blocks := benchBlocks()
+	s := compress.NewStateful(alg)
+	for i := 0; i < 2*len(blocks); i++ {
+		s.Encode(blocks[i%len(blocks)])
+	}
+	b.SetBytes(compress.BlockSize)
+	b.ResetTimer()
+	total := 0
+	for i := 0; i < b.N; i++ {
+		total += s.Encode(blocks[i%len(blocks)]).SizeBits
+	}
+	_ = total
+}
+
+// BenchmarkStatefulEncodeDelta measures the stream encoder over the
+// paper's delta codec.
+func BenchmarkStatefulEncodeDelta(b *testing.B) { benchStatefulEncode(b, compress.NewDelta()) }
+
+// BenchmarkStatefulEncodeSC2 measures the stream encoder over SC², whose
+// table Stateful retrains online.
+func BenchmarkStatefulEncodeSC2(b *testing.B) { benchStatefulEncode(b, compress.NewSC2()) }
 
 // benchRetrain measures one Retrain after a long stream history: 16384
 // blocks (1 MiB, the discod bulk stream length) cycling drifting 64-bit

@@ -35,8 +35,8 @@ type bdiEncoding struct {
 
 // bdiGeometries lists the candidate geometries in the order the original
 // hardware evaluates them (all in parallel; ties broken by size). An
-// array, so len(bdiGeometries) is a constant the kernel's probe-fact
-// storage can use.
+// array, so len(bdiGeometries) is a constant the kernel's fact array
+// can use.
 var bdiGeometries = [...]bdiEncoding{
 	{2, 8, 1}, {3, 8, 2}, {4, 8, 4},
 	{5, 4, 1}, {6, 4, 2},
@@ -46,21 +46,7 @@ var bdiGeometries = [...]bdiEncoding{
 // bdiEncodingBits is the per-block metadata cost: a 4-bit encoding tag.
 const bdiEncodingBits = 4
 
-// bdiZeroEncoding appends the zero-block special case: the 1-byte
-// encoding tag and nothing else.
-func bdiZeroEncoding(name string, dst []byte) Compressed {
-	return Compressed{Alg: name, SizeBits: bdiEncodingBits + 4, Payload: append(dst, 0)}
-}
-
-// bdiRepEncoding appends the repeated-8-byte-value special case.
-func bdiRepEncoding(name string, dst []byte, rep uint64) Compressed {
-	dst, p := grow(dst, 1+8)
-	p[0] = 1
-	binary.LittleEndian.PutUint64(p[1:], rep)
-	return Compressed{Alg: name, SizeBits: bdiEncodingBits + 64, Payload: dst}
-}
-
-// bdiBestGeometry picks the winning geometry from probe facts: the
+// bdiBestGeometry picks the winning geometry from bdiProbe's facts: the
 // first strictly-smallest feasible candidate, in hardware evaluation
 // order — exactly the old try-them-all loop's selection.
 func bdiBestGeometry(facts *[len(bdiGeometries)]bdiFact) int {
@@ -76,8 +62,8 @@ func bdiBestGeometry(facts *[len(bdiGeometries)]bdiFact) int {
 	return best
 }
 
-// bdiLayout appends one geometry known feasible (probe facts supply
-// the base) to dst, replaying the per-element base selection of the
+// bdiLayout appends one geometry known feasible (bdiProbe's fact
+// supplies the base) to dst, replaying the per-element base selection of the
 // scan: zero base when the sign-extended element fits, else the
 // explicit base with the mask bit set. Only the winner is laid out.
 func bdiLayout(name string, dst []byte, lanes *[BlockSize / FlitBytes]uint64, ws *[16]uint32, gi int, f *bdiFact) Compressed {
@@ -131,10 +117,15 @@ func (a *BDI) AppendCompress(dst, block []byte) Compressed {
 		rep = rep && l == lanes[0]
 	}
 	if all == 0 {
-		return bdiZeroEncoding(a.Name(), dst)
+		// Zero block: the 1-byte encoding tag and nothing else.
+		return Compressed{Alg: a.Name(), SizeBits: bdiEncodingBits + 4, Payload: append(dst, 0)}
 	}
 	if rep {
-		return bdiRepEncoding(a.Name(), dst, lanes[0])
+		// Repeated 8-byte value: tag 1, then the value.
+		dst, p := grow(dst, 1+8)
+		p[0] = 1
+		binary.LittleEndian.PutUint64(p[1:], lanes[0])
+		return Compressed{Alg: a.Name(), SizeBits: bdiEncodingBits + 64, Payload: dst}
 	}
 	var ws [16]uint32
 	for i, l := range lanes {
@@ -151,36 +142,6 @@ func (a *BDI) AppendCompress(dst, block []byte) Compressed {
 
 // Compress implements Algorithm.
 func (a *BDI) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
-
-// ProbeSizeBits implements ProbeCompressor.
-func (a *BDI) ProbeSizeBits(p *BlockProbe) (int, bool) {
-	if p.zeroBlock {
-		return bdiEncodingBits + 4, true
-	}
-	if p.repBlock {
-		return bdiEncodingBits + 64, true
-	}
-	best := bdiBestGeometry(&p.bdi)
-	if best < 0 {
-		return 0, false
-	}
-	return p.bdi[best].sizeBits, true
-}
-
-// AppendFromProbe implements ProbeCompressor.
-func (a *BDI) AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed {
-	if p.zeroBlock {
-		return bdiZeroEncoding(a.Name(), dst)
-	}
-	if p.repBlock {
-		return bdiRepEncoding(a.Name(), dst, p.repValue)
-	}
-	best := bdiBestGeometry(&p.bdi)
-	if best < 0 {
-		return appendStored(a.Name(), dst, block)
-	}
-	return bdiLayout(a.Name(), dst, &p.Lanes, &p.Words, best, &p.bdi[best])
-}
 
 // signExtendWidth sign-extends a width-byte little-endian element value.
 func signExtendWidth(v uint64, widthBytes int) int64 {

@@ -690,81 +690,3 @@ func TestFVCTableCapped(t *testing.T) {
 		t.Errorf("table size = %d, want %d", len(f.values), fvcTableSize)
 	}
 }
-
-func TestHybridPicksBestUnit(t *testing.T) {
-	h := NewHybrid(NewDelta(), NewFPC(), NewBDI())
-	for i, b := range testBlocks(t) {
-		hc := h.Compress(b)
-		got, err := h.Decompress(hc)
-		if err != nil || !bytes.Equal(got, b) {
-			t.Fatalf("block %d: hybrid round trip failed: %v", i, err)
-		}
-		// The hybrid must never be worse than any unit by more than its
-		// tag bits.
-		for _, u := range []Algorithm{NewDelta(), NewFPC(), NewBDI()} {
-			uc := u.Compress(b)
-			if !uc.Stored && hc.SizeBits > uc.SizeBits+hybridTagBits {
-				t.Errorf("block %d: hybrid %d bits worse than %s %d bits",
-					i, hc.SizeBits, u.Name(), uc.SizeBits)
-			}
-		}
-	}
-}
-
-func TestHybridLatencies(t *testing.T) {
-	h := NewHybrid(NewDelta(), NewFPC())
-	if h.CompLatency() != 3 || h.DecompLatency() != 5 {
-		t.Errorf("hybrid latencies %d/%d, want 3/5 (slowest unit)", h.CompLatency(), h.DecompLatency())
-	}
-	if h.Name() != "hybrid(delta+fpc)" {
-		t.Errorf("Name = %q", h.Name())
-	}
-}
-
-func TestHybridRejectsBadConstruction(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("empty hybrid should panic")
-		}
-	}()
-	NewHybrid()
-}
-
-func TestHybridRejectsNesting(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("nested hybrid should panic")
-		}
-	}()
-	NewHybrid(NewHybrid(NewDelta()))
-}
-
-func TestHybridCorruptTag(t *testing.T) {
-	h := NewHybrid(NewDelta())
-	if _, err := h.Decompress(Compressed{SizeBits: 20, Payload: []byte{9, 1, 2}}); err == nil {
-		t.Error("out-of-range unit tag should fail")
-	}
-	if _, err := h.Decompress(Compressed{SizeBits: 20, Payload: nil}); err == nil {
-		t.Error("empty payload should fail")
-	}
-}
-
-func TestHybridRatioBeatsUnits(t *testing.T) {
-	// Across the zoo the hybrid's total must be <= every unit's total
-	// (up to tag overhead).
-	units := []Algorithm{NewDelta(), NewFPC(), NewBDI()}
-	h := NewHybrid(NewDelta(), NewFPC(), NewBDI())
-	totalH := 0
-	totals := make([]int, len(units))
-	for _, b := range testBlocks(t) {
-		totalH += h.Compress(b).SizeBytes()
-		for i, u := range units {
-			totals[i] += u.Compress(b).SizeBytes()
-		}
-	}
-	for i, u := range units {
-		if totalH > totals[i]+len(testBlocks(t)) {
-			t.Errorf("hybrid %dB worse than %s %dB", totalH, u.Name(), totals[i])
-		}
-	}
-}

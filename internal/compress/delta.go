@@ -182,33 +182,6 @@ func (a *Delta) AppendCompress(dst, block []byte) Compressed {
 // Compress implements Algorithm.
 func (a *Delta) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
 
-// ProbeSizeBits implements ProbeCompressor: the unit bank's selection
-// replayed over the probe's precomputed widths.
-func (a *Delta) ProbeSizeBits(p *BlockProbe) (int, bool) {
-	if capHalf := deltaHalfCap(p.delta8Req); capHalf != 0 {
-		if reqHalf, ok := halfDeltaReq(&p.halfWZero, &p.halfWBase, capHalf); ok {
-			return halfDeltaSizeBits(reqHalf), true
-		}
-	}
-	if p.delta8Req == 0 {
-		return 0, false
-	}
-	return deltaSizeBits(p.delta8Req), true
-}
-
-// AppendFromProbe implements ProbeCompressor.
-func (a *Delta) AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed {
-	if capHalf := deltaHalfCap(p.delta8Req); capHalf != 0 {
-		if reqHalf, ok := halfDeltaReq(&p.halfWZero, &p.halfWBase, capHalf); ok {
-			return Compressed{Alg: a.Name(), SizeBits: halfDeltaSizeBits(reqHalf), Payload: layoutHalfDelta(dst, &p.Words, &p.halfWZero, reqHalf)}
-		}
-	}
-	if p.delta8Req == 0 {
-		return appendStored(a.Name(), dst, block)
-	}
-	return Compressed{Alg: a.Name(), SizeBits: deltaSizeBits(p.delta8Req), Payload: layoutDelta8(dst, &p.Lanes, &p.delta8WZero, p.delta8Req)}
-}
-
 // DecompressInto implements Algorithm.
 func (a *Delta) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {

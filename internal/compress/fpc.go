@@ -64,104 +64,52 @@ func trailingOnes16(m uint16) int {
 	return n
 }
 
-// fpcEncode is the kernel emission path shared by AppendCompress and
-// AppendFromProbe: pattern selection reads the precomputed masks, and
-// each word's prefix and residual are fused into a single MSB-first
-// field (bit-identical to the old prefix-then-residual writes, since
-// MSB-first concatenation is associative).
-func fpcEncode(name string, dst, block []byte, ws *[16]uint32, m *wordMasks) Compressed {
-	var a bitAcc
+// AppendCompress implements Algorithm via the word-parallel kernel: one
+// classification pass builds the pattern masks, and one emission pass
+// reads them to select each word's pattern and fuses its prefix and
+// residual into a single MSB-first field (bit-identical to separate
+// prefix-then-residual writes, since MSB-first concatenation is
+// associative).
+func (a *FPC) AppendCompress(dst, block []byte) Compressed {
+	checkBlock(block)
+	ws := words32(block)
+	m := classifyWords32(&ws)
+	var acc bitAcc
 	for i := 0; i < len(ws); {
 		bit := uint16(1) << uint(i)
 		if m.zero&bit != 0 {
 			run := fpcZeroRunAt(m.zero, i)
-			a.emit(fpcZeroRun<<3|uint64(run-1), 6)
+			acc.emit(fpcZeroRun<<3|uint64(run-1), 6)
 			i += run
 			continue
 		}
 		word := uint64(ws[i])
 		switch {
 		case m.se4&bit != 0:
-			a.emit(fpcSE4<<4|word&0xF, 7)
+			acc.emit(fpcSE4<<4|word&0xF, 7)
 		case m.se8&bit != 0:
-			a.emit(fpcSE8<<8|word&0xFF, 11)
+			acc.emit(fpcSE8<<8|word&0xFF, 11)
 		case m.se16&bit != 0:
-			a.emit(fpcSE16<<16|word&0xFFFF, 19)
+			acc.emit(fpcSE16<<16|word&0xFFFF, 19)
 		case m.pad16&bit != 0:
-			a.emit(fpcPadded16<<16|word>>16, 19)
+			acc.emit(fpcPadded16<<16|word>>16, 19)
 		case m.twoHalf&bit != 0:
-			a.emit(fpcTwoHalf<<16|(word>>16&0xFF)<<8|word&0xFF, 19)
+			acc.emit(fpcTwoHalf<<16|(word>>16&0xFF)<<8|word&0xFF, 19)
 		case m.repByte&bit != 0:
-			a.emit(fpcRepByte<<8|word&0xFF, 11)
+			acc.emit(fpcRepByte<<8|word&0xFF, 11)
 		default:
-			a.emit(fpcUncompact<<32|word, 35)
+			acc.emit(fpcUncompact<<32|word, 35)
 		}
 		i++
 	}
-	if a.bits() >= 8*BlockSize {
-		return appendStored(name, dst, block)
+	if acc.bits() >= 8*BlockSize {
+		return appendStored(a.Name(), dst, block)
 	}
-	return Compressed{Alg: name, SizeBits: a.bits(), Payload: a.appendTo(dst)}
-}
-
-// AppendCompress implements Algorithm via the word-parallel kernel: one
-// classification pass builds the pattern masks, one emission pass packs
-// the block.
-func (a *FPC) AppendCompress(dst, block []byte) Compressed {
-	checkBlock(block)
-	ws := words32(block)
-	m := classifyWords32(&ws)
-	return fpcEncode(a.Name(), dst, block, &ws, &m)
+	return Compressed{Alg: a.Name(), SizeBits: acc.bits(), Payload: acc.appendTo(dst)}
 }
 
 // Compress implements Algorithm.
 func (a *FPC) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
-
-// fpcProbeSize replays the pattern selection over the masks without
-// emitting a bit.
-func fpcProbeSize(m *wordMasks) int {
-	total := 0
-	for i := 0; i < 16; {
-		bit := uint16(1) << uint(i)
-		if m.zero&bit != 0 {
-			total += 6
-			i += fpcZeroRunAt(m.zero, i)
-			continue
-		}
-		switch {
-		case m.se4&bit != 0:
-			total += 7
-		case m.se8&bit != 0:
-			total += 11
-		case m.se16&bit != 0:
-			total += 19
-		case m.pad16&bit != 0:
-			total += 19
-		case m.twoHalf&bit != 0:
-			total += 19
-		case m.repByte&bit != 0:
-			total += 11
-		default:
-			total += 35
-		}
-		i++
-	}
-	return total
-}
-
-// ProbeSizeBits implements ProbeCompressor.
-func (a *FPC) ProbeSizeBits(p *BlockProbe) (int, bool) {
-	total := fpcProbeSize(&p.masks)
-	if total >= 8*BlockSize {
-		return 0, false
-	}
-	return total, true
-}
-
-// AppendFromProbe implements ProbeCompressor.
-func (a *FPC) AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed {
-	return fpcEncode(a.Name(), dst, block, &p.Words, &p.masks)
-}
 
 // Decompress implements Algorithm.
 func (a *FPC) Decompress(c Compressed) ([]byte, error) {
@@ -272,68 +220,35 @@ const (
 	sfpcUncomp = 3
 )
 
-// sfpcEncode is the kernel emission path shared by AppendCompress and
-// AppendFromProbe (prefix and residual fused per word, as in FPC).
-func sfpcEncode(name string, dst, block []byte, ws *[16]uint32, m *wordMasks) Compressed {
-	var a bitAcc
+// AppendCompress implements Algorithm via the word-parallel kernel
+// (prefix and residual fused per word, as in FPC).
+func (a *SFPC) AppendCompress(dst, block []byte) Compressed {
+	checkBlock(block)
+	ws := words32(block)
+	m := classifyWords32(&ws)
+	var acc bitAcc
 	for i := 0; i < len(ws); i++ {
 		bit := uint16(1) << uint(i)
 		word := uint64(ws[i])
 		switch {
 		case m.zero&bit != 0:
-			a.emit(sfpcZero, 2)
+			acc.emit(sfpcZero, 2)
 		case m.se8&bit != 0:
-			a.emit(sfpcSE8<<8|word&0xFF, 10)
+			acc.emit(sfpcSE8<<8|word&0xFF, 10)
 		case m.se16&bit != 0:
-			a.emit(sfpcSE16<<16|word&0xFFFF, 18)
+			acc.emit(sfpcSE16<<16|word&0xFFFF, 18)
 		default:
-			a.emit(sfpcUncomp<<32|word, 34)
+			acc.emit(sfpcUncomp<<32|word, 34)
 		}
 	}
-	if a.bits() >= 8*BlockSize {
-		return appendStored(name, dst, block)
+	if acc.bits() >= 8*BlockSize {
+		return appendStored(a.Name(), dst, block)
 	}
-	return Compressed{Alg: name, SizeBits: a.bits(), Payload: a.appendTo(dst)}
-}
-
-// AppendCompress implements Algorithm via the word-parallel kernel.
-func (a *SFPC) AppendCompress(dst, block []byte) Compressed {
-	checkBlock(block)
-	ws := words32(block)
-	m := classifyWords32(&ws)
-	return sfpcEncode(a.Name(), dst, block, &ws, &m)
+	return Compressed{Alg: a.Name(), SizeBits: acc.bits(), Payload: acc.appendTo(dst)}
 }
 
 // Compress implements Algorithm.
 func (a *SFPC) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
-
-// ProbeSizeBits implements ProbeCompressor.
-func (a *SFPC) ProbeSizeBits(p *BlockProbe) (int, bool) {
-	m := &p.masks
-	total := 0
-	for i := 0; i < 16; i++ {
-		bit := uint16(1) << uint(i)
-		switch {
-		case m.zero&bit != 0:
-			total += 2
-		case m.se8&bit != 0:
-			total += 10
-		case m.se16&bit != 0:
-			total += 18
-		default:
-			total += 34
-		}
-	}
-	if total >= 8*BlockSize {
-		return 0, false
-	}
-	return total, true
-}
-
-// AppendFromProbe implements ProbeCompressor.
-func (a *SFPC) AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed {
-	return sfpcEncode(a.Name(), dst, block, &p.Words, &p.masks)
-}
 
 // Decompress implements Algorithm.
 func (a *SFPC) Decompress(c Compressed) ([]byte, error) {

@@ -2,18 +2,15 @@ package compress
 
 import "math/bits"
 
-// This file is the word-parallel kernel shared by the codec hot paths
-// (see DESIGN.md §12). A 64-byte block is loaded ONCE into eight 64-bit
-// lanes; every per-word fact the delta-family codecs need — zero words,
-// sign-extension widths, base-delta residual widths, BΔI geometry
-// feasibility — is computed in a single branch-poor scan over those
-// registers and cached in a BlockProbe. Encoders then either answer
-// "exact compressed size" straight from the probe (ProbeSizeBits) or lay
-// out the winning encoding from the precomputed facts (AppendFromProbe)
-// without rescanning the block. The bit formats are unchanged: the
-// kernels only restructure HOW the facts are computed, every emitted bit
-// is pinned by the scalar reference encoders (reference_test.go), the
-// committed SC2 corpus and FuzzKernelEquivalence.
+// This file is the word-parallel kernel the codec encoders share (see
+// DESIGN.md §12). Each encoder loads its 64-byte block once into 64- or
+// 32-bit lanes and computes the per-word facts it needs — zero words and
+// sign-extension widths (classifyWords32), base-delta residual widths
+// (deltaWidths8, halfDeltaScan), BΔI geometry feasibility (bdiProbe) — in
+// branch-poor scans over those registers, then lays out only the winning
+// encoding. Every codec has exactly one encoder, its AppendCompress. The
+// scalar reference encoders (reference_test.go), the committed vector
+// and SC2 corpora and FuzzKernelEquivalence pin every emitted bit.
 
 // wordMasks are per-32-bit-word classification bitmaps (bit i = word i):
 // the patterns FPC/SFPC match, each derivable from one sign-folded
@@ -60,7 +57,7 @@ func classifyWords32(ws *[16]uint32) wordMasks {
 }
 
 // deltaWidths8 is the width scan of the paper's 8-byte-flit delta unit
-// (Fig. 4), shared by Delta.Compress and Probe: wZero[i] is the minimal
+// (Fig. 4), run by Delta.AppendCompress: wZero[i] is the minimal
 // delta width of flit i+1 against the zero base (0 = unrepresentable),
 // req is the width the unit bank would select (0 = infeasible).
 func deltaWidths8(flits *[BlockSize / FlitBytes]uint64) (req int, wZero [deltaFlits]uint8) {
@@ -216,86 +213,4 @@ func bdiProbe(lanes *[BlockSize / FlitBytes]uint64, ws *[16]uint32) (facts [len(
 		}
 	}
 	return facts
-}
-
-// BlockProbe is one block's shared-scan result: the register-resident
-// block plus every per-word fact the probe-aware codecs consume. Compute
-// it once with Probe and hand the pointer to each unit — Hybrid does
-// exactly that to turn N full encodes into one scan plus one encode.
-type BlockProbe struct {
-	Lanes [BlockSize / FlitBytes]uint64 // the block, eight 64-bit flits
-	Words [16]uint32                    // the same block as 32-bit words
-
-	masks     wordMasks
-	zeroBlock bool
-	repBlock  bool
-	repValue  uint64
-
-	delta8Req   int
-	delta8WZero [deltaFlits]uint8
-	halfWZero   [halfDeltaElems - 1]uint8
-	halfWBase   [halfDeltaElems - 1]uint8
-
-	bdi [len(bdiGeometries)]bdiFact
-
-	// SC2 per-word code cache, filled lazily by the owning SC2 instance
-	// (the table is per-instance; a probe can outlive retraining only
-	// within one Compress call, which is all Hybrid needs).
-	sc2Owner  *SC2
-	sc2Bits   int
-	sc2Stored bool
-	sc2Codes  [16]uint32 // packed bits<<5|len; 0 = escape
-}
-
-// Probe runs the shared scan: one load of the block into lanes, then
-// every per-word fact in register. It is a hotalloc root — probing must
-// never allocate.
-func Probe(block []byte) BlockProbe {
-	var p BlockProbe
-	ProbeInto(&p, block)
-	return p
-}
-
-// ProbeInto is Probe without the by-value return: callers that pass the
-// probe on by pointer (Hybrid) fill their local directly and skip the
-// struct copy.
-func ProbeInto(p *BlockProbe, block []byte) {
-	checkBlock(block)
-	*p = BlockProbe{}
-	p.Lanes = words64(block)
-	all := uint64(0)
-	for i, l := range p.Lanes {
-		p.Words[2*i] = uint32(l)
-		p.Words[2*i+1] = uint32(l >> 32)
-		all |= l
-	}
-	p.zeroBlock = all == 0
-	p.repValue = p.Lanes[0]
-	p.repBlock = true
-	for _, l := range p.Lanes[1:] {
-		if l != p.repValue {
-			p.repBlock = false
-			break
-		}
-	}
-	p.masks = classifyWords32(&p.Words)
-	p.delta8Req, p.delta8WZero = deltaWidths8(&p.Lanes)
-	p.halfWZero, p.halfWBase = halfDeltaScan(&p.Words)
-	p.bdi = bdiProbe(&p.Lanes, &p.Words)
-}
-
-// ProbeCompressor is the optional fast path a codec can offer on top of
-// the shared scan. The contract, enforced by FuzzKernelEquivalence:
-//
-//   - ProbeSizeBits(p) returns (c.SizeBits, true) exactly when
-//     Compress(block) would return a non-stored c, and (0, false)
-//     exactly when it would fall back to a stored block;
-//   - AppendFromProbe(dst, block, p) is bit-identical to
-//     AppendCompress(dst, block), and appends to dst the same way.
-//
-// Hybrid and Stateful use it to skip every losing candidate without
-// encoding anything.
-type ProbeCompressor interface {
-	ProbeSizeBits(p *BlockProbe) (sizeBits int, ok bool)
-	AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed
 }

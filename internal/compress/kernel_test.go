@@ -27,24 +27,18 @@ func kernelRefPairs(t testing.TB) []kernelRefPair {
 	s := NewSC2()
 	s.Train(testBlocks(t))
 	idx := refSC2Index(s)
-	h := NewHybrid(NewDelta(), NewBDI(), NewFPC(), NewSFPC(), NewCPack(), s)
 	return []kernelRefPair{
 		{NewDelta(), func(b []byte) Compressed { return refCompressDelta("delta", b) }},
 		{NewBDI(), func(b []byte) Compressed { return refCompressBDI("bdi", b) }},
 		{NewFPC(), func(b []byte) Compressed { return refCompressFPC("fpc", b) }},
 		{NewSFPC(), func(b []byte) Compressed { return refCompressSFPC("sfpc", b) }},
 		{s, func(b []byte) Compressed { return refCompressSC2(s, idx, b) }},
-		{h, func(b []byte) Compressed { return refCompressHybrid(h, b) }},
 	}
 }
 
 // checkKernelBlock asserts, for one block, that every kernel codec is
-// bit-identical to its scalar reference and that every ProbeCompressor
-// honours the probe contract: ProbeSizeBits answers (SizeBits, true)
-// exactly when Compress returns non-stored, and AppendFromProbe
-// reproduces Compress bit for bit.
+// bit-identical to its scalar reference.
 func checkKernelBlock(t testing.TB, pairs []kernelRefPair, block []byte) {
-	p := Probe(block)
 	for _, pair := range pairs {
 		got := pair.alg.Compress(block)
 		want := pair.ref(block)
@@ -53,26 +47,6 @@ func checkKernelBlock(t testing.TB, pairs []kernelRefPair, block []byte) {
 				pair.alg.Name(), block,
 				got.Stored, got.SizeBits, got.Payload,
 				want.Stored, want.SizeBits, want.Payload)
-		}
-		pc, ok := pair.alg.(ProbeCompressor)
-		if !ok {
-			continue
-		}
-		bits, feasible := pc.ProbeSizeBits(&p)
-		if feasible == got.Stored {
-			t.Fatalf("%s: probe feasible=%v but Compress stored=%v (block %x)",
-				pair.alg.Name(), feasible, got.Stored, block)
-		}
-		if feasible {
-			if bits != got.SizeBits {
-				t.Fatalf("%s: probe size %d, Compress size %d (block %x)",
-					pair.alg.Name(), bits, got.SizeBits, block)
-			}
-			fp := pc.AppendFromProbe(nil, block, &p)
-			if !equalCompressed(fp, got) {
-				t.Fatalf("%s: AppendFromProbe differs from Compress (block %x)",
-					pair.alg.Name(), block)
-			}
 		}
 	}
 }
@@ -91,8 +65,7 @@ func TestKernelEquivalenceZoo(t *testing.T) {
 // FuzzKernelEquivalence is the differential fuzz target behind
 // `make fuzz-smoke`: for arbitrary block content, every word-parallel
 // kernel codec must produce bit-identical Compressed output to its
-// retained scalar reference encoder, and every ProbeCompressor must
-// satisfy the shared-scan probe contract.
+// retained scalar reference encoder.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(make([]byte, BlockSize))
 	for _, blk := range testBlocks(f)[:8] {
@@ -106,15 +79,14 @@ func FuzzKernelEquivalence(f *testing.F) {
 	})
 }
 
-// TestBufferContract pins the codec buffer API for every codec, Hybrid
-// and None included, over the block zoo: AppendCompress appends exactly
+// TestBufferContract pins the codec buffer API for every codec, None
+// included, over the block zoo: AppendCompress appends exactly
 // Compress's payload after whatever dst already holds, and allocates
 // nothing when dst has BlockSize spare bytes; DecompressInto decodes
 // what Decompress does without allocating; and each wrapper allocates
 // exactly once, its fresh result.
 func TestBufferContract(t *testing.T) {
 	algs := append(trained(t), NewNone())
-	algs = append(algs, NewHybrid(algs[0], algs[4], algs[5]))
 	prefix := []byte("dst")
 	for _, alg := range algs {
 		for i, b := range testBlocks(t) {

@@ -573,32 +573,3 @@ func huffLengths(freq []uint64, maxLen int) []int {
 }
 
 func canonicalAssign(lens []int) []huffCode { return new(huffScratch).canonicalAssign(nil, lens) }
-
-// --- hybrid -----------------------------------------------------------------
-
-// refCompressHybrid is the pre-probe selection loop: run every unit's
-// full encoder, keep the strictly smallest non-stored result (earliest
-// unit wins ties), prepend the unit tag.
-func refCompressHybrid(h *Hybrid, block []byte) Compressed {
-	best := -1
-	var bestC Compressed
-	for i, u := range h.units {
-		c := u.Compress(block)
-		if c.Stored {
-			continue
-		}
-		if best < 0 || c.SizeBits < bestC.SizeBits {
-			best, bestC = i, c
-		}
-	}
-	if best < 0 || bestC.SizeBits+hybridTagBits >= 8*BlockSize {
-		return appendStored(h.name, nil, block)
-	}
-	payload := append([]byte{byte(best)}, bestC.Payload...)
-	return Compressed{
-		Alg:      h.name,
-		SizeBits: bestC.SizeBits + hybridTagBits,
-		Stored:   bestC.Stored,
-		Payload:  payload,
-	}
-}

@@ -199,66 +199,6 @@ func (s *SC2) AppendCompress(dst, block []byte) Compressed {
 // Compress implements Algorithm.
 func (s *SC2) Compress(block []byte) Compressed { return s.AppendCompress(nil, block) }
 
-// fillProbe caches this instance's per-word codewords and the exact
-// compressed size in the probe (tagged by owner, so a probe shared
-// across Hybrid units never leaks another instance's codes).
-func (s *SC2) fillProbe(p *BlockProbe) {
-	total := 0
-	escLen := s.codes[s.escapeSym()].len
-	for i, word := range p.Words {
-		c := s.lookup(word)
-		p.sc2Codes[i] = c
-		if c != 0 {
-			total += int(c & 31)
-		} else {
-			total += escLen + 32
-		}
-	}
-	p.sc2Bits = total + sc2HeaderBits
-	p.sc2Stored = p.sc2Bits >= 8*BlockSize
-	p.sc2Owner = s
-}
-
-// ProbeSizeBits implements ProbeCompressor.
-func (s *SC2) ProbeSizeBits(p *BlockProbe) (int, bool) {
-	if !s.trained {
-		return 0, false
-	}
-	if p.sc2Owner != s {
-		s.fillProbe(p)
-	}
-	if p.sc2Stored {
-		return 0, false
-	}
-	return p.sc2Bits, true
-}
-
-// AppendFromProbe implements ProbeCompressor: emission straight from
-// the cached codewords, no table lookups.
-func (s *SC2) AppendFromProbe(dst, block []byte, p *BlockProbe) Compressed {
-	if !s.trained {
-		return appendStored(s.Name(), dst, block)
-	}
-	if p.sc2Owner != s {
-		s.fillProbe(p)
-	}
-	if p.sc2Stored {
-		return appendStored(s.Name(), dst, block)
-	}
-	esc := s.codes[s.escapeSym()]
-	escBits, escLen := uint64(esc.bits), esc.len
-	var a bitAcc
-	for i, c := range p.sc2Codes {
-		if c != 0 {
-			a.emit(uint64(c>>5), int(c&31))
-		} else {
-			a.emit(escBits, escLen)
-			a.emit(uint64(p.Words[i]), 32)
-		}
-	}
-	return Compressed{Alg: s.Name(), SizeBits: a.bits() + sc2HeaderBits, Payload: a.appendTo(dst)}
-}
-
 // Decompress implements Algorithm.
 func (s *SC2) Decompress(c Compressed) ([]byte, error) {
 	out := new([BlockSize]byte)

@@ -34,13 +34,10 @@ package compress
 // not safe for concurrent use.
 type Stateful struct {
 	alg   Algorithm
-	pc    ProbeCompressor // non-nil when alg offers the probe fast path
 	tr    Trainable       // non-nil when alg adapts online
 	base  [BlockSize]byte // previous plaintext block (the delta base)
 	resid [BlockSize]byte // XOR-residual scratch
 	seen  uint64          // plaintext blocks folded through this side
-	probe BlockProbe      // probe scratch (direct candidate)
-	rprob BlockProbe      // probe scratch (residual candidate)
 	// enc holds Encode's candidate payloads, one buffer per BlockMode
 	// (stored, direct, residual), so comparing two full encodes needs
 	// no copy and the winner is returned in place.
@@ -90,7 +87,6 @@ type StatefulBlock struct {
 // trainable codecs — the table is part of the stream state).
 func NewStateful(alg Algorithm) *Stateful {
 	s := &Stateful{alg: alg}
-	s.pc, _ = alg.(ProbeCompressor)
 	s.tr, _ = alg.(Trainable)
 	return s
 }
@@ -139,38 +135,15 @@ func (s *Stateful) Encode(block []byte) StatefulBlock {
 	}
 
 	out := StatefulBlock{Mode: ModeStored, SizeBits: 8 * BlockSize}
-	direct, resid := s.enc[ModeDirect][:0], s.enc[ModeResidual][:0]
-	if s.pc != nil {
-		// Probe fast path: exact candidate sizes without encoding, then
-		// one AppendFromProbe for the winner.
-		ProbeInto(&s.probe, block)
-		dBits, dOK := s.pc.ProbeSizeBits(&s.probe)
-		rBits, rOK := 0, false
-		if hasBase {
-			ProbeInto(&s.rprob, s.resid[:])
-			rBits, rOK = s.pc.ProbeSizeBits(&s.rprob)
-		}
-		// Strictly-smaller wins; ties prefer direct (no base coupling).
-		if dOK && dBits < out.SizeBits {
-			out.Mode, out.SizeBits = ModeDirect, dBits
-		}
-		if rOK && rBits < out.SizeBits {
-			out.Mode, out.SizeBits = ModeResidual, rBits
-		}
-		switch out.Mode {
-		case ModeDirect:
-			out.Payload = s.pc.AppendFromProbe(direct, block, &s.probe).Payload
-		case ModeResidual:
-			out.Payload = s.pc.AppendFromProbe(resid, s.resid[:], &s.rprob).Payload
-		}
-	} else {
-		if c := s.alg.AppendCompress(direct, block); !c.Stored && c.SizeBits < out.SizeBits {
-			out = StatefulBlock{Mode: ModeDirect, SizeBits: c.SizeBits, Payload: c.Payload}
-		}
-		if hasBase {
-			if c := s.alg.AppendCompress(resid, s.resid[:]); !c.Stored && c.SizeBits < out.SizeBits {
-				out = StatefulBlock{Mode: ModeResidual, SizeBits: c.SizeBits, Payload: c.Payload}
-			}
+	// Both candidates are fully encoded, each into its own mode's
+	// scratch; strictly smaller wins and ties prefer direct (no base
+	// coupling).
+	if c := s.alg.AppendCompress(s.enc[ModeDirect][:0], block); !c.Stored && c.SizeBits < out.SizeBits {
+		out = StatefulBlock{Mode: ModeDirect, SizeBits: c.SizeBits, Payload: c.Payload}
+	}
+	if hasBase {
+		if c := s.alg.AppendCompress(s.enc[ModeResidual][:0], s.resid[:]); !c.Stored && c.SizeBits < out.SizeBits {
+			out = StatefulBlock{Mode: ModeResidual, SizeBits: c.SizeBits, Payload: c.Payload}
 		}
 	}
 	if out.Mode == ModeStored {

@@ -16,8 +16,8 @@ import (
 //	internal/noc       (*Network).Step       — the cycle loop
 //	internal/disco     (*Engine).Tick        — per-cycle engine service
 //	internal/compress  AppendCompress / DecompressInto (and their
-//	                   Compress / Decompress wrappers), the probe
-//	                   kernel, (*Stateful).Encode / Decode
+//	                   Compress / Decompress wrappers),
+//	                   (*Stateful).Encode / Decode
 //	                                         — the codec block paths
 //	internal/cmp       (*System).Step        — the full-system cycle loop
 //	internal/stream    (*Conn).Read / Write  — the discod per-block path
@@ -67,14 +67,12 @@ func hotAllocRoots(pass *Pass, pf *pkgFacts) []*types.Func {
 	case strings.HasSuffix(pass.PkgPath, "internal/cmp"):
 		return pf.rootsNamed("System", func(name string) bool { return name == "Step" })
 	case strings.HasSuffix(pass.PkgPath, "internal/compress"):
-		// Probe/ProbeSizeBits/AppendFromProbe are the word-parallel
-		// kernel entry points (DESIGN.md §12): the fused probe path runs
-		// once per block, same as AppendCompress. Stateful's Encode and
-		// Decode are the streaming service's per-block codec calls.
+		// Every codec's one encoder and one decoder (DESIGN.md §12), plus
+		// the wrappers around them, run once per block. Stateful's Encode
+		// and Decode are the streaming service's per-block codec calls.
 		codec := pf.rootsNamed("", func(name string) bool {
 			switch name {
-			case "AppendCompress", "DecompressInto", "Compress", "Decompress",
-				"Probe", "ProbeInto", "ProbeSizeBits", "AppendFromProbe":
+			case "AppendCompress", "DecompressInto", "Compress", "Decompress":
 				return true
 			}
 			return false

@@ -1,18 +1,12 @@
-// Package fixture exercises the hotalloc analyzer's codec roots: the
-// word-parallel kernel entry points (Probe, ProbeSizeBits,
-// AppendFromProbe) and the streaming adapter's (*Stateful).Encode and
-// Decode are per-block hot paths exactly like AppendCompress, so heap
+// Package fixture exercises the hotalloc analyzer's codec roots: every
+// codec's encoder and decoder (AppendCompress, DecompressInto and their
+// Compress/Decompress wrappers) and the streaming adapter's
+// (*Stateful).Encode and Decode are per-block hot paths, so heap
 // allocations reachable from them are findings unless recycled,
 // escaping, or on an init path.
 package fixture
 
-// BlockProbe mimics the shared word-parallel scan result.
-type BlockProbe struct {
-	lanes [8]uint64
-	notes []int
-}
-
-// Codec mimics a probe-capable compressor.
+// Codec mimics a block compressor.
 type Codec struct {
 	scratch []byte
 }
@@ -20,27 +14,23 @@ type Codec struct {
 // NewCodec is an init path: construction may allocate freely.
 func NewCodec() *Codec { return &Codec{scratch: make([]byte, 64)} }
 
-// Probe is a kernel root: the per-block shared scan must not allocate.
-func (c *Codec) Probe(p *BlockProbe, src []byte) {
-	p.lanes[0] = uint64(src[0])
-	p.notes = append(p.notes, 1) // want "heap allocation on the hot path"
-}
-
-// ProbeSizeBits is a kernel root: sizing from a probe is pure math.
-func (c *Codec) ProbeSizeBits(p *BlockProbe) (int, bool) {
-	c.scratch = c.scratch[:0]
-	c.scratch = append(c.scratch, byte(p.lanes[0])) // allowed: recycled scratch
-	return len(c.scratch) * 8, true
-}
-
-// AppendFromProbe is a kernel root; appending its encoding to the
-// caller's dst is the function's product (allowed: escaping result),
-// but per-call scratch is not.
-func (c *Codec) AppendFromProbe(dst []byte, p *BlockProbe) []byte {
+// AppendCompress is a root; appending its encoding to the caller's dst
+// is the function's product (allowed: escaping result), but per-call
+// scratch is not.
+func (c *Codec) AppendCompress(dst, block []byte) []byte {
 	tmp := make([]uint64, 8) // want "heap allocation on the hot path"
-	tmp[0] = p.lanes[0]
+	tmp[0] = uint64(block[0])
 	dst = append(dst, byte(tmp[0])) // allowed: bound to the returned value
 	return dst
+}
+
+// DecompressInto is a clean root: decoding through recycled scratch
+// into the caller's block allocates nothing.
+func (c *Codec) DecompressInto(dst *[64]byte, payload []byte) error {
+	c.scratch = c.scratch[:0]
+	c.scratch = append(c.scratch, payload...) // allowed: recycled scratch
+	copy(dst[:], c.scratch)
+	return nil
 }
 
 // Stateful mimics the streaming adapter: per-instance scratch that its

@@ -11,7 +11,7 @@ import (
 // packet comes back zeroed, a block the caller supplied is never pooled
 // while an arena-lent one is, packets the arena did not lend are never
 // reclaimed, an armed tracer does not stop reclamation (it receives
-// value records, never packets) and an armed fault layer does.
+// value records, never packets) and neither does an armed fault layer.
 func TestReleasePacketOwnership(t *testing.T) {
 	n := mustNet(t, DefaultConfig())
 
@@ -52,10 +52,10 @@ func TestReleasePacketOwnership(t *testing.T) {
 	p = nf.TakePacket().InitData(5, 0, 1, lent, false)
 	p.ownsBlock = true
 	nf.ReleasePacket(p)
-	if q := nf.TakePacket(); q == p {
-		t.Fatal("packet reclaimed while the fault layer was armed")
+	if q := nf.TakePacket(); q != p {
+		t.Fatal("packet not reclaimed while the fault layer was armed")
 	}
-	if b := nf.takeBlock(); &b[0] == &lent[0] {
-		t.Fatal("block reclaimed while the fault layer was armed")
+	if b := nf.takeBlock(); &b[0] != &lent[0] {
+		t.Fatal("block not reclaimed while the fault layer was armed")
 	}
 }

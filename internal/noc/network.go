@@ -137,8 +137,7 @@ type Network struct {
 	// collector — at the NI, or through ReleasePacket when an OnEject
 	// owner holds them past ejection. Fixed-capacity, index-managed
 	// (push/pop by pktFree / blkFree, never append) so Step stays
-	// allocation-free. Recycling is disabled while the fault layer could
-	// retain a packet (see ReleasePacket).
+	// allocation-free, with or without the fault layer armed.
 	pktPool []*Packet
 	pktFree int
 	blkPool [][]byte
@@ -254,13 +253,13 @@ func (n *Network) takeBlock() []byte {
 	return b
 }
 
-// ReleasePacket returns an ejected packet to the arena. Packets the
-// arena did not lend are ignored, and nothing is reclaimed while the
-// fault layer (whose shadow semantics rely on retained blocks) is armed.
-// Tracers never block reclamation: they receive value records, not
-// packets. The caller must hold no reference to p afterwards.
+// ReleasePacket returns an ejected packet to the arena; packets the
+// arena did not lend are ignored. Neither tracers (they receive value
+// records) nor the fault layer (its shadow recovery reads the retained
+// block only before ejection) block reclamation. The caller must hold
+// no reference to p afterwards.
 func (n *Network) ReleasePacket(p *Packet) {
-	if !p.pooled || n.fault != nil {
+	if !p.pooled {
 		return
 	}
 	if b := p.Block; p.ownsBlock && len(b) == compress.BlockSize && n.blkFree < len(n.blkPool) {

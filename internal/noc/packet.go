@@ -90,9 +90,8 @@ type Packet struct {
 	Meta any
 
 	// pooled marks a packet born from the network's arena (TakePacket):
-	// eject or ReleasePacket may reclaim it when nothing retains ejected
-	// packets. Packets built by the exported constructors are never
-	// reclaimed.
+	// eject, or ReleasePacket from an OnEject owner, reclaims it.
+	// Packets built by the exported constructors are never reclaimed.
 	pooled bool
 	// ownsBlock marks a Block the arena lent (or the engine's private
 	// decode of one), which recycling may pool with the packet. Packets
