@@ -9,12 +9,6 @@
 //	benchcmp -baseline bench/bench.txt -new bench/new.txt \
 //	    -gate 'Compress|NoCStep' -max-regress 10
 //
-// With -speedup SERIAL=PARALLEL, the ratio of the two named benchmarks'
-// ns/op (both from -new) is reported — the two-phase engine's intra-sim
-// speedup. -min-speedup fails the run when the ratio is below the floor,
-// but only when the run had more than one CPU (GOMAXPROCS suffix > 1):
-// single-CPU hosts report the ratio without enforcing it.
-//
 // With -require 'Name=PCT,...', each named benchmark's ns/op must IMPROVE
 // by at least PCT percent over the baseline ((old-new)/old*100 >= PCT) or
 // the run fails — the inverse of -gate: it locks in a won optimization
@@ -39,11 +33,11 @@ type benchResult struct {
 	NsPerOp     float64
 	BytesPerOp  float64 // -1 when absent
 	AllocsPerOp float64 // -1 when absent
-	Procs       int     // GOMAXPROCS from the -N name suffix (1 when absent)
 }
 
-// benchLine matches `BenchmarkX-8  100  123.4 ns/op  ...`.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+// benchLine matches `BenchmarkX-8  100  123.4 ns/op  ...`; the
+// GOMAXPROCS suffix is dropped from the name.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
 
 var (
 	bytesField  = regexp.MustCompile(`([0-9.]+) B/op`)
@@ -63,21 +57,18 @@ func parseBench(r io.Reader) (map[string]benchResult, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[3], 64)
+		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("benchcmp: bad ns/op in %q: %w", sc.Text(), err)
 		}
 		if prev, ok := out[m[1]]; ok && prev.NsPerOp <= ns {
 			continue
 		}
-		res := benchResult{NsPerOp: ns, BytesPerOp: -1, AllocsPerOp: -1, Procs: 1}
-		if m[2] != "" {
-			res.Procs, _ = strconv.Atoi(m[2])
-		}
-		if bm := bytesField.FindStringSubmatch(m[4]); bm != nil {
+		res := benchResult{NsPerOp: ns, BytesPerOp: -1, AllocsPerOp: -1}
+		if bm := bytesField.FindStringSubmatch(m[3]); bm != nil {
 			res.BytesPerOp, _ = strconv.ParseFloat(bm[1], 64)
 		}
-		if am := allocsField.FindStringSubmatch(m[4]); am != nil {
+		if am := allocsField.FindStringSubmatch(m[3]); am != nil {
 			res.AllocsPerOp, _ = strconv.ParseFloat(am[1], 64)
 		}
 		out[m[1]] = res
@@ -200,53 +191,12 @@ func checkRequired(old, cur map[string]benchResult, reqs []requirement) (string,
 	return b.String(), failed, nil
 }
 
-// speedup reports the wall-clock ratio between a serial benchmark and
-// its parallel-engine counterpart, both read from the NEW results (the
-// pair measures this machine, so comparing against a baseline from
-// another host would be meaningless). The min gate only arms when the
-// parallel benchmark actually had more than one CPU (its -N GOMAXPROCS
-// suffix): on a single-CPU host a compute-bound speedup is physically
-// impossible, so the ratio is reported but not enforced.
-func speedup(cur map[string]benchResult, pair string, min float64) (string, bool, error) {
-	names := strings.SplitN(pair, "=", 2)
-	if len(names) != 2 || names[0] == "" || names[1] == "" {
-		return "", false, fmt.Errorf("benchcmp: bad -speedup %q, want SERIAL=PARALLEL", pair)
-	}
-	ser, ok := cur[names[0]]
-	if !ok {
-		return "", false, fmt.Errorf("benchcmp: -speedup benchmark %s missing from new results", names[0])
-	}
-	par, ok := cur[names[1]]
-	if !ok {
-		return "", false, fmt.Errorf("benchcmp: -speedup benchmark %s missing from new results", names[1])
-	}
-	if par.NsPerOp == 0 {
-		return "", false, fmt.Errorf("benchcmp: -speedup benchmark %s has zero ns/op", names[1])
-	}
-	ratio := ser.NsPerOp / par.NsPerOp
-	line := fmt.Sprintf("speedup %s / %s: %.2fx (GOMAXPROCS=%d)",
-		strings.TrimPrefix(names[0], "Benchmark"), strings.TrimPrefix(names[1], "Benchmark"),
-		ratio, par.Procs)
-	if min <= 0 {
-		return line + "\n", false, nil
-	}
-	if par.Procs <= 1 {
-		return line + fmt.Sprintf("  [%.1fx floor not enforced on a single-CPU run]\n", min), false, nil
-	}
-	if ratio < min {
-		return line + fmt.Sprintf("  << BELOW %.1fx FLOOR\n", min), true, nil
-	}
-	return line + fmt.Sprintf("  [>= %.1fx floor]\n", min), false, nil
-}
-
 func main() {
 	var (
 		baseline   = flag.String("baseline", "bench/bench.txt", "baseline `go test -bench` output")
 		newFile    = flag.String("new", "", "new `go test -bench` output (required)")
 		gateExpr   = flag.String("gate", "", "regexp of benchmarks that fail the run on regression")
 		maxRegress = flag.Float64("max-regress", 10, "allowed ns/op regression for gated benchmarks, percent")
-		speedPair  = flag.String("speedup", "", "SERIAL=PARALLEL benchmark pair: report new-run speedup of PARALLEL over SERIAL")
-		minSpeedup = flag.Float64("min-speedup", 0, "fail when the -speedup ratio is below this (only on multi-CPU runs)")
 		requireStr = flag.String("require", "", "'Name=PCT,...': each benchmark must improve ns/op by at least PCT percent over the baseline")
 	)
 	flag.Parse()
@@ -275,16 +225,6 @@ func main() {
 	}
 	report, failed := compare(old, cur, gate, *maxRegress)
 	fmt.Print(report)
-	tooSlow := false
-	if *speedPair != "" {
-		line, slow, err := speedup(cur, *speedPair, *minSpeedup)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Print(line)
-		tooSlow = slow
-	}
 	var unmet []string
 	if *requireStr != "" {
 		reqs, err := parseRequire(*requireStr)
@@ -303,10 +243,6 @@ func main() {
 	if len(failed) > 0 {
 		fmt.Fprintf(os.Stderr, "benchcmp: %d gated benchmark(s) regressed more than %.0f%%: %s\n",
 			len(failed), *maxRegress, strings.Join(failed, ", "))
-		os.Exit(1)
-	}
-	if tooSlow {
-		fmt.Fprintf(os.Stderr, "benchcmp: parallel-engine speedup below the %.1fx floor\n", *minSpeedup)
 		os.Exit(1)
 	}
 	if len(unmet) > 0 {

@@ -130,7 +130,6 @@ func TestConfigMistakesClassifyAsConfig(t *testing.T) {
 		"unknown algorithm":  singleRun("disco", "swaptions", "bogus", 4, 100, 50, 1, o),
 		"bad fault spec":     singleRun("disco", "swaptions", "delta", 4, 100, 50, 1, observeOpts{faultSpec: "engine=2.0", rep: o.rep}),
 		"unknown experiment": runExperiments("fig99", experiments.Opts{}),
-		"bad scaling list":   scalingRun("disco", "swaptions", "delta", 4, 100, 50, 1, o, "1,zero", ""),
 	} {
 		if err == nil {
 			t.Errorf("%s: expected an error", name)
@@ -315,7 +314,6 @@ func TestObservabilityIsPurelyObservational(t *testing.T) {
 		o := observeOpts{
 			metricsOut: filepath.Join(dir, "metrics.json"),
 			traceBin:   filepath.Join(dir, "trace.bin"),
-			simWorkers: 2,
 			rep:        obs.NewReporter(io.Discard, "discosim"),
 		}
 		if observed {
@@ -363,41 +361,6 @@ func TestSingleRunProfileReport(t *testing.T) {
 	}
 	if !strings.Contains(out, "cycles/s") {
 		t.Errorf("profile block missing throughput headline:\n%s", out)
-	}
-}
-
-// TestScalingRunCSV checks the -scaling sweep writes a well-formed
-// curve CSV and rejects malformed worker lists.
-func TestScalingRunCSV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-system runs")
-	}
-	csvPath := filepath.Join(t.TempDir(), "scaling.csv")
-	o := observeOpts{rep: obs.NewReporter(io.Discard, "discosim")}
-	if err := scalingRun("disco", "swaptions", "delta", 4, 300, 150, 1, o, "1, 2", csvPath); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("scaling CSV has %d lines, want header + 2 rows:\n%s", len(lines), raw)
-	}
-	if lines[0] != obs.ScalingHeader() {
-		t.Errorf("CSV header = %q, want %q", lines[0], obs.ScalingHeader())
-	}
-	for i, prefix := range []string{"1,", "2,"} {
-		if !strings.HasPrefix(lines[i+1], prefix) {
-			t.Errorf("row %d = %q, want prefix %q", i+1, lines[i+1], prefix)
-		}
-	}
-	if err := scalingRun("disco", "swaptions", "delta", 4, 100, 50, 1, o, "1,zero", ""); err == nil {
-		t.Error("malformed -scaling list should fail")
-	}
-	if err := scalingRun("disco", "swaptions", "delta", 4, 100, 50, 1, o, "0", ""); err == nil {
-		t.Error("zero worker count should fail")
 	}
 }
 

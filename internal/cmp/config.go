@@ -128,10 +128,8 @@ type Config struct {
 	// this long the run aborts with a *StallError carrying a diagnostic
 	// snapshot. 0 uses DefaultStallWindow.
 	StallWindow uint64
-	// SimWorkers shards the NoC's per-cycle compute phase across this many
-	// workers (noc.Network.SetWorkers); 0 or 1 is the serial engine.
-	// Results are byte-identical at any setting. Distinct from simrun's
-	// -j, which parallelizes across independent simulations.
+	// SimWorkers is ignored: the NoC runs one engine. It is kept only
+	// because the end-to-end benchmark module still sets it.
 	SimWorkers int
 }
 

@@ -17,9 +17,9 @@ func (s *System) Network() *noc.Network { return s.net }
 // (HTTP handlers) must go through boundary-published snapshots instead.
 func (s *System) NowCycle() uint64 { return s.now }
 
-// AttachProfiler arms the NoC's stage-level wall-clock profiler, sized
-// to the engine's configured worker count. Purely observational: the
-// run's artifacts are byte-identical with or without it.
+// AttachProfiler arms the NoC's stage-level wall-clock profiler. Purely
+// observational: the run's artifacts are byte-identical with or without
+// it.
 func (s *System) AttachProfiler(p *obs.PhaseProfiler) { s.net.AttachProfiler(p) }
 
 // SetProbe installs fn to run on the simulation goroutine every `every`
@@ -36,11 +36,10 @@ func (s *System) SetProbe(every uint64, fn func()) {
 	s.probeEvery, s.probeFn = every, fn
 }
 
-// Close releases resources held by the system — currently the NoC's
-// worker pool when Config.SimWorkers armed the parallel engine. The
-// system remains usable afterwards on the serial engine. No-op when the
-// run was serial.
-func (s *System) Close() { s.net.Close() }
+// Close is a no-op: a System holds no resources that need releasing.
+// It is kept only because the end-to-end benchmark module still calls
+// it.
+func (s *System) Close() {}
 
 // AttachMetrics registers the full-system observability surface in reg:
 // the NoC scope (see noc.Network.AttachMetrics) plus a "cmp" scope with

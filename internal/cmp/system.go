@@ -157,7 +157,6 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s.net = net
-	net.SetWorkers(cfg.SimWorkers)
 	net.OnEject = s.onEject
 	if net.FaultEnabled() && cfg.Algorithm != nil {
 		// The sink integrity check must decode with the system's live

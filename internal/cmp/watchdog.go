@@ -45,9 +45,8 @@ func (e *StallError) Error() string {
 // crossbar activity. Any real progress changes at least one term.
 //
 // It must only be sampled at a commit boundary (noc.AtCommitBoundary):
-// mid-step, the two-phase engine's counters are partially staged — and
-// on the parallel engine written concurrently — so a mid-cycle sample
-// could both misread progress and race.
+// mid-step, the two-phase engine's counters are partially staged, so a
+// mid-cycle sample could misread progress.
 func (s *System) progressSignature() uint64 {
 	var sig uint64
 	for _, c := range s.cores {

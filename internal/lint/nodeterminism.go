@@ -19,8 +19,8 @@ import (
 //     accumulation — identical seeds must give byte-identical traces
 //     and stats;
 //   - no sync.Map iteration (Range visits entries in unspecified order,
-//     on top of sync.Map being concurrency machinery the two-phase
-//     engine's staged effects are designed to avoid);
+//     on top of sync.Map being concurrency machinery the sim core has
+//     no use for);
 //   - no select over multiple ready channels — the runtime picks a case
 //     pseudo-randomly, so replaying a seed would not replay the
 //     schedule.

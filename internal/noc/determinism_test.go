@@ -167,35 +167,44 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 	}
 }
 
-// --- Golden byte-identity suite: serial vs parallel engine -------------
+// --- Golden digest suite ----------------------------------------------
 //
-// The two-phase engine's whole contract (DESIGN.md §9) is that the worker
-// count is invisible in every artifact. These tests pin it: the same
-// seeded load must produce byte-identical traces, stats, metrics JSON,
-// series CSV and binary traces at workers ∈ {1, 2, 4, 8}, across mesh
-// sizes, traffic patterns, and with fault injection armed.
+// Every serialized artifact of a seeded load — the text trace, the
+// final stats, the metrics JSON, the series CSV and the binary trace —
+// is pinned by SHA-256 across mesh sizes, traffic patterns and with
+// fault injection armed. The digests were recorded from the engine as
+// it stood before its worker pool was removed, so they also pin that
+// removal as byte-neutral.
 
-// goldenWorkers are the worker counts the suite sweeps; 1 is the serial
-// engine (no pool), the rest shard compute across a pool.
-var goldenWorkers = []int{1, 2, 4, 8}
-
-// goldenCases spans the configuration axes the engine shards over.
+// goldenCases spans the engine's configuration axes.
 var goldenCases = []struct {
 	name    string
 	cfg     func() Config
 	traffic func() TrafficConfig
+	// SHA-256 digests of the artifacts, in hex.
+	trace, stats, metrics, series, bin string
 }{
 	{"mesh4-uniform", discoConfig, func() TrafficConfig {
 		tc := DefaultTraffic()
 		tc.Seed, tc.InjectionRate = 42, 0.06
 		return tc
-	}},
+	},
+		"97afa838ad4bf5ea453c6b82abc50526afb867f6275cf1a4a3bb29298c3abc2c",
+		"ab08cd9eacd4e3f73f80223780dfe245c6270db6b0c676270ea07af21fd4d6db",
+		"e9cfb62ec59f062f9bfd71fca26dd2aebdbe0f6cdf688dc60caf8256d09d965c",
+		"4ed9b1c46f37f80792928beec793a63bdd2fcbc917ce0a6ffc2b0324b490e551",
+		"7e1db326b4c56953b03a2b5c20c6adb6f9034f0d9fef6bb037074fec110d8962"},
 	{"mesh4-hotspot", discoConfig, func() TrafficConfig {
 		tc := DefaultTraffic()
 		tc.Pattern, tc.HotNode = Hotspot, 5
 		tc.Seed, tc.InjectionRate = 7, 0.05
 		return tc
-	}},
+	},
+		"c27c29e2fd6f0e22b2ec5de3ef32e81d669a83453d42136b8c5a8ae75bcd8e87",
+		"bebc4e09a21311dd5c586f3815489f23816dd803be3bfea28c4a8879f5455864",
+		"c5f286439e61cc2b236cd8869bc040acac72fdb1bec7c2795a3fd892935ef5e3",
+		"0996996d27679d7af79e5232f659971f5a118179ddf3b5e909be50613c37547b",
+		"8fa3fb52834fe76d1cfbc2f31544aaafb8e73f94b230a002cfb01b9063bd4492"},
 	{"mesh8-transpose", func() Config {
 		cfg := discoConfig()
 		cfg.K = 8
@@ -205,7 +214,12 @@ var goldenCases = []struct {
 		tc.Pattern = Transpose
 		tc.Seed, tc.InjectionRate = 11, 0.04
 		return tc
-	}},
+	},
+		"9d2baa379f25b63dcf45e5a2cc3bbc44afa5ec2db19d893f2636a01c6afa7150",
+		"ffd5e3e7f93955e19e3f73d3c37adb2a3eaf67f14ea0d491f2806ff0d28c834a",
+		"5d6e8e5fb2973f5a6619c2971bef16f27a3df08c2ea543fbba1d554c800e4468",
+		"391466d249f840b723addc7a5529ed71f37b66ecec0699f95ee6ee4acfc8666a",
+		"5696d41232e9eced960a4f288953c44ea1572d5e6b21814c942b654fda983f55"},
 	{"mesh4-faults", func() Config {
 		return faultConfig(fault.Spec{Seed: 9, EngineRate: 0.05, EngineStuck: 8,
 			BreakerK: 3, BreakerCooldown: 64,
@@ -214,16 +228,19 @@ var goldenCases = []struct {
 		tc := DefaultTraffic()
 		tc.Seed, tc.InjectionRate = 13, 0.06
 		return tc
-	}},
+	},
+		"0f7495e69fb7c39e8835eb21f5d4bb0ace6d1e0f9cbbefbd6856d638c51d3637",
+		"c8a38639f6602b8efe6195beb9a74476d37226633fcb8b6decf7bb1f3fef9a91",
+		"6c360ae8c4e671f9f44169703131d7975fb760310d74b64bbe86f59dde95f6cc",
+		"a119d7b5ec942c01eec1f8dba829b8a2a8d62b6524f63207981d3160a299b5ae",
+		"d636ff6cb89dee89d531de7bcd282c21b39cb998f65cf074d2799e9232584475"},
 }
 
-// runGoldenLoad drives cfg under tc at the given phase-1 worker count and
-// returns the full event trace and the final counters.
-func runGoldenLoad(t *testing.T, cfg Config, tc TrafficConfig, workers int) (string, Stats) {
+// runGoldenLoad drives cfg under tc and returns the full event trace and
+// the final counters.
+func runGoldenLoad(t *testing.T, cfg Config, tc TrafficConfig) (string, Stats) {
 	t.Helper()
 	n := mustNet(t, cfg)
-	defer n.Close()
-	n.SetWorkers(workers)
 	var sb strings.Builder
 	n.SetTracer(&WriterTracer{W: &sb})
 	g := NewTrafficGen(n, tc)
@@ -244,44 +261,18 @@ func diffTraces(t *testing.T, label, want, got string) {
 	lg := strings.Split(got, "\n")
 	for i := 0; i < len(lw) && i < len(lg); i++ {
 		if lw[i] != lg[i] {
-			t.Fatalf("%s: traces diverge at line %d:\n  serial:   %s\n  parallel: %s",
+			t.Fatalf("%s: traces diverge at line %d:\n  want: %s\n  got:  %s",
 				label, i+1, lw[i], lg[i])
 		}
 	}
 	t.Fatalf("%s: traces differ in length: %d vs %d lines", label, len(lw), len(lg))
 }
 
-// TestGoldenByteIdentityAcrossWorkers is the golden gate for the
-// two-phase engine: trace and stats byte-identity against the serial
-// engine at every worker count, for every configuration axis.
-func TestGoldenByteIdentityAcrossWorkers(t *testing.T) {
-	for _, c := range goldenCases {
-		t.Run(c.name, func(t *testing.T) {
-			wantTrace, wantStats := runGoldenLoad(t, c.cfg(), c.traffic(), 1)
-			if wantTrace == "" {
-				t.Fatal("empty trace; load generated no events")
-			}
-			for _, w := range goldenWorkers[1:] {
-				gotTrace, gotStats := runGoldenLoad(t, c.cfg(), c.traffic(), w)
-				if gotTrace != wantTrace {
-					diffTraces(t, fmt.Sprintf("workers=%d", w), wantTrace, gotTrace)
-				}
-				if !reflect.DeepEqual(wantStats, gotStats) {
-					t.Errorf("workers=%d: stats differ from serial:\n  serial:   %+v\n  parallel: %+v",
-						w, wantStats, gotStats)
-				}
-			}
-		})
-	}
-}
-
 // runGoldenInstrumented is runGoldenLoad with the telemetry surface
 // attached (metrics registry + binary tracer) instead of a text tracer.
-func runGoldenInstrumented(t *testing.T, cfg Config, tc TrafficConfig, workers int) (metricsJSON, seriesCSV, binTrace []byte) {
+func runGoldenInstrumented(t *testing.T, cfg Config, tc TrafficConfig) (metricsJSON, seriesCSV, binTrace []byte) {
 	t.Helper()
 	n := mustNet(t, cfg)
-	defer n.Close()
-	n.SetWorkers(workers)
 	reg := metrics.NewRegistry()
 	n.AttachMetrics(reg, 128)
 	var bin bytes.Buffer
@@ -308,64 +299,25 @@ func runGoldenInstrumented(t *testing.T, cfg Config, tc TrafficConfig, workers i
 	return mj.Bytes(), sc.Bytes(), bin.Bytes()
 }
 
-// TestGoldenTelemetryAcrossWorkers extends the golden gate to every
-// serialized artifact: metrics JSON, time-series CSV and the binary
-// trace must be byte-identical to the serial engine's at any worker
-// count, including with fault injection armed.
-func TestGoldenTelemetryAcrossWorkers(t *testing.T) {
+// TestGoldenCaseDigests is the golden gate for the cycle engine: every
+// artifact of every golden case must hash to its pinned digest.
+func TestGoldenCaseDigests(t *testing.T) {
+	sum := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
-			mj1, sc1, bin1 := runGoldenInstrumented(t, c.cfg(), c.traffic(), 1)
-			if len(mj1) == 0 || len(sc1) == 0 || len(bin1) == 0 {
-				t.Fatalf("empty artifact: metrics=%d series=%d trace=%d bytes",
-					len(mj1), len(sc1), len(bin1))
-			}
-			for _, w := range goldenWorkers[1:] {
-				mj2, sc2, bin2 := runGoldenInstrumented(t, c.cfg(), c.traffic(), w)
-				if !bytes.Equal(mj1, mj2) {
-					t.Errorf("workers=%d: metrics JSON differs from serial", w)
-				}
-				if !bytes.Equal(sc1, sc2) {
-					t.Errorf("workers=%d: time-series CSV differs from serial", w)
-				}
-				if !bytes.Equal(bin1, bin2) {
-					t.Errorf("workers=%d: binary trace differs from serial", w)
+			trace, st := runGoldenLoad(t, c.cfg(), c.traffic())
+			mj, sc, bin := runGoldenInstrumented(t, c.cfg(), c.traffic())
+			for _, a := range []struct{ name, got, want string }{
+				{"text trace", sum([]byte(trace)), c.trace},
+				{"stats", sum([]byte(fmt.Sprintf("%+v", st))), c.stats},
+				{"metrics JSON", sum(mj), c.metrics},
+				{"series CSV", sum(sc), c.series},
+				{"binary trace", sum(bin), c.bin},
+			} {
+				if a.got != a.want {
+					t.Errorf("%s digest %s, want %s", a.name, a.got, a.want)
 				}
 			}
 		})
-	}
-}
-
-// TestRunParallelMatchesSerialDrain exercises the RunParallel entry
-// point itself: a backlogged network drained by RunParallel must end in
-// the same state as one drained serially, and the worker setting must be
-// restored afterwards.
-func TestRunParallelMatchesSerialDrain(t *testing.T) {
-	build := func() *Network {
-		n := mustNet(t, discoConfig())
-		tc := DefaultTraffic()
-		tc.Seed, tc.InjectionRate = 3, 0.1
-		g := NewTrafficGen(n, tc)
-		for cycle := 0; cycle < 500; cycle++ {
-			g.Step()
-			n.Step()
-		}
-		return n
-	}
-	ns := build()
-	if !ns.RunUntilQuiescent(100000) {
-		t.Fatal("serial drain failed")
-	}
-	want := ns.Stats()
-	np := build()
-	defer np.Close()
-	if !np.RunParallel(4, 100000) {
-		t.Fatal("parallel drain failed")
-	}
-	if got := np.Workers(); got != 1 {
-		t.Errorf("RunParallel left workers=%d, want 1 restored", got)
-	}
-	if got := np.Stats(); !reflect.DeepEqual(want, got) {
-		t.Errorf("RunParallel end state differs from serial:\n  serial:   %+v\n  parallel: %+v", want, got)
 	}
 }

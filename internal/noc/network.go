@@ -143,11 +143,8 @@ type Network struct {
 	blkPool [][]byte
 	blkFree int
 
-	// Two-phase engine state (see parallel.go / DESIGN.md §9): pool
-	// shards compute phases across workers (nil = serial engine);
-	// stepping is true while a Step is applying staged effects, so
-	// observers can refuse to sample mid-cycle state.
-	pool     *workerPool
+	// stepping is true while a Step is applying staged effects (see
+	// DESIGN.md §9), so observers can refuse to sample mid-cycle state.
 	stepping bool
 
 	// OnEject is called when a packet fully leaves the network at node.
@@ -389,19 +386,16 @@ func (n *Network) decodeComp(c compress.Compressed) ([]byte, error) {
 }
 
 // Step advances the network by one cycle of the two-phase engine: each
-// pipeline stage runs its compute over all busy routers (sharded across
-// the worker pool when one is set — see parallel.go), then commits the
-// staged effects serially in canonical router-index order. The stage
-// sequence matches the classic serial phase order (engines, SA+ST, VA,
-// RC, DISCO arbitration, NI injection), so results — including the trace
-// byte stream — are identical at any worker count.
+// pipeline stage runs its compute over all busy routers, then commits
+// the staged effects in canonical router-index order. The stage
+// sequence matches the classic phase order (engines, SA+ST, VA, RC,
+// DISCO arbitration, NI injection).
 func (n *Network) Step() {
 	n.stepping = true
-	// Profiling stamps (profile.go): t threads through the serial
-	// regions on the driver lane; compute-stage and barrier attribution
-	// on the parallel engine happens inside runStage/workerPool.
+	// Profiling stamps (profile.go): t threads through the commit and
+	// other regions; runStage stamps each compute stage itself.
 	t := n.profClock()
-	// Serial prologue: due credit recoveries land (fault injection only;
+	// Prologue: due credit recoveries land (fault injection only;
 	// the queue is ordered by restore cycle), then link arrivals land in
 	// input buffers — these are last cycle's committed effects becoming
 	// this cycle's prior state.
@@ -436,18 +430,14 @@ func (n *Network) Step() {
 	}
 	t = n.profMark(obs.PhaseOther, t)
 	// Each stage's compute covers every busy router before its commit
-	// runs, even on the serial engine: fused per router, a commit's
-	// effects (e.g. a traversal shrinking a VC's occupancy, which the
-	// upstream SA credit check reads) would reach later routers'
-	// computes in the same cycle, which the two-phase order puts after
-	// the barrier.
+	// runs: fused per router, a commit's effects (e.g. a traversal
+	// shrinking a VC's occupancy, which the upstream SA credit check
+	// reads) would reach later routers' computes in the same cycle,
+	// which the two-phase order puts after the commit.
 	//
 	// Stage: DISCO engines (commit, absorb, complete) — pure compute, no
-	// shared effects beyond the staged traces.
+	// shared effects beyond its trace events.
 	n.runStage(busy, obs.PhaseEngine, (*Router).computeEngine)
-	t = n.profClock()
-	n.flushTraces(busy)
-	t = n.profMark(obs.PhaseCommit, t)
 	// Stage: switch allocation — compute arbitrates against prior-cycle
 	// credits, commit applies stall bookkeeping and winner traversals
 	// (flit moves, credit reservations, ejections, fault draws).
@@ -463,14 +453,13 @@ func (n *Network) Step() {
 	// per router), then the arbitration commit (engine job starts).
 	n.runStage(busy, obs.PhaseAlloc, (*Router).computeAlloc)
 	t = n.profClock()
-	n.flushTraces(busy)
 	for i, r := range n.Routers {
 		if busy[i] {
 			r.commitArb()
 		}
 	}
 	t = n.profMark(obs.PhaseCommit, t)
-	// Serial epilogue: NI injection (one flit per node per cycle).
+	// Epilogue: NI injection (one flit per node per cycle).
 	for node := range n.ni {
 		n.stepInjection(node)
 	}
@@ -478,10 +467,39 @@ func (n *Network) Step() {
 	n.stepping = false
 	n.sampleMetrics()
 	if n.prof != nil {
-		n.prof.Observe(0, obs.PhaseOther, t)
+		n.prof.Observe(obs.PhaseOther, t)
 		n.prof.AddStep()
 	}
 }
+
+// runStage applies f to every busy router in index order and stamps
+// the stage as ph on the profiler (when armed). f must follow the
+// compute-phase contract — read prior-cycle state, write only
+// router-local state (staged effects, own scratch, own VC/engine
+// fields); the phasesafety analyzer checks it from this call's roots.
+func (n *Network) runStage(busy []bool, ph obs.Phase, f func(*Router)) {
+	start := n.profClock()
+	for i, r := range n.Routers {
+		if busy[i] {
+			f(r)
+		}
+	}
+	if n.prof != nil {
+		n.prof.Observe(ph, start)
+	}
+}
+
+// AtCommitBoundary reports whether the network is between cycles: all
+// staged effects of the previous Step are committed and no compute is in
+// flight. Observers (stats, snapshots, the cmp progress watchdog) must
+// only sample at commit boundaries — mid-step state is partially staged.
+func (n *Network) AtCommitBoundary() bool { return !n.stepping }
+
+// trace records an event from a compute phase. It is the one sanctioned
+// emission point for compute code (the phasesafety analyzer flags a
+// direct Network.trace there): the event stamps only observational
+// state — the packet's Lifetime and the tracer — which no compute reads.
+func (r *Router) trace(kind tracefmt.Kind, pkt *Packet) { r.net.trace(r.id, kind, pkt) }
 
 // stepInjection assigns queued packets to free local input VCs and
 // streams one flit over the NI link (round-robin across active streams).

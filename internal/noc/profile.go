@@ -17,10 +17,7 @@ import "github.com/disco-sim/disco/internal/obs"
 // sim-core never touches the time package directly.
 
 // AttachProfiler arms stage-level profiling for subsequent Steps; nil
-// disarms it. Size the profiler for the engine's worker count
-// (obs.NewPhaseProfiler(n.Workers())) so compute lanes are attributed
-// per pool worker — a profiler with fewer lanes still works, folding
-// out-of-range workers into the driver lane.
+// disarms it.
 func (n *Network) AttachProfiler(p *obs.PhaseProfiler) { n.prof = p }
 
 // Profiler returns the attached profiler (nil when disarmed).
@@ -34,13 +31,12 @@ func (n *Network) profClock() int64 {
 	return obs.Clock()
 }
 
-// profMark attributes the span since start to ph on the driver lane and
-// returns a fresh stamp for the next region; a no-op returning 0 when
+// profMark attributes the span since start to ph and returns a fresh stamp for the next region; a no-op returning 0 when
 // profiling is disarmed.
 func (n *Network) profMark(ph obs.Phase, start int64) int64 {
 	if n.prof == nil {
 		return 0
 	}
-	n.prof.Observe(0, ph, start)
+	n.prof.Observe(ph, start)
 	return obs.Clock()
 }

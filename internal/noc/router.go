@@ -82,9 +82,8 @@ type Router struct {
 	// compute phase of a stage records every effect that touches shared
 	// state here; the commit phase applies them in canonical router
 	// order. All are reused scratch, reset by their commit.
-	traceBuf    []stagedTrace // compute-phase trace events (parallel only)
-	saWinners   []*vcBuf      // SA winners, in output-port order
-	arbPick     *vcBuf        // DISCO arbitration pick (engine start at commit)
+	saWinners   []*vcBuf // SA winners, in output-port order
+	arbPick     *vcBuf   // DISCO arbitration pick (engine start at commit)
 	arbPickCand disco.Candidate
 	// SA stall bookkeeping, one vcBuf.bit per input VC whose packet
 	// stalled this cycle: a VC stalls at most once per cycle (the
@@ -189,9 +188,9 @@ func (r *Router) localContention(p Port, self *vcBuf) int {
 // --- Pipeline stages -------------------------------------------------
 //
 // Each stage is split into a compute part (reads prior-cycle state,
-// writes only router-local state — safe to run concurrently across
-// routers) and, where the stage has shared effects, a commit part the
-// network applies serially in router-index order. computeAlloc fuses
+// writes only router-local state — so its result does not depend on
+// router order) and, where the stage has shared effects, a commit part
+// the network applies in router-index order. computeAlloc fuses
 // VA, RC and the DISCO arbitration compute: within a router they run in
 // the classic stage order, and none of them writes state another
 // router's compute reads.
@@ -245,7 +244,7 @@ func (r *Router) routeFor(dst int) Port {
 // granted only when completely free). The grant table (outOwner) is
 // upstream-local and a downstream VC has exactly one owning upstream, so
 // the whole stage is compute-safe: it reads remote pkt/reserved fields no
-// concurrent compute writes.
+// other router's compute writes.
 func (r *Router) computeVA() {
 	reqs := &r.vaReqs
 	for p := Port(0); p < NumPorts; p++ {
@@ -519,10 +518,9 @@ func (r *Router) traverse(e *vcBuf) {
 // jobs, absorbs newly arrived fragments, applies finished transforms.
 // Everything it touches is exclusive to this router — its engine, its
 // VCs, and the engine job's packet (at most one engine holds a packet at
-// a time) — so the whole stage is compute-safe; under the parallel
-// engine its trace events are staged and flushed in canonical order. The shared fault oracle is NOT
-// consulted here: engine faults are drawn at job start (commitArb), and
-// Engine.Tick is oracle-free by construction.
+// a time) — so the whole stage is compute-safe. The shared fault oracle
+// is NOT consulted here: engine faults are drawn at job start
+// (commitArb), and Engine.Tick is oracle-free by construction.
 func (r *Router) computeEngine() {
 	if r.engine == nil {
 		return

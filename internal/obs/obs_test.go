@@ -12,53 +12,46 @@ import (
 )
 
 func TestProfilerAccumulation(t *testing.T) {
-	p := NewPhaseProfiler(2)
+	p := NewPhaseProfiler(1)
 	start := Clock()
-	p.Observe(0, PhaseEngine, start-1000) // pretend the stage started 1µs+ ago
-	p.Observe(1, PhaseCommit, start-2000)
+	p.Observe(PhaseEngine, start-1000) // pretend the stage started 1µs+ ago
+	p.Observe(PhaseCommit, start-2000)
 	p.AddStep()
 	p.AddStep()
 
 	if got := p.Steps(); got != 2 {
 		t.Fatalf("Steps = %d, want 2", got)
 	}
-	if ns := p.PhaseNS(0, PhaseEngine); ns < 1000 {
-		t.Errorf("lane 0 engine = %dns, want >= 1000", ns)
+	if ns := p.TotalNS(PhaseEngine); ns < 1000 {
+		t.Errorf("engine = %dns, want >= 1000", ns)
 	}
-	if ns := p.PhaseNS(1, PhaseCommit); ns < 2000 {
-		t.Errorf("lane 1 commit = %dns, want >= 2000", ns)
+	if ns := p.TotalNS(PhaseCommit); ns < 2000 {
+		t.Errorf("commit = %dns, want >= 2000", ns)
 	}
-	if ns := p.TotalNS(PhaseEngine); ns != p.PhaseNS(0, PhaseEngine) {
-		t.Errorf("TotalNS(engine) = %d, want lane-0 value %d", ns, p.PhaseNS(0, PhaseEngine))
-	}
-
-	// Out-of-range lanes fold into lane 0 instead of writing out of bounds.
-	before := p.PhaseNS(0, PhaseSA)
-	p.Observe(7, PhaseSA, start-500)
-	if p.PhaseNS(0, PhaseSA) <= before {
-		t.Error("out-of-range lane did not fold into lane 0")
-	}
-
-	p.Reset()
-	if p.Steps() != 0 || p.TotalNS(PhaseEngine) != 0 {
-		t.Error("Reset did not zero the accumulators")
+	before := p.TotalNS(PhaseEngine)
+	p.Observe(PhaseEngine, Clock()-500)
+	if p.TotalNS(PhaseEngine) < before+500 {
+		t.Error("a second observation did not accumulate onto the first")
 	}
 }
 
+// TestProfilerClamp checks that NewPhaseProfiler's ignored argument is
+// accepted at any value.
 func TestProfilerClamp(t *testing.T) {
-	if got := NewPhaseProfiler(0).Workers(); got != 1 {
-		t.Errorf("NewPhaseProfiler(0).Workers() = %d, want 1", got)
-	}
-	if got := NewPhaseProfiler(-3).Workers(); got != 1 {
-		t.Errorf("NewPhaseProfiler(-3).Workers() = %d, want 1", got)
+	for _, arg := range []int{-3, 0, 1, 8} {
+		p := NewPhaseProfiler(arg)
+		p.Observe(PhaseSA, Clock()-100)
+		if p.TotalNS(PhaseSA) < 100 {
+			t.Errorf("NewPhaseProfiler(%d): observation lost", arg)
+		}
 	}
 }
 
 func TestPhaseStrings(t *testing.T) {
-	want := []string{"engine", "sa", "alloc", "commit", "barrier", "other"}
+	want := []string{"engine", "sa", "alloc", "commit", "other"}
 	phases := Phases()
-	if len(phases) != int(NumPhases) {
-		t.Fatalf("Phases() has %d entries, want %d", len(phases), NumPhases)
+	if len(phases) != len(want) {
+		t.Fatalf("Phases() has %d entries, want %d", len(phases), len(want))
 	}
 	for i, ph := range phases {
 		if ph.String() != want[i] {
@@ -70,22 +63,22 @@ func TestPhaseStrings(t *testing.T) {
 	}
 }
 
-func TestReportAndScalingCSV(t *testing.T) {
-	p := NewPhaseProfiler(2)
+func TestReport(t *testing.T) {
+	p := NewPhaseProfiler(1)
 	base := Clock()
-	p.Observe(0, PhaseEngine, base-4_000_000)
-	p.Observe(1, PhaseBarrier, base-1_000_000)
+	p.Observe(PhaseEngine, base-4_000_000)
+	p.Observe(PhaseCommit, base-1_000_000)
 	for i := 0; i < 100; i++ {
 		p.AddStep()
 	}
 	r := p.Report()
-	if r.Steps != 100 || r.Workers != 2 {
-		t.Fatalf("report = %d steps / %d workers, want 100/2", r.Steps, r.Workers)
+	if r.Steps != 100 {
+		t.Fatalf("report = %d steps, want 100", r.Steps)
 	}
-	if r.PhaseNS(PhaseEngine) < 4_000_000 {
-		t.Errorf("engine ns = %d, want >= 4ms", r.PhaseNS(PhaseEngine))
+	if r.PhaseNS[PhaseEngine] < 4_000_000 {
+		t.Errorf("engine ns = %d, want >= 4ms", r.PhaseNS[PhaseEngine])
 	}
-	if r.TotalNS() < r.PhaseNS(PhaseEngine)+r.PhaseNS(PhaseBarrier) {
+	if r.TotalNS() < r.PhaseNS[PhaseEngine]+r.PhaseNS[PhaseCommit] {
 		t.Error("TotalNS smaller than the sum of two observed phases")
 	}
 	if r.CyclesPerSec() <= 0 {
@@ -93,34 +86,21 @@ func TestReportAndScalingCSV(t *testing.T) {
 	}
 
 	s := r.String()
-	for _, want := range []string{"cycles/sec", "engine", "barrier", "per-lane"} {
+	for _, want := range []string{"cycles/sec", "engine", "commit", "other"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report string missing %q:\n%s", want, s)
 		}
 	}
-
-	var csv strings.Builder
-	if err := WriteScalingCSV(&csv, []int{2}, []Report{r}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("scaling CSV has %d lines, want 2:\n%s", len(lines), csv.String())
-	}
-	if !strings.HasPrefix(lines[0], "workers,cycles,elapsed_ns,cycles_per_sec,engine_ns") {
-		t.Errorf("bad CSV header %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "2,100,") {
-		t.Errorf("bad CSV row %q", lines[1])
-	}
-	if err := WriteScalingCSV(io.Discard, []int{1, 2}, []Report{r}); err == nil {
-		t.Error("mismatched workers/reports lengths not rejected")
+	for _, gone := range []string{"barrier", "lane", "worker"} {
+		if strings.Contains(s, gone) {
+			t.Errorf("report string still mentions %q:\n%s", gone, s)
+		}
 	}
 }
 
 func TestAttachMetricsRendersPrometheus(t *testing.T) {
-	p := NewPhaseProfiler(2)
-	p.Observe(0, PhaseEngine, Clock()-1_000_000)
+	p := NewPhaseProfiler(1)
+	p.Observe(PhaseEngine, Clock()-1_000_000)
 	p.AddStep()
 	reg := metrics.NewRegistry()
 	p.AttachMetrics(reg)
@@ -134,7 +114,6 @@ func TestAttachMetricsRendersPrometheus(t *testing.T) {
 		"disco_obs_profile_steps 1",
 		"# TYPE disco_obs_profile_cycles_per_sec gauge",
 		"disco_obs_profile_phase_engine_seconds",
-		"disco_obs_profile_lane_1_barrier_seconds",
 	} {
 		if !strings.Contains(txt, want) {
 			t.Errorf("exposition missing %q:\n%s", want, txt)

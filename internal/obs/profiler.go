@@ -10,12 +10,12 @@
 //
 // obs is the repo's one sanctioned wall-clock island. The nodeterminism
 // analyzer bans time.Now from every sim-core package but exempts this
-// one: profiler samples are written to per-worker lanes (write-local, no
-// cross-goroutine contention beyond atomic adds) and only ever READ at
-// commit boundaries, so wall-clock values cannot perturb the simulated
-// schedule. The phasesafety analyzer closes the loophole from the other
-// side: calling into obs from compute-phase router code is a finding —
-// sampling belongs to the Step driver, never to sharded compute.
+// one: profiler samples are atomic adds written by the Step driver and
+// only ever READ by observers, so wall-clock values cannot perturb the
+// simulated schedule. The phasesafety analyzer closes the loophole from
+// the other side: calling into obs from compute-phase router code is a
+// finding — sampling belongs to the Step driver, which brackets whole
+// stages, never to per-router compute.
 package obs
 
 import (
@@ -24,12 +24,11 @@ import (
 )
 
 // Phase identifies one timed region of a Network.Step — the pipeline
-// stages of the two-phase engine plus the synchronization they need.
+// stages of the two-phase engine.
 type Phase uint8
 
-// Profiled phases. Compute phases (Engine, SA, Alloc) are attributed
-// per worker on the parallel engine; Commit, Barrier and Other always
-// accrue to lane 0 (the Step driver).
+// Profiled phases: the three compute stages, their commits, and the
+// rest of a Step.
 const (
 	// PhaseEngine is the DISCO engine-service compute stage.
 	PhaseEngine Phase = iota
@@ -37,11 +36,11 @@ const (
 	PhaseSA
 	// PhaseAlloc is the fused VA+RC+DISCO-arbitration compute stage.
 	PhaseAlloc
-	// PhaseCommit covers the serial commit halves (SA commit, arb
-	// commit) and the canonical-order staged-trace flushes.
+	// PhaseCommit covers the commit halves (SA commit, arb commit).
 	PhaseCommit
-	// PhaseBarrier is time the Step driver spends waiting for pool
-	// workers to drain a compute stage.
+	// PhaseBarrier is never observed and is not in Phases(). It is
+	// kept, with its slot in the phase space, because the end-to-end
+	// benchmark module still names it; the engine has no barrier.
 	PhaseBarrier
 	// PhaseOther is everything else in a Step: link-arrival prologue,
 	// NI injection epilogue, metrics sampling.
@@ -69,9 +68,9 @@ func (p Phase) String() string {
 	return "phase(?)"
 }
 
-// Phases lists every phase in display order.
+// Phases lists the observed phases in display order.
 func Phases() []Phase {
-	return []Phase{PhaseEngine, PhaseSA, PhaseAlloc, PhaseCommit, PhaseBarrier, PhaseOther}
+	return []Phase{PhaseEngine, PhaseSA, PhaseAlloc, PhaseCommit, PhaseOther}
 }
 
 // Clock returns a monotonic wall-clock stamp in nanoseconds. It is the
@@ -83,52 +82,30 @@ func Clock() int64 { return int64(time.Since(clockEpoch)) }
 // ever used, so the epoch itself is arbitrary.
 var clockEpoch = time.Now()
 
-// lane is one worker's phase accumulators. The padding keeps adjacent
-// workers' hot counters off each other's cache lines: lanes are written
-// concurrently by different pool goroutines during a sharded stage.
-type lane struct {
-	ns [NumPhases]atomic.Int64
-	_  [64]byte
-}
-
-// PhaseProfiler accumulates wall-clock nanoseconds per pipeline phase
-// per worker. Writes are lane-local atomic adds (safe under the pool's
-// concurrency and cheap enough for per-stage sampling); reads — Report,
-// the HTTP status probe — may happen from any goroutine at any time and
-// see a consistent-enough live picture, with exact totals guaranteed at
-// commit boundaries (the pool barrier orders every lane write before the
-// driver continues).
+// PhaseProfiler accumulates wall-clock nanoseconds per pipeline phase.
+// The Step driver is the only writer; reads — Report, the HTTP status
+// probe — may happen from any goroutine at any time, hence the atomics,
+// and see exact totals at commit boundaries.
 //
 // A nil *PhaseProfiler is inert: the noc hooks check for nil before
 // taking any stamp, so an unprofiled run pays one predictable branch per
 // stage and nothing else.
 type PhaseProfiler struct {
-	lanes []lane
+	ns    [NumPhases]atomic.Int64
 	steps atomic.Uint64
 	start int64
 }
 
-// NewPhaseProfiler returns a profiler with workers lanes (lane 0 is the
-// Step driver; pool workers use 1..workers-1). workers < 1 is clamped
-// to 1.
-func NewPhaseProfiler(workers int) *PhaseProfiler {
-	if workers < 1 {
-		workers = 1
-	}
-	return &PhaseProfiler{lanes: make([]lane, workers), start: Clock()}
+// NewPhaseProfiler returns a zeroed profiler. The argument is ignored;
+// it is kept only because the end-to-end benchmark module still passes
+// it.
+func NewPhaseProfiler(int) *PhaseProfiler {
+	return &PhaseProfiler{start: Clock()}
 }
 
-// Workers returns the lane count.
-func (p *PhaseProfiler) Workers() int { return len(p.lanes) }
-
-// Observe adds the elapsed time since the start stamp to (lane, phase).
-// Lanes beyond the configured worker count fold into lane 0 so a
-// worker-count change after attachment cannot write out of bounds.
-func (p *PhaseProfiler) Observe(lane int, phase Phase, start int64) {
-	if lane < 0 || lane >= len(p.lanes) {
-		lane = 0
-	}
-	p.lanes[lane].ns[phase].Add(Clock() - start)
+// Observe adds the elapsed time since the start stamp to phase.
+func (p *PhaseProfiler) Observe(phase Phase, start int64) {
+	p.ns[phase].Add(Clock() - start)
 }
 
 // AddStep counts one completed Network.Step.
@@ -137,35 +114,8 @@ func (p *PhaseProfiler) AddStep() { p.steps.Add(1) }
 // Steps returns the completed-step count.
 func (p *PhaseProfiler) Steps() uint64 { return p.steps.Load() }
 
-// Elapsed returns wall-clock nanoseconds since construction (or the
-// last Reset).
+// Elapsed returns wall-clock nanoseconds since construction.
 func (p *PhaseProfiler) Elapsed() int64 { return Clock() - p.start }
 
-// PhaseNS returns the accumulated nanoseconds for (lane, phase).
-func (p *PhaseProfiler) PhaseNS(lane int, phase Phase) int64 {
-	if lane < 0 || lane >= len(p.lanes) {
-		return 0
-	}
-	return p.lanes[lane].ns[phase].Load()
-}
-
-// TotalNS sums a phase over all lanes.
-func (p *PhaseProfiler) TotalNS(phase Phase) int64 {
-	var sum int64
-	for i := range p.lanes {
-		sum += p.lanes[i].ns[phase].Load()
-	}
-	return sum
-}
-
-// Reset zeroes every accumulator and restarts the elapsed clock (used
-// between scaling-curve cells so one profiler can serve a sweep).
-func (p *PhaseProfiler) Reset() {
-	for i := range p.lanes {
-		for ph := range p.lanes[i].ns {
-			p.lanes[i].ns[ph].Store(0)
-		}
-	}
-	p.steps.Store(0)
-	p.start = Clock()
-}
+// TotalNS returns the accumulated nanoseconds for phase.
+func (p *PhaseProfiler) TotalNS(phase Phase) int64 { return p.ns[phase].Load() }

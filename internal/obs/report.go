@@ -2,55 +2,35 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/disco-sim/disco/internal/metrics"
 )
 
-// Report is an immutable sample of a PhaseProfiler: per-lane per-phase
+// Report is an immutable sample of a PhaseProfiler: per-phase
 // nanoseconds plus the step count and elapsed wall clock, taken at one
-// instant so the derived views (String, CSV row, metrics) agree with
-// each other.
+// instant so the derived views (String, metrics) agree with each other.
 type Report struct {
-	Workers   int
 	Steps     uint64
 	ElapsedNS int64
-	// LaneNS[lane][phase] is accumulated nanoseconds.
-	LaneNS [][NumPhases]int64
+	// PhaseNS[phase] is accumulated nanoseconds.
+	PhaseNS [NumPhases]int64
 }
 
 // Report samples the profiler.
 func (p *PhaseProfiler) Report() Report {
-	r := Report{
-		Workers:   len(p.lanes),
-		Steps:     p.steps.Load(),
-		ElapsedNS: p.Elapsed(),
-		LaneNS:    make([][NumPhases]int64, len(p.lanes)),
-	}
-	for i := range p.lanes {
-		for ph := range p.lanes[i].ns {
-			r.LaneNS[i][ph] = p.lanes[i].ns[ph].Load()
-		}
+	r := Report{Steps: p.steps.Load(), ElapsedNS: p.Elapsed()}
+	for ph := range p.ns {
+		r.PhaseNS[ph] = p.ns[ph].Load()
 	}
 	return r
 }
 
-// PhaseNS sums one phase across all lanes.
-func (r Report) PhaseNS(ph Phase) int64 {
-	var sum int64
-	for i := range r.LaneNS {
-		sum += r.LaneNS[i][ph]
-	}
-	return sum
-}
-
-// TotalNS sums every phase across all lanes (total attributed work,
-// which exceeds elapsed wall clock when compute shards overlap).
+// TotalNS sums every phase (total attributed time).
 func (r Report) TotalNS() int64 {
 	var sum int64
-	for _, ph := range Phases() {
-		sum += r.PhaseNS(ph)
+	for _, ns := range r.PhaseNS {
+		sum += ns
 	}
 	return sum
 }
@@ -65,74 +45,21 @@ func (r Report) CyclesPerSec() float64 {
 }
 
 // String renders the human report: headline line, then one row per
-// phase with total milliseconds and share of attributed time, then a
-// per-lane matrix when more than one lane was active.
+// phase with total milliseconds and share of attributed time.
 func (r Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "profile: %d cycles in %.3fs (%.0f cycles/sec, %d worker(s))\n",
-		r.Steps, float64(r.ElapsedNS)/1e9, r.CyclesPerSec(), r.Workers)
+	fmt.Fprintf(&b, "profile: %d cycles in %.3fs (%.0f cycles/sec)\n",
+		r.Steps, float64(r.ElapsedNS)/1e9, r.CyclesPerSec())
 	total := r.TotalNS()
 	for _, ph := range Phases() {
-		ns := r.PhaseNS(ph)
+		ns := r.PhaseNS[ph]
 		share := 0.0
 		if total > 0 {
 			share = 100 * float64(ns) / float64(total)
 		}
 		fmt.Fprintf(&b, "  %-8s %10.3fms %6.2f%%\n", ph, float64(ns)/1e6, share)
 	}
-	if r.Workers > 1 {
-		fmt.Fprintf(&b, "  per-lane (ms):")
-		for _, ph := range Phases() {
-			fmt.Fprintf(&b, " %s", ph)
-		}
-		b.WriteByte('\n')
-		for i := range r.LaneNS {
-			fmt.Fprintf(&b, "    lane %d:", i)
-			for _, ph := range Phases() {
-				fmt.Fprintf(&b, " %.1f", float64(r.LaneNS[i][ph])/1e6)
-			}
-			b.WriteByte('\n')
-		}
-	}
 	return b.String()
-}
-
-// ScalingHeader is the CSV header for scaling-curve artifacts; rows
-// come from Report.ScalingRow.
-func ScalingHeader() string {
-	cols := []string{"workers", "cycles", "elapsed_ns", "cycles_per_sec"}
-	for _, ph := range Phases() {
-		cols = append(cols, ph.String()+"_ns")
-	}
-	return strings.Join(cols, ",")
-}
-
-// ScalingRow renders one CSV row for a sweep cell run at the given
-// worker count.
-func (r Report) ScalingRow(workers int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d,%d,%d,%.1f", workers, r.Steps, r.ElapsedNS, r.CyclesPerSec())
-	for _, ph := range Phases() {
-		fmt.Fprintf(&b, ",%d", r.PhaseNS(ph))
-	}
-	return b.String()
-}
-
-// WriteScalingCSV writes a full scaling-curve artifact: the header and
-// one row per (workers, report) pair.
-func WriteScalingCSV(w io.Writer, workers []int, reports []Report) error {
-	if len(workers) != len(reports) {
-		return fmt.Errorf("obs: %d worker counts but %d reports", len(workers), len(reports))
-	}
-	if _, err := io.WriteString(w, ScalingHeader()+"\n"); err != nil {
-		return err
-	}
-	for i, r := range reports {
-		if _, err := io.WriteString(w, r.ScalingRow(workers[i])+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AttachMetrics registers the profiler's live state on a metrics
@@ -151,15 +78,5 @@ func (p *PhaseProfiler) AttachMetrics(reg *metrics.Registry) {
 		s.Scope("phase", ph.String()).GaugeFunc("seconds", func() float64 {
 			return float64(p.TotalNS(ph)) / 1e9
 		})
-	}
-	for i := range p.lanes {
-		i := i
-		ls := s.Scope("lane", fmt.Sprint(i))
-		for _, ph := range Phases() {
-			ph := ph
-			ls.Scope(ph.String()).GaugeFunc("seconds", func() float64 {
-				return float64(p.PhaseNS(i, ph)) / 1e9
-			})
-		}
 	}
 }
