@@ -299,25 +299,49 @@ func runGoldenInstrumented(t *testing.T, cfg Config, tc TrafficConfig) (metricsJ
 	return mj.Bytes(), sc.Bytes(), bin.Bytes()
 }
 
-// TestGoldenCaseDigests is the golden gate for the cycle engine: every
-// artifact of every golden case must hash to its pinned digest.
-func TestGoldenCaseDigests(t *testing.T) {
-	sum := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+// goldenSum is the hex SHA-256 of an artifact.
+func goldenSum(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+
+// checkDigest reports an artifact whose digest is not the pinned one.
+func checkDigest(t *testing.T, artifact string, b []byte, want string) {
+	t.Helper()
+	if got := goldenSum(b); got != want {
+		t.Errorf("%s digest %s, want %s", artifact, got, want)
+	}
+}
+
+// TestGoldenByteIdentityAcrossWorkers is the golden gate for the cycle
+// engine's trace and stats: for every golden case they must hash to the
+// digests that the engine produced at every worker count (1, 2, 4 and 8)
+// before its worker pool was removed.
+func TestGoldenByteIdentityAcrossWorkers(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			trace, st := runGoldenLoad(t, c.cfg(), c.traffic())
-			mj, sc, bin := runGoldenInstrumented(t, c.cfg(), c.traffic())
-			for _, a := range []struct{ name, got, want string }{
-				{"text trace", sum([]byte(trace)), c.trace},
-				{"stats", sum([]byte(fmt.Sprintf("%+v", st))), c.stats},
-				{"metrics JSON", sum(mj), c.metrics},
-				{"series CSV", sum(sc), c.series},
-				{"binary trace", sum(bin), c.bin},
-			} {
-				if a.got != a.want {
-					t.Errorf("%s digest %s, want %s", a.name, a.got, a.want)
-				}
+			if trace == "" {
+				t.Fatal("empty trace; load generated no events")
 			}
+			checkDigest(t, "text trace", []byte(trace), c.trace)
+			checkDigest(t, "stats", []byte(fmt.Sprintf("%+v", st)), c.stats)
+		})
+	}
+}
+
+// TestGoldenTelemetryAcrossWorkers extends the golden gate to every
+// other serialized artifact: metrics JSON, time-series CSV and the
+// binary trace must hash to the digests recorded at every worker count
+// before the pool was removed, including with fault injection armed.
+func TestGoldenTelemetryAcrossWorkers(t *testing.T) {
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			mj, sc, bin := runGoldenInstrumented(t, c.cfg(), c.traffic())
+			if len(mj) == 0 || len(sc) == 0 || len(bin) == 0 {
+				t.Fatalf("empty artifact: metrics=%d series=%d trace=%d bytes",
+					len(mj), len(sc), len(bin))
+			}
+			checkDigest(t, "metrics JSON", mj, c.metrics)
+			checkDigest(t, "series CSV", sc, c.series)
+			checkDigest(t, "binary trace", bin, c.bin)
 		})
 	}
 }
