@@ -47,9 +47,10 @@ func run(blocks int) error {
 				s.Train(train)
 			}
 			raw, comp := 0, 0
+			var scratch [compress.BlockSize]byte
 			for i := 0; i < blocks; i++ {
 				b := p.Content(trace.PrivateBase(9) + uint64(i)*3)
-				c := alg.Compress(b)
+				c := alg.AppendCompress(scratch[:0], b)
 				raw += compress.BlockSize
 				comp += c.SizeBytes()
 			}

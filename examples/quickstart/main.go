@@ -23,11 +23,11 @@ func main() {
 		binary.LittleEndian.PutUint64(block[i*8:], base+uint64(i)*24)
 	}
 	alg := compress.NewDelta()
-	c := alg.Compress(block)
+	var payload, round [compress.BlockSize]byte
+	c := alg.AppendCompress(payload[:0], block)
 	fmt.Printf("delta: 64B block -> %dB (%.2fx), comp %d cyc, decomp %d cyc\n",
 		c.SizeBytes(), c.Ratio(), alg.CompLatency(), alg.DecompLatency())
-	round, err := alg.Decompress(c)
-	if err != nil {
+	if err := alg.DecompressInto(&round, c); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("round trip ok: %v\n\n", string(round[0]) == string(block[0]))

@@ -101,6 +101,7 @@ type System struct {
 	compCache    map[cache.Addr]compress.Compressed
 	contentCache map[cache.Addr][]byte
 	contentArena []byte           // chunked backing store for contentCache blocks
+	payloadArena []byte           // chunked backing store for compCache payloads
 	contentGen   trace.ContentGen // this system's block materializer
 	sc2Trained   bool
 
@@ -266,11 +267,23 @@ func (s *System) content(addr cache.Addr) []byte {
 }
 
 // compressedFor returns (and caches) the block's compressed encoding.
+// Payloads are appended into a chunked arena like content's; each is
+// clipped to its own capacity, so no append can reach its neighbour.
+// A chunk is replaced while it still has less than BlockSize spare
+// bytes, so an encoding always fits.
 func (s *System) compressedFor(addr cache.Addr) compress.Compressed {
 	if c, ok := s.compCache[addr]; ok {
 		return c
 	}
-	c := s.cfg.Algorithm.Compress(s.content(addr))
+	const arenaBlocks = 256
+	if cap(s.payloadArena)-len(s.payloadArena) < compress.BlockSize {
+		//lint:ignore hotalloc one chunk per 256 first-compressed blocks at most; cached payloads are never freed
+		s.payloadArena = make([]byte, 0, arenaBlocks*compress.BlockSize)
+	}
+	off := len(s.payloadArena)
+	c := s.cfg.Algorithm.AppendCompress(s.payloadArena, s.content(addr))
+	s.payloadArena = c.Payload
+	c.Payload = c.Payload[off:len(c.Payload):len(c.Payload)]
 	s.compCache[addr] = c
 	return c
 }

@@ -140,9 +140,6 @@ func (a *BDI) AppendCompress(dst, block []byte) Compressed {
 	return bdiLayout(a.Name(), dst, &lanes, &ws, best, &facts[best])
 }
 
-// Compress implements Algorithm.
-func (a *BDI) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
-
 // signExtendWidth sign-extends a width-byte little-endian element value.
 func signExtendWidth(v uint64, widthBytes int) int64 {
 	if widthBytes == 8 {
@@ -159,12 +156,6 @@ func wrapDiff(e, base uint64, widthBytes int) int64 {
 		return int64(d)
 	}
 	return signExtend(d&(1<<uint(8*widthBytes)-1), 8*widthBytes)
-}
-
-// Decompress implements Algorithm.
-func (a *BDI) Decompress(c Compressed) ([]byte, error) {
-	out := new([BlockSize]byte)
-	return fresh(out, a.DecompressInto(out, c))
 }
 
 // DecompressInto implements Algorithm.

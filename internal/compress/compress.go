@@ -5,9 +5,9 @@
 // operate on fixed 64-byte cache blocks and report hardware-style
 // compressed sizes plus the per-operation latencies of Table 1.
 //
-// Every algorithm is a real, round-trippable codec — Decompress(Compress(b))
-// always reproduces b — so the same package serves the functional simulator
-// and the compression-ratio experiments.
+// Every algorithm is a real, round-trippable codec — DecompressInto on what
+// AppendCompress produced for b always reproduces b — so the same package
+// serves the functional simulator and the compression-ratio experiments.
 package compress
 
 import (
@@ -27,7 +27,7 @@ const WordSize = 4
 // delta compressor (Fig. 4: 8-byte base flit, 1-byte deltas).
 const FlitBytes = 8
 
-// ErrCorrupt is returned by Decompress when the encoded payload cannot be
+// ErrCorrupt is returned by DecompressInto when the encoded payload cannot be
 // decoded back into a block.
 var ErrCorrupt = errors.New("compress: corrupt compressed payload")
 
@@ -54,9 +54,10 @@ func (c Compressed) Ratio() float64 { return float64(BlockSize) / float64(c.Size
 // and follow Table 1 of the paper.
 //
 // Each codec has one encoder, AppendCompress, and one decoder,
-// DecompressInto, both writing into caller-owned memory; Compress and
-// Decompress are wrappers that hand the same bytes back in one fresh
-// allocation, for callers that keep the result (packets, caches).
+// DecompressInto, both writing into caller-owned memory: a caller that
+// keeps a payload keeps it in memory it already owns (a packet's payload
+// buffer, the simulator's payload arena), and AppendCompress(nil, b) is
+// the one-allocation form for a caller that has none.
 type Algorithm interface {
 	// Name returns the scheme's short name ("delta", "fpc", ...).
 	Name() string
@@ -74,10 +75,6 @@ type Algorithm interface {
 	// DecompressInto decodes a Compressed produced by the same
 	// algorithm into dst. On error dst holds unspecified bytes.
 	DecompressInto(dst *[BlockSize]byte, c Compressed) error
-	// Compress is AppendCompress into one fresh, exactly sized payload.
-	Compress(block []byte) Compressed
-	// Decompress is DecompressInto a fresh block.
-	Decompress(c Compressed) ([]byte, error)
 }
 
 // checkBlock panics unless block is exactly one cache line.
@@ -104,27 +101,9 @@ func storedInto(dst *[BlockSize]byte, c Compressed) error {
 	return nil
 }
 
-// fresh finishes every codec's Decompress wrapper, which decodes into
-// one freshly allocated block: the block on success, nil and the error
-// otherwise. (Each wrapper calls its own DecompressInto statically; a
-// shared helper taking an Algorithm would put an interface call on the
-// cold path's every block.)
-func fresh(out *[BlockSize]byte, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return out[:], nil
-}
-
 // grow extends dst by n zeroed bytes, allocating at most once, and
 // returns the extended slice plus the new n-byte tail to lay out into.
-// A nil dst (the Compress wrappers) gets a plain make, which skips
-// append's growth path.
 func grow(dst []byte, n int) (out, tail []byte) {
-	if dst == nil {
-		out = make([]byte, n)
-		return out, out
-	}
 	out = append(dst, make([]byte, n)...)
 	return out, out[len(dst):]
 }

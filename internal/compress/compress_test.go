@@ -102,11 +102,21 @@ func trained(t testing.TB) []Algorithm {
 	return algs
 }
 
+// decode is DecompressInto a fresh block, for tests that compare or
+// keep the result.
+func decode(a Algorithm, c Compressed) ([]byte, error) {
+	out := new([BlockSize]byte)
+	if err := a.DecompressInto(out, c); err != nil {
+		return nil, err
+	}
+	return out[:], nil
+}
+
 func TestRoundTripZoo(t *testing.T) {
 	for _, alg := range trained(t) {
 		for i, b := range testBlocks(t) {
-			c := alg.Compress(b)
-			got, err := alg.Decompress(c)
+			c := alg.AppendCompress(nil, b)
+			got, err := decode(alg, c)
 			if err != nil {
 				t.Fatalf("%s block %d: decompress error: %v", alg.Name(), i, err)
 			}
@@ -147,11 +157,11 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 		}
 		for _, alg := range algs {
-			c := alg.Compress(b)
+			c := alg.AppendCompress(nil, b)
 			if c.SizeBits > 8*BlockSize {
 				return false
 			}
-			got, err := alg.Decompress(c)
+			got, err := decode(alg, c)
 			if err != nil || !bytes.Equal(got, b) {
 				return false
 			}
@@ -169,12 +179,12 @@ func TestCompressPanicsOnWrongSize(t *testing.T) {
 			t.Error("expected panic for short block")
 		}
 	}()
-	NewDelta().Compress(make([]byte, 10))
+	NewDelta().AppendCompress(nil, make([]byte, 10))
 }
 
 func TestDeltaZeroBlockCompresses(t *testing.T) {
 	d := NewDelta()
-	c := d.Compress(make([]byte, BlockSize))
+	c := d.AppendCompress(nil, make([]byte, BlockSize))
 	if c.Stored {
 		t.Fatal("zero block should compress")
 	}
@@ -189,7 +199,7 @@ func TestDeltaNarrowBlockUsesOneByteDeltas(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		binary.LittleEndian.PutUint64(b[i*8:], base+uint64(i*7))
 	}
-	c := NewDelta().Compress(b)
+	c := NewDelta().AppendCompress(nil, b)
 	if c.Stored {
 		t.Fatal("narrow deltas should compress")
 	}
@@ -211,11 +221,11 @@ func TestDeltaMixedBasesBothUsed(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[i*8:], v)
 	}
 	d := NewDelta()
-	c := d.Compress(b)
+	c := d.AppendCompress(nil, b)
 	if c.Stored {
 		t.Fatal("dual-base block should compress")
 	}
-	got, err := d.Decompress(c)
+	got, err := decode(d, c)
 	if err != nil || !bytes.Equal(got, b) {
 		t.Fatal("round trip failed")
 	}
@@ -225,7 +235,7 @@ func TestDeltaIncompressibleStored(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := make([]byte, BlockSize)
 	rng.Read(b)
-	c := NewDelta().Compress(b)
+	c := NewDelta().AppendCompress(nil, b)
 	if !c.Stored {
 		// Random 64-bit flits essentially never share 4-byte deltas.
 		t.Fatalf("random block unexpectedly compressed to %d bits", c.SizeBits)
@@ -244,7 +254,7 @@ func TestDeltaDecompressCorrupt(t *testing.T) {
 		{Alg: "delta", Stored: true, Payload: []byte{1, 2}},                              // short stored
 	}
 	for i, c := range cases {
-		if _, err := d.Decompress(c); err == nil {
+		if _, err := decode(d, c); err == nil {
 			t.Errorf("case %d: expected corrupt error", i)
 		}
 	}
@@ -252,7 +262,7 @@ func TestDeltaDecompressCorrupt(t *testing.T) {
 
 func TestBDIZeroAndRepeated(t *testing.T) {
 	b := NewBDI()
-	z := b.Compress(make([]byte, BlockSize))
+	z := b.AppendCompress(nil, make([]byte, BlockSize))
 	if z.SizeBytes() != 1 {
 		t.Errorf("zero block = %dB, want 1B", z.SizeBytes())
 	}
@@ -260,7 +270,7 @@ func TestBDIZeroAndRepeated(t *testing.T) {
 	for i := 0; i < BlockSize; i += 8 {
 		binary.LittleEndian.PutUint64(rep[i:], 0x1122334455667788)
 	}
-	r := b.Compress(rep)
+	r := b.AppendCompress(nil, rep)
 	if r.SizeBytes() != 9 {
 		t.Errorf("repeated block = %dB, want 9B (tag+8)", r.SizeBytes())
 	}
@@ -273,7 +283,7 @@ func TestBDIBase8Delta1Size(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		binary.LittleEndian.PutUint64(b[i*8:], base+uint64(i))
 	}
-	c := NewBDI().Compress(b)
+	c := NewBDI().AppendCompress(nil, b)
 	if c.Stored {
 		t.Fatal("should compress")
 	}
@@ -289,7 +299,7 @@ func TestBDIRatioOnMix(t *testing.T) {
 	alg := NewBDI()
 	var raw, comp int
 	for _, b := range testBlocks(t) {
-		c := alg.Compress(b)
+		c := alg.AppendCompress(nil, b)
 		raw += BlockSize
 		comp += c.SizeBytes()
 	}
@@ -310,11 +320,11 @@ func TestFPCPatterns(t *testing.T) {
 	binary.LittleEndian.PutUint32(b[16:], 0x00050003) // two halfwords SE8
 	binary.LittleEndian.PutUint32(b[20:], 0x51515151) // repeated byte
 	binary.LittleEndian.PutUint32(b[24:], 0x12345678) // uncompressed
-	c := a.Compress(b)
+	c := a.AppendCompress(nil, b)
 	if c.Stored {
 		t.Fatal("pattern block should compress")
 	}
-	got, err := a.Decompress(c)
+	got, err := decode(a, c)
 	if err != nil || !bytes.Equal(got, b) {
 		t.Fatal("round trip failed")
 	}
@@ -328,7 +338,7 @@ func TestFPCPatterns(t *testing.T) {
 
 func TestFPCZeroRunSplitsAtEight(t *testing.T) {
 	a := NewFPC()
-	c := a.Compress(make([]byte, BlockSize)) // 16 zero words = 2 runs of 8
+	c := a.AppendCompress(nil, make([]byte, BlockSize)) // 16 zero words = 2 runs of 8
 	if c.SizeBits != 12 {
 		t.Errorf("all-zero block = %d bits, want 12 (two max runs)", c.SizeBits)
 	}
@@ -342,8 +352,8 @@ func TestSFPCRoundTripAndRatioOrdering(t *testing.T) {
 	fpc, sfpc := NewFPC(), NewSFPC()
 	var tf, ts int
 	for _, b := range testBlocks(t) {
-		tf += fpc.Compress(b).SizeBytes()
-		ts += sfpc.Compress(b).SizeBytes()
+		tf += fpc.AppendCompress(nil, b).SizeBytes()
+		ts += sfpc.AppendCompress(nil, b).SizeBytes()
 	}
 	if float64(ts) < 0.8*float64(tf) {
 		t.Errorf("SFPC (%dB) implausibly beats FPC (%dB)", ts, tf)
@@ -357,7 +367,7 @@ func TestCPackDictionaryMatch(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		binary.LittleEndian.PutUint32(b[i*4:], 0xCAFEBABE)
 	}
-	c := a.Compress(b)
+	c := a.AppendCompress(nil, b)
 	if c.Stored {
 		t.Fatal("repeating words should compress")
 	}
@@ -365,7 +375,7 @@ func TestCPackDictionaryMatch(t *testing.T) {
 	if c.SizeBits != 124 {
 		t.Errorf("SizeBits = %d, want 124", c.SizeBits)
 	}
-	got, err := a.Decompress(c)
+	got, err := decode(a, c)
 	if err != nil || !bytes.Equal(got, b) {
 		t.Fatal("round trip failed")
 	}
@@ -378,8 +388,8 @@ func TestCPackPartialMatch(t *testing.T) {
 		// Shared upper 3 bytes, varying low byte: mmmx after the first.
 		binary.LittleEndian.PutUint32(b[i*4:], 0x11223300|uint32(i))
 	}
-	c := a.Compress(b)
-	got, err := a.Decompress(c)
+	c := a.AppendCompress(nil, b)
+	got, err := decode(a, c)
 	if err != nil || !bytes.Equal(got, b) {
 		t.Fatal("round trip failed")
 	}
@@ -394,7 +404,7 @@ func TestSC2UntrainedStoresRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := make([]byte, BlockSize)
 	rng.Read(b)
-	c := s.Compress(b)
+	c := s.AppendCompress(nil, b)
 	if !c.Stored {
 		t.Error("untrained SC2 on random data should store")
 	}
@@ -418,8 +428,8 @@ func TestSC2TrainingImprovesRatio(t *testing.T) {
 	}
 	var total int
 	for _, b := range blocks {
-		c := s.Compress(b)
-		got, err := s.Decompress(c)
+		c := s.AppendCompress(nil, b)
+		got, err := decode(s, c)
 		if err != nil || !bytes.Equal(got, b) {
 			t.Fatal("round trip failed")
 		}
@@ -463,11 +473,11 @@ func TestRegistry(t *testing.T) {
 func TestNoneIsIdentity(t *testing.T) {
 	n := NewNone()
 	b := testBlocks(t)[4]
-	c := n.Compress(b)
+	c := n.AppendCompress(nil, b)
 	if !c.Stored || c.SizeBytes() != BlockSize {
 		t.Error("None must store raw")
 	}
-	got, err := n.Decompress(c)
+	got, err := decode(n, c)
 	if err != nil || !bytes.Equal(got, b) {
 		t.Error("None round trip failed")
 	}
@@ -619,11 +629,11 @@ func TestIncrementalDeltaConsistencyProperty(t *testing.T) {
 
 func TestFVCUntrainedStores(t *testing.T) {
 	f := NewFVC()
-	c := f.Compress(make([]byte, BlockSize))
+	c := f.AppendCompress(nil, make([]byte, BlockSize))
 	if !c.Stored {
 		t.Error("untrained FVC should store")
 	}
-	if _, err := f.Decompress(Compressed{SizeBits: 16, Payload: []byte{0, 1}}); err == nil {
+	if _, err := decode(f, Compressed{SizeBits: 16, Payload: []byte{0, 1}}); err == nil {
 		t.Error("untrained decode should fail")
 	}
 }
@@ -639,12 +649,12 @@ func TestFVCFrequentValueHit(t *testing.T) {
 	if !f.Trained() {
 		t.Fatal("not trained")
 	}
-	c := f.Compress(b)
+	c := f.AppendCompress(nil, b)
 	// All 16 words in the table: 16*(1+5) = 96 bits.
 	if c.SizeBits != 96 {
 		t.Errorf("SizeBits = %d, want 96", c.SizeBits)
 	}
-	got, err := f.Decompress(c)
+	got, err := decode(f, c)
 	if err != nil || !bytes.Equal(got, b) {
 		t.Fatal("round trip failed")
 	}
@@ -656,7 +666,7 @@ func TestFVCMissEscapesRaw(t *testing.T) {
 	b := make([]byte, BlockSize)
 	rng := rand.New(rand.NewSource(4))
 	rng.Read(b)
-	c := f.Compress(b)
+	c := f.AppendCompress(nil, b)
 	// 16*(1+32) = 528 bits > 512: stored.
 	if !c.Stored {
 		t.Errorf("all-miss block should be stored, got %d bits", c.SizeBits)
@@ -665,11 +675,11 @@ func TestFVCMissEscapesRaw(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		b[i] = 0
 	}
-	c = f.Compress(b)
+	c = f.AppendCompress(nil, b)
 	if c.Stored || c.SizeBits != 312 {
 		t.Errorf("half-hit block = %d bits (stored=%v), want 312", c.SizeBits, c.Stored)
 	}
-	got, err := f.Decompress(c)
+	got, err := decode(f, c)
 	if err != nil || !bytes.Equal(got, b) {
 		t.Fatal("round trip failed")
 	}

@@ -112,15 +112,6 @@ func (a *CPack) AppendCompress(dst, block []byte) Compressed {
 	return Compressed{Alg: a.Name(), SizeBits: w.bits(), Payload: w.appendTo(dst)}
 }
 
-// Compress implements Algorithm.
-func (a *CPack) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
-
-// Decompress implements Algorithm.
-func (a *CPack) Decompress(c Compressed) ([]byte, error) {
-	out := new([BlockSize]byte)
-	return fresh(out, a.DecompressInto(out, c))
-}
-
 // DecompressInto implements Algorithm.
 func (a *CPack) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {

@@ -179,9 +179,6 @@ func (a *Delta) AppendCompress(dst, block []byte) Compressed {
 	return Compressed{Alg: a.Name(), SizeBits: deltaSizeBits(req8), Payload: layoutDelta8(dst, &flits, &wZero, req8)}
 }
 
-// Compress implements Algorithm.
-func (a *Delta) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
-
 // DecompressInto implements Algorithm.
 func (a *Delta) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
@@ -218,12 +215,6 @@ func (a *Delta) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 		binary.LittleEndian.PutUint64(out[(i+1)*FlitBytes:], v)
 	}
 	return nil
-}
-
-// Decompress implements Algorithm.
-func (a *Delta) Decompress(c Compressed) ([]byte, error) {
-	out := new([BlockSize]byte)
-	return fresh(out, a.DecompressInto(out, c))
 }
 
 // decodeHalfDelta reverses layoutHalfDelta into out.

@@ -16,9 +16,10 @@ func ExampleDelta() {
 		binary.LittleEndian.PutUint64(block[i*8:], base+uint64(i)*8)
 	}
 	alg := compress.NewDelta()
-	c := alg.Compress(block)
+	var payload, round [compress.BlockSize]byte
+	c := alg.AppendCompress(payload[:0], block)
 	fmt.Printf("%d bytes -> %d bytes (ratio %.2f)\n", compress.BlockSize, c.SizeBytes(), c.Ratio())
-	round, _ := alg.Decompress(c)
+	_ = alg.DecompressInto(&round, c)
 	fmt.Println("lossless:", binary.LittleEndian.Uint64(round[56:]) == base+56)
 	// Output:
 	// 64 bytes -> 17 bytes (ratio 3.76)
@@ -37,7 +38,7 @@ func ExampleSC2() {
 	}
 	s := compress.NewSC2()
 	s.Train([][]byte{mkBlock(7), mkBlock(42), mkBlock(7)})
-	c := s.Compress(mkBlock(7))
+	c := s.AppendCompress(nil, mkBlock(7))
 	fmt.Println("trained:", s.Trained())
 	fmt.Println("compressed under 8 bytes:", c.SizeBytes() < 8)
 	// Output:

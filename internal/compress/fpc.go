@@ -108,15 +108,6 @@ func (a *FPC) AppendCompress(dst, block []byte) Compressed {
 	return Compressed{Alg: a.Name(), SizeBits: acc.bits(), Payload: acc.appendTo(dst)}
 }
 
-// Compress implements Algorithm.
-func (a *FPC) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
-
-// Decompress implements Algorithm.
-func (a *FPC) Decompress(c Compressed) ([]byte, error) {
-	out := new([BlockSize]byte)
-	return fresh(out, a.DecompressInto(out, c))
-}
-
 // DecompressInto implements Algorithm.
 func (a *FPC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
@@ -245,15 +236,6 @@ func (a *SFPC) AppendCompress(dst, block []byte) Compressed {
 		return appendStored(a.Name(), dst, block)
 	}
 	return Compressed{Alg: a.Name(), SizeBits: acc.bits(), Payload: acc.appendTo(dst)}
-}
-
-// Compress implements Algorithm.
-func (a *SFPC) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
-
-// Decompress implements Algorithm.
-func (a *SFPC) Decompress(c Compressed) ([]byte, error) {
-	out := new([BlockSize]byte)
-	return fresh(out, a.DecompressInto(out, c))
 }
 
 // DecompressInto implements Algorithm.

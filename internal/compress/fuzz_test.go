@@ -8,9 +8,9 @@ import (
 )
 
 // TestDecompressNeverPanicsOnGarbage feeds random payloads to every
-// decoder: they must return either a block or ErrCorrupt, never panic and
-// never return a wrong-sized block. (A router must survive a corrupted
-// engine result.)
+// decoder: they must return either a block or ErrCorrupt, never panic,
+// and allocate nothing. (A router must survive a corrupted engine
+// result.)
 func TestDecompressNeverPanicsOnGarbage(t *testing.T) {
 	algs := trained(t)
 	f := func(seed int64, sizeBits uint16, stored bool) bool {
@@ -23,22 +23,16 @@ func TestDecompressNeverPanicsOnGarbage(t *testing.T) {
 			Stored:   stored,
 			Payload:  payload,
 		}
-		if !raceEnabled {
-			var into [BlockSize]byte
-			allocs := testing.AllocsPerRun(1, func() {
-				for _, alg := range algs {
-					_ = alg.DecompressInto(&into, c)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("DecompressInto made %.0f allocations across the decoders, want 0", allocs)
+		var into [BlockSize]byte
+		decodeAll := func() {
+			for _, alg := range algs {
+				_ = alg.DecompressInto(&into, c)
 			}
 		}
-		for _, alg := range algs {
-			out, err := alg.Decompress(c)
-			if err == nil && len(out) != BlockSize {
-				return false
-			}
+		if raceEnabled {
+			decodeAll()
+		} else if allocs := testing.AllocsPerRun(1, decodeAll); allocs != 0 {
+			t.Fatalf("DecompressInto made %.0f allocations across the decoders, want 0", allocs)
 		}
 		return true
 	}
@@ -48,35 +42,32 @@ func TestDecompressNeverPanicsOnGarbage(t *testing.T) {
 }
 
 // TestTruncatedPayloadsRejected truncates valid encodings at every byte
-// boundary: every decoder must fail cleanly (or still produce a full
-// block from a prefix that happens to decode, e.g. bit-packed formats
-// whose tail bits are padding).
+// boundary: every decoder must fail cleanly, never panic (or still
+// produce a block from a prefix that happens to decode, e.g. bit-packed
+// formats whose tail bits are padding).
 func TestTruncatedPayloadsRejected(t *testing.T) {
 	for _, alg := range trained(t) {
 		for _, blk := range testBlocks(t)[:6] {
-			c := alg.Compress(blk)
+			c := alg.AppendCompress(nil, blk)
 			if c.Stored {
 				continue
 			}
 			for cut := 0; cut < len(c.Payload); cut++ {
 				tr := c
 				tr.Payload = c.Payload[:cut]
-				out, err := alg.Decompress(tr)
-				if err == nil && len(out) != BlockSize {
-					t.Fatalf("%s: truncated payload (cut %d) returned %d bytes",
-						alg.Name(), cut, len(out))
-				}
+				var out [BlockSize]byte
+				_ = alg.DecompressInto(&out, tr)
 			}
 		}
 	}
 }
 
 // TestBitFlipsSurvive flips each bit of a valid encoding: decoders must
-// not panic, and when they succeed must return exactly one block.
+// not panic.
 func TestBitFlipsSurvive(t *testing.T) {
 	for _, alg := range trained(t) {
 		blk := testBlocks(t)[3] // narrow ints: compresses under all schemes
-		c := alg.Compress(blk)
+		c := alg.AppendCompress(nil, blk)
 		if c.Stored {
 			continue
 		}
@@ -84,10 +75,8 @@ func TestBitFlipsSurvive(t *testing.T) {
 			mut := c
 			mut.Payload = append([]byte(nil), c.Payload...)
 			mut.Payload[bit/8] ^= 1 << uint(7-bit%8)
-			out, err := alg.Decompress(mut)
-			if err == nil && len(out) != BlockSize {
-				t.Fatalf("%s: bit flip %d returned %d bytes", alg.Name(), bit, len(out))
-			}
+			var out [BlockSize]byte
+			_ = alg.DecompressInto(&out, mut)
 		}
 	}
 }
@@ -98,8 +87,8 @@ func TestCompressIsPure(t *testing.T) {
 	for _, alg := range trained(t) {
 		for _, blk := range testBlocks(t) {
 			orig := append([]byte(nil), blk...)
-			c1 := alg.Compress(blk)
-			c2 := alg.Compress(blk)
+			c1 := alg.AppendCompress(nil, blk)
+			c2 := alg.AppendCompress(nil, blk)
 			if !bytes.Equal(blk, orig) {
 				t.Fatalf("%s mutated its input", alg.Name())
 			}
@@ -124,7 +113,7 @@ func TestCompressIsPure(t *testing.T) {
 func TestSizeAccountingMatchesPayload(t *testing.T) {
 	for _, alg := range trained(t) {
 		for i, blk := range testBlocks(t) {
-			c := alg.Compress(blk)
+			c := alg.AppendCompress(nil, blk)
 			if c.Stored {
 				if c.SizeBits != 8*BlockSize {
 					t.Fatalf("%s block %d: stored with SizeBits %d", alg.Name(), i, c.SizeBits)
@@ -150,7 +139,7 @@ func TestRatioMonotonicity(t *testing.T) {
 			for i := 0; i < zeros; i++ {
 				blk[i] = 0
 			}
-			size := alg.Compress(blk).SizeBytes()
+			size := alg.AppendCompress(nil, blk).SizeBytes()
 			if zeros > 0 && size > prevSize+8 {
 				// Allow small non-monotonic wiggle (pattern boundaries),
 				// but a strongly zero-padded block must not inflate.
@@ -170,8 +159,8 @@ func TestSC2EscapeOnlyStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	blk := make([]byte, BlockSize)
 	rng.Read(blk)
-	c := s.Compress(blk)
-	out, err := s.Decompress(c)
+	c := s.AppendCompress(nil, blk)
+	out, err := decode(s, c)
 	if err != nil || !bytes.Equal(out, blk) {
 		t.Fatal("escape-only round trip failed")
 	}
@@ -181,7 +170,7 @@ func TestSC2EscapeOnlyStream(t *testing.T) {
 // an untrained table must fail, not crash.
 func TestSC2UntrainedDecompressRejected(t *testing.T) {
 	s := NewSC2()
-	if _, err := s.Decompress(Compressed{SizeBits: 40, Payload: []byte{1, 2, 3}}); err == nil {
+	if _, err := decode(s, Compressed{SizeBits: 40, Payload: []byte{1, 2, 3}}); err == nil {
 		t.Error("untrained decode should fail")
 	}
 }
@@ -218,10 +207,9 @@ func TestIncrementalDeltaFragmentSizesConsistent(t *testing.T) {
 
 // FuzzDecompress is the native fuzz target behind `make fuzz-smoke`
 // (go test -fuzz=Fuzz): arbitrary payloads through every decoder must
-// return a full block or ErrCorrupt — never panic, never a short block —
-// and decoding into caller memory must allocate nothing, accepted or
-// rejected. Compressing the result of a successful decode must
-// round-trip.
+// decode a block or return ErrCorrupt — never panic — and decoding into
+// caller memory must allocate nothing, accepted or rejected. Compressing
+// the result of a successful decode must round-trip.
 func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{}, uint16(1), false)
 	f.Add([]byte{0x00, 0xFF, 0x13, 0x37}, uint16(32), false)
@@ -246,17 +234,13 @@ func FuzzDecompress(f *testing.F) {
 			}
 		}
 		for _, alg := range algs {
-			out, err := alg.Decompress(c)
-			if err != nil {
+			var out, back [BlockSize]byte
+			if alg.DecompressInto(&out, c) != nil {
 				continue
 			}
-			if len(out) != BlockSize {
-				t.Fatalf("%s: decoded %d bytes, want %d", alg.Name(), len(out), BlockSize)
-			}
 			// A decodable block must survive its own compress cycle.
-			rt := alg.Compress(out)
-			back, err := alg.Decompress(rt)
-			if err != nil || !bytes.Equal(back, out) {
+			rt := alg.AppendCompress(nil, out[:])
+			if err := alg.DecompressInto(&back, rt); err != nil || back != out {
 				t.Fatalf("%s: round trip after fuzz decode failed: %v", alg.Name(), err)
 			}
 		}

@@ -93,15 +93,6 @@ func (f *FVC) AppendCompress(dst, block []byte) Compressed {
 	return Compressed{Alg: f.Name(), SizeBits: w.bits(), Payload: w.appendTo(dst)}
 }
 
-// Compress implements Algorithm.
-func (f *FVC) Compress(block []byte) Compressed { return f.AppendCompress(nil, block) }
-
-// Decompress implements Algorithm.
-func (f *FVC) Decompress(c Compressed) ([]byte, error) {
-	out := new([BlockSize]byte)
-	return fresh(out, f.DecompressInto(out, c))
-}
-
 // DecompressInto implements Algorithm.
 func (f *FVC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {

@@ -27,15 +27,6 @@ func (a *None) AppendCompress(dst, block []byte) Compressed {
 // DecompressInto implements Algorithm.
 func (*None) DecompressInto(dst *[BlockSize]byte, c Compressed) error { return storedInto(dst, c) }
 
-// Compress implements Algorithm.
-func (a *None) Compress(block []byte) Compressed { return a.AppendCompress(nil, block) }
-
-// Decompress implements Algorithm.
-func (a *None) Decompress(c Compressed) ([]byte, error) {
-	out := new([BlockSize]byte)
-	return fresh(out, a.DecompressInto(out, c))
-}
-
 // New returns a fresh instance of the named algorithm. SC² is returned
 // untrained; callers that measure ratios should Train it on sampled blocks
 // first, mirroring the hardware's sampling phase.

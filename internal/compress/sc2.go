@@ -196,15 +196,6 @@ func (s *SC2) AppendCompress(dst, block []byte) Compressed {
 	return Compressed{Alg: s.Name(), SizeBits: a.bits() + sc2HeaderBits, Payload: a.appendTo(dst)}
 }
 
-// Compress implements Algorithm.
-func (s *SC2) Compress(block []byte) Compressed { return s.AppendCompress(nil, block) }
-
-// Decompress implements Algorithm.
-func (s *SC2) Decompress(c Compressed) ([]byte, error) {
-	out := new([BlockSize]byte)
-	return fresh(out, s.DecompressInto(out, c))
-}
-
 // DecompressInto implements Algorithm.
 func (s *SC2) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {

@@ -113,7 +113,7 @@ func TestSC2CorpusGolden(t *testing.T) {
 		var sb strings.Builder
 		sb.WriteString("# stored sizeBits blockHex payloadHex — one line per sampled block.\n")
 		for _, b := range samples {
-			sb.WriteString(sc2CorpusLine(b, s.Compress(b)))
+			sb.WriteString(sc2CorpusLine(b, s.AppendCompress(nil, b)))
 			sb.WriteByte('\n')
 		}
 		if err := os.MkdirAll(filepath.Dir(sc2CorpusPath), 0o755); err != nil {
@@ -158,7 +158,7 @@ func TestSC2CorpusGolden(t *testing.T) {
 		if n >= len(samples) || !bytes.Equal(block, samples[n]) {
 			t.Fatalf("corpus line %d: sampled block drifted from generator", n)
 		}
-		c := s.Compress(block)
+		c := s.AppendCompress(nil, block)
 		if c.Stored != wantStored || c.SizeBits != wantBits || !bytes.Equal(c.Payload, wantPayload) {
 			t.Fatalf("corpus line %d: encoder output changed: got stored=%v size=%d payload=%x, want stored=%v size=%d payload=%x",
 				n, c.Stored, c.SizeBits, c.Payload, wantStored, wantBits, wantPayload)

@@ -121,7 +121,7 @@ func (s *Stateful) advance(block []byte) {
 
 // Encode compresses one BlockSize-byte block against the persistent
 // stream state and advances it. It panics if len(block) != BlockSize
-// (caller bug, mirroring Algorithm.Compress). The returned Payload
+// (caller bug, mirroring Algorithm.AppendCompress). The returned Payload
 // aliases the Stateful's scratch: it is valid until the next Encode,
 // and a caller that keeps a frame longer must copy it. block itself is
 // not retained.

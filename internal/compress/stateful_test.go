@@ -209,7 +209,7 @@ func TestStatefulModeSelection(t *testing.T) {
 				// Reference on the state BEFORE Encode advances it.
 				wantMode, wantBits := ModeStored, 8*BlockSize
 				var want Compressed
-				if c := alg.Compress(b); !c.Stored && c.SizeBits < wantBits {
+				if c := alg.AppendCompress(nil, b); !c.Stored && c.SizeBits < wantBits {
 					wantMode, wantBits, want = ModeDirect, c.SizeBits, c
 				}
 				if i > 0 {
@@ -217,7 +217,7 @@ func TestStatefulModeSelection(t *testing.T) {
 					for j := range resid {
 						resid[j] = b[j] ^ base[j]
 					}
-					if c := alg.Compress(resid); !c.Stored && c.SizeBits < wantBits {
+					if c := alg.AppendCompress(nil, resid); !c.Stored && c.SizeBits < wantBits {
 						wantMode, wantBits, want = ModeResidual, c.SizeBits, c
 					}
 				}

@@ -221,14 +221,14 @@ func TestCorpusMatchesEncoders(t *testing.T) {
 				if err != nil {
 					t.Fatalf("vector %q: bad payload hex", v.Name)
 				}
-				c := alg.Compress(input)
+				c := alg.AppendCompress(nil, input)
 				if c.SizeBits != v.SizeBits || c.Stored != v.Stored || !bytes.Equal(c.Payload, wantPayload) {
 					t.Errorf("vector %q drifted: got (%d bits, stored=%v, %x), committed (%d bits, stored=%v, %x)",
 						v.Name, c.SizeBits, c.Stored, c.Payload, v.SizeBits, v.Stored, wantPayload)
 				}
 				// The corpus also pins the decoder: committed bytes must
 				// decode back to the committed input.
-				got, err := alg.Decompress(Compressed{Alg: name, SizeBits: v.SizeBits, Stored: v.Stored, Payload: wantPayload})
+				got, err := decode(alg, Compressed{Alg: name, SizeBits: v.SizeBits, Stored: v.Stored, Payload: wantPayload})
 				if err != nil {
 					t.Errorf("vector %q: committed payload does not decode: %v", v.Name, err)
 				} else if !bytes.Equal(got, input) {
@@ -254,7 +254,7 @@ func writeVectorCorpus(t *testing.T) {
 			vf.TrainedOn = "corpus"
 		}
 		for _, in := range corpusInputs() {
-			c := alg.Compress(in.block)
+			c := alg.AppendCompress(nil, in.block)
 			vf.Vectors = append(vf.Vectors, vectorCase{
 				Name:     in.name,
 				Input:    hex.EncodeToString(in.block),

@@ -192,8 +192,8 @@ func TestEngineGenericStreamingCompress(t *testing.T) {
 	if done == nil || done.State != JobDone {
 		t.Fatal("streaming job should finish")
 	}
-	out, err := compress.NewFPC().Decompress(done.Result())
-	if err != nil {
+	var out [compress.BlockSize]byte
+	if err := compress.NewFPC().DecompressInto(&out, done.Result()); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
 	for i := range out {
@@ -223,7 +223,7 @@ func TestEngineDecompress(t *testing.T) {
 	alg := compress.NewDelta()
 	e := NewEngine(alg)
 	block, _ := narrowBlock()
-	c := alg.Compress(block)
+	c := alg.AppendCompress(nil, block)
 	e.StartDecompress(11, c, 0)
 	// Decomp latency 3: done at cycle 3.
 	if done := e.Tick(2); done != nil {

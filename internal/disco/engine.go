@@ -80,12 +80,14 @@ type Job struct {
 	streamBuf []byte                     // generic streaming mode
 	absorbed  int                        // payload flits absorbed
 	total     int                        // payload flits expected
-	result    compress.Compressed
+	block     []byte                     // the packet's content (SetBlock)
+	result    compress.Compressed        // Payload aliases enc
 	haveRes   bool
+	enc       [compress.BlockSize]byte // encode scratch
 
 	// Decompression bookkeeping.
-	src   compress.Compressed
-	block []byte
+	src     compress.Compressed
+	decoded [compress.BlockSize]byte
 }
 
 // Engine is the single per-router de/compression unit of Fig. 2(a). It
@@ -307,11 +309,11 @@ func (e *Engine) Tick(now uint64) *Job {
 				}
 				// Round-trippable result: re-encode with the whole-block
 				// compressor but charge the merged incremental size.
-				res := e.alg.Compress(j.streamedBlock())
+				res := e.alg.AppendCompress(j.enc[:0], j.streamedBlock())
 				res.SizeBits = j.inc.MergedSizeBits()
 				j.result = res
 			} else {
-				res := e.alg.Compress(j.streamedBlock())
+				res := e.alg.AppendCompress(j.enc[:0], j.streamedBlock())
 				if res.Stored {
 					j.State = JobAborted
 					e.Failures++
@@ -327,14 +329,12 @@ func (e *Engine) Tick(now uint64) *Job {
 		e.retire(j)
 		return j
 	case JobDecompress:
-		block, err := e.alg.Decompress(j.src)
-		if err != nil {
+		if err := e.alg.DecompressInto(&j.decoded, j.src); err != nil {
 			j.State = JobAborted
 			e.Failures++
 			e.retire(j)
 			return j
 		}
-		j.block = block
 		j.State = JobDone
 		e.Decompressions++
 		e.retire(j)
@@ -363,6 +363,8 @@ func (j *Job) streamedBlock() []byte {
 func (j *Job) SetBlock(block []byte) { j.block = block }
 
 // Result returns the compressed encoding of a finished compression job.
+// Its Payload lives in the job's scratch, which the next Start* on the
+// engine reuses: a caller that keeps the payload copies it out first.
 func (j *Job) Result() compress.Compressed {
 	if !j.haveRes {
 		panic("disco: Result on unfinished job")
@@ -371,7 +373,9 @@ func (j *Job) Result() compress.Compressed {
 }
 
 // Block returns the decompressed content of a finished decompression job.
-func (j *Job) Block() []byte { return j.block }
+// Like Result's payload it lives in the job and is valid only until the
+// next Start* on the engine.
+func (j *Job) Block() []byte { return j.decoded[:] }
 
 // CanRelease reports whether a mis-predicted grant may release the shadow
 // packet (non-blocking compression): only while the job is still pending.

@@ -184,8 +184,9 @@ func Table1(o Opts) (Table1Result, error) {
 			case *compress.FVC:
 				a.Train(train)
 			}
+			var scratch [compress.BlockSize]byte
 			for _, b := range test {
-				c := alg.Compress(b)
+				c := alg.AppendCompress(scratch[:0], b)
 				raw += compress.BlockSize
 				comp += c.SizeBytes()
 			}

@@ -15,8 +15,7 @@ import (
 //
 //	internal/noc       (*Network).Step       — the cycle loop
 //	internal/disco     (*Engine).Tick        — per-cycle engine service
-//	internal/compress  AppendCompress / DecompressInto (and their
-//	                   Compress / Decompress wrappers),
+//	internal/compress  AppendCompress / DecompressInto,
 //	                   (*Stateful).Encode / Decode
 //	                                         — the codec block paths
 //	internal/cmp       (*System).Step        — the full-system cycle loop
@@ -32,8 +31,8 @@ import (
 //     append onto the caller's dst, which allocates only when the
 //     caller sized dst too small (Stateful's scratch never is:
 //     TestStatefulAllocs and TestConnEchoAllocs hold the stream path to
-//     zero at run time); only the Compress/Decompress wrappers return
-//     fresh buffers, for callers that retain payloads (packets, caches);
+//     zero at run time), and callers that retain payloads append them
+//     into memory they own (a packet's buffer, the simulator's arena);
 //   - init paths: traversal is pruned at functions named new*/New*/
 //     init*/Init* — construction may allocate, cycles may not.
 //
@@ -67,15 +66,11 @@ func hotAllocRoots(pass *Pass, pf *pkgFacts) []*types.Func {
 	case strings.HasSuffix(pass.PkgPath, "internal/cmp"):
 		return pf.rootsNamed("System", func(name string) bool { return name == "Step" })
 	case strings.HasSuffix(pass.PkgPath, "internal/compress"):
-		// Every codec's one encoder and one decoder (DESIGN.md §12), plus
-		// the wrappers around them, run once per block. Stateful's Encode
-		// and Decode are the streaming service's per-block codec calls.
+		// Every codec's one encoder and one decoder (DESIGN.md §12) run
+		// once per block. Stateful's Encode and Decode are the streaming
+		// service's per-block codec calls.
 		codec := pf.rootsNamed("", func(name string) bool {
-			switch name {
-			case "AppendCompress", "DecompressInto", "Compress", "Decompress":
-				return true
-			}
-			return false
+			return name == "AppendCompress" || name == "DecompressInto"
 		})
 		return append(codec, pf.rootsNamed("Stateful", func(name string) bool {
 			return name == "Encode" || name == "Decode"

@@ -38,7 +38,7 @@ func injectMixedLoad(t *testing.T, n *Network, waves int, origin map[uint64][]by
 			block := compressibleBlock(int64(id))
 			origin[id] = block
 			if src%2 == 0 {
-				comp := alg.Compress(block)
+				comp := alg.AppendCompress(nil, block)
 				if comp.Stored {
 					t.Fatalf("test block %d unexpectedly incompressible", id)
 				}
@@ -62,7 +62,7 @@ func verifyDelivered(t *testing.T, origin map[uint64][]byte, pkt *Packet) {
 		t.Fatalf("packet %d delivered but never injected", pkt.ID)
 	}
 	if pkt.Compressed {
-		got, err := compress.NewDelta().Decompress(pkt.Comp)
+		got, err := decodeBlock(compress.NewDelta(), pkt.Comp)
 		if err != nil {
 			t.Errorf("packet %d delivered with undecodable payload: %v", pkt.ID, err)
 			return

@@ -165,6 +165,7 @@ type Network struct {
 	creditsLost    uint64
 	creditsHealed  uint64
 	decoders       map[string]compress.Algorithm // sink-verification decoders
+	sinkBlock      [compress.BlockSize]byte      // decodeComp's output
 
 	// Metrics attachment (see AttachMetrics).
 	mreg      *metrics.Registry
@@ -368,11 +369,12 @@ func (n *Network) verifyAtSink(node int, pkt *Packet) {
 	}
 	n.sinkRecoveries++
 	n.trace(node, tracefmt.KindFaultRecover, pkt)
-	pkt.ApplyDecompression(pkt.Block)
+	pkt.ApplyDecompression()
 }
 
-// decodeComp decompresses an encoding with a per-algorithm decoder cache
-// (the sink check must not disturb any engine state).
+// decodeComp decompresses an encoding into the network's sink scratch
+// block with a per-algorithm decoder cache (the sink check must not
+// disturb any engine state). The result is valid until the next call.
 func (n *Network) decodeComp(c compress.Compressed) ([]byte, error) {
 	alg, ok := n.decoders[c.Alg]
 	if !ok {
@@ -382,7 +384,10 @@ func (n *Network) decodeComp(c compress.Compressed) ([]byte, error) {
 	if alg == nil {
 		return nil, fmt.Errorf("noc: no decoder for algorithm %q", c.Alg)
 	}
-	return alg.Decompress(c)
+	if err := alg.DecompressInto(&n.sinkBlock, c); err != nil {
+		return nil, err
+	}
+	return n.sinkBlock[:], nil
 }
 
 // Step advances the network by one cycle of the two-phase engine: each

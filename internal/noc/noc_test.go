@@ -235,6 +235,15 @@ func TestManyPacketsConservation(t *testing.T) {
 }
 
 // discoConfig builds a 4x4 DISCO network with the delta algorithm.
+// decodeBlock is DecompressInto a fresh block.
+func decodeBlock(alg compress.Algorithm, c compress.Compressed) ([]byte, error) {
+	out := new([compress.BlockSize]byte)
+	if err := alg.DecompressInto(out, c); err != nil {
+		return nil, err
+	}
+	return out[:], nil
+}
+
 func discoConfig() Config {
 	cfg := DefaultConfig()
 	dc := disco.DefaultConfig(compress.NewDelta())
@@ -258,7 +267,7 @@ func TestDiscoCompressionUnderCongestion(t *testing.T) {
 		var blk []byte
 		if p.Compressed {
 			var err error
-			blk, err = cfg.Disco.Algorithm.Decompress(p.Comp)
+			blk, err = decodeBlock(cfg.Disco.Algorithm, p.Comp)
 			if err != nil {
 				t.Fatalf("packet %d: corrupt payload: %v", p.ID, err)
 			}
@@ -312,7 +321,7 @@ func TestDiscoDecompressionTowardCore(t *testing.T) {
 			}
 		} else {
 			wrongForm++
-			blk, err := alg.Decompress(p.Comp)
+			blk, err := decodeBlock(alg, p.Comp)
 			if err != nil || !bytes.Equal(blk, origin[p.ID]) {
 				t.Fatalf("packet %d corrupted (compressed form)", p.ID)
 			}
@@ -327,7 +336,7 @@ func TestDiscoDecompressionTowardCore(t *testing.T) {
 			id++
 			blk := compressibleBlock(int64(id) * 7)
 			origin[id] = blk
-			c := alg.Compress(blk)
+			c := alg.AppendCompress(nil, blk)
 			n.Inject(NewCompressedDataPacket(id, src, 10, blk, c, false))
 		}
 		n.Step()
@@ -515,7 +524,7 @@ func TestPacketFormHelpers(t *testing.T) {
 		t.Error("uncompressed packet wanting compressed is in wrong form")
 	}
 	alg := compress.NewDelta()
-	c := alg.Compress(blk)
+	c := alg.AppendCompress(nil, blk)
 	p.ApplyCompression(c)
 	if !p.Compressed || p.FlitCount != flitsFor(c.SizeBytes()) {
 		t.Error("ApplyCompression wrong")
@@ -523,7 +532,7 @@ func TestPacketFormHelpers(t *testing.T) {
 	if !p.InWantedForm() {
 		t.Error("compressed packet wanting compressed should be in form")
 	}
-	p.ApplyDecompression(blk)
+	p.ApplyDecompression()
 	if p.Compressed || p.FlitCount != 9 || p.PayloadBytes != 64 {
 		t.Error("ApplyDecompression wrong")
 	}
@@ -559,7 +568,7 @@ func TestHotspotStressNoDeadlockProperty(t *testing.T) {
 			blk := p.Block
 			if p.Compressed {
 				var err error
-				blk, err = alg.Decompress(p.Comp)
+				blk, err = decodeBlock(alg, p.Comp)
 				if err != nil {
 					t.Fatalf("seed %d pkt %d corrupt", seed, p.ID)
 				}
@@ -586,7 +595,7 @@ func TestHotspotStressNoDeadlockProperty(t *testing.T) {
 			default:
 				blk := compressibleBlock(int64(id) * 3)
 				origin[id] = blk
-				c := alg.Compress(blk)
+				c := alg.AppendCompress(nil, blk)
 				n.Inject(NewCompressedDataPacket(id, src, dst, blk, c, rng.Intn(2) == 1))
 			}
 			if rng.Intn(2) == 0 {

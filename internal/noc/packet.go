@@ -67,9 +67,12 @@ type Packet struct {
 
 	// Block is the uncompressed payload (BlockSize bytes) for data
 	// packets; nil for control packets. It is retained while compressed so
-	// the simulator can re-derive flit values.
+	// the simulator can re-derive flit values, and it is what the packet
+	// carries again once decompressed.
 	Block []byte
-	// Comp is the compressed encoding; valid only while Compressed.
+	// Comp is the compressed encoding; valid only while Compressed. Its
+	// Payload is either the caller's (an encoding the simulator caches)
+	// or payload, the packet's own buffer, for encodings made in flight.
 	Comp compress.Compressed
 	// PayloadBytes is the current wire payload size.
 	PayloadBytes int
@@ -93,11 +96,14 @@ type Packet struct {
 	// eject, or ReleasePacket from an OnEject owner, reclaims it.
 	// Packets built by the exported constructors are never reclaimed.
 	pooled bool
-	// ownsBlock marks a Block the arena lent (or the engine's private
-	// decode of one), which recycling may pool with the packet. Packets
-	// carrying a caller's block — the simulator's content cache — never
-	// set it, so the arena never hands that memory to another packet.
+	// ownsBlock marks a Block the arena lent, which recycling may pool
+	// with the packet. Packets carrying a caller's block — the
+	// simulator's content cache — never set it, so the arena never hands
+	// that memory to another packet.
 	ownsBlock bool
+	// payload holds the encodings made in flight (engine results,
+	// generator injections), so they live exactly as long as the packet.
+	payload [compress.BlockSize]byte
 }
 
 // flitsFor returns head + payload flits for a payload of n bytes.
@@ -162,10 +168,17 @@ func (p *Packet) ApplyCompression(c compress.Compressed) {
 	p.FlitCount = flitsFor(p.PayloadBytes)
 }
 
-// ApplyDecompression switches the packet back to raw form.
-func (p *Packet) ApplyDecompression(block []byte) {
+// ownCompression is ApplyCompression with c's payload copied into the
+// packet's own buffer: c may live in engine scratch.
+func (p *Packet) ownCompression(c compress.Compressed) {
+	p.ApplyCompression(c)
+	p.Comp.Payload = p.payload[:copy(p.payload[:], c.Payload)]
+}
+
+// ApplyDecompression switches the packet back to raw form: its retained
+// Block.
+func (p *Packet) ApplyDecompression() {
 	p.Compressed = false
-	p.Block = block
 	p.Comp = compress.Compressed{}
 	p.PayloadBytes = compress.BlockSize
 	p.FlitCount = flitsFor(compress.BlockSize)

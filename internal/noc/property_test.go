@@ -1,11 +1,16 @@
 package noc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"github.com/disco-sim/disco/internal/compress"
+	"github.com/disco-sim/disco/internal/disco"
 	"github.com/disco-sim/disco/internal/fault"
+	"github.com/disco-sim/disco/internal/tracefmt"
 )
 
 // propertySeed seeds the trial generator. Trials are derived from it
@@ -144,6 +149,110 @@ func TestConservationProperties(t *testing.T) {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			t.Logf("K=%d fault=%v traffic=%+v", cfg.K, cfg.Fault != nil, tc)
 			runConservationTrial(t, cfg, tc)
+		})
+	}
+}
+
+// narrowBlock returns a block of small 32-bit integers, which every word
+// or base-delta codec compresses.
+func narrowBlock(s int64) []byte {
+	b := make([]byte, compress.BlockSize)
+	for i := 0; i < compress.BlockSize/compress.WordSize; i++ {
+		binary.LittleEndian.PutUint32(b[i*compress.WordSize:], uint32((s*7+int64(i))%100))
+	}
+	return b
+}
+
+// decodeChecker is a tracer that checks every finished in-network
+// decompression against the packet's retained Block. It reads the job
+// and packet the router's engine took at KindEngineStart; a finished job
+// stays intact until the engine's next start, which comes after its
+// KindEngineDone event.
+type decodeChecker struct {
+	t       *testing.T
+	n       *Network
+	started map[int]*Packet
+	jobs    map[int]*disco.Job
+	checked uint64
+}
+
+func (c *decodeChecker) Event(rec tracefmt.Record) {
+	switch rec.Kind {
+	case tracefmt.KindEngineStart:
+		r := c.n.Routers[rec.Router]
+		c.started[rec.Router], c.jobs[rec.Router] = r.engineVC.pkt, r.engine.Current()
+	case tracefmt.KindEngineDone:
+		j, p := c.jobs[rec.Router], c.started[rec.Router]
+		if j.Kind != disco.JobDecompress || j.State != disco.JobDone {
+			return
+		}
+		c.checked++
+		if !bytes.Equal(j.Block(), p.Block) {
+			c.t.Errorf("cycle %d r%d pkt %d: in-network decode differs from the retained block", rec.Cycle, rec.Router, p.ID)
+		}
+	}
+}
+
+// TestInNetworkDecodeMatchesRetainedBlock pins what lets a finished
+// decompression job hand its packet the retained Block instead of the
+// job's decode: in fault-free DISCO runs of every registered codec,
+// every in-network decode equals that block. Half the packets are
+// injected in the codec's own encoding toward a congested core (as LLC
+// responses would be), so the engines decompress in flight.
+func TestInNetworkDecodeMatchesRetainedBlock(t *testing.T) {
+	for _, name := range compress.Names() {
+		t.Run(name, func(t *testing.T) {
+			alg, err := compress.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blockFor := func(id int64) []byte {
+				if id%2 == 0 {
+					return compressibleBlock(id)
+				}
+				return narrowBlock(id)
+			}
+			if tr, ok := alg.(interface{ Train([][]byte) }); ok {
+				var sample [][]byte
+				for id := int64(0); id < 64; id++ {
+					sample = append(sample, blockFor(id))
+				}
+				tr.Train(sample)
+			}
+			cfg := DefaultConfig()
+			dc := disco.DefaultConfig(alg)
+			cfg.Disco = &dc
+			n := mustNet(t, cfg)
+			chk := &decodeChecker{t: t, n: n, started: map[int]*Packet{}, jobs: map[int]*disco.Job{}}
+			n.SetTracer(chk)
+			const hot = 10
+			id := int64(0)
+			for wave := 0; wave < 40; wave++ {
+				for src := 0; src < cfg.Nodes(); src++ {
+					if src == hot {
+						continue
+					}
+					id++
+					blk := blockFor(id)
+					p := NewDataPacket(uint64(id), src, hot, blk, id%3 == 0)
+					if c := alg.AppendCompress(nil, blk); !c.Stored && id%3 != 0 {
+						p.ApplyCompression(c)
+					}
+					n.Inject(p)
+				}
+				n.Step()
+			}
+			if !n.RunUntilQuiescent(200000) {
+				t.Fatal("network did not drain")
+			}
+			st := n.Stats()
+			if chk.checked != st.Decompressions {
+				t.Errorf("checked %d decodes, network made %d", chk.checked, st.Decompressions)
+			}
+			if name != "none" && st.Decompressions == 0 {
+				t.Error("no in-network decompressions: the check saw nothing")
+			}
+			t.Logf("%d in-network decodes checked, %d compressions", chk.checked, st.Compressions)
 		})
 	}
 }

@@ -574,7 +574,7 @@ func (r *Router) computeEngine() {
 				r.trace(tracefmt.KindEngineDone, e.pkt)
 				return
 			}
-			e.pkt.ApplyCompression(res)
+			e.pkt.ownCompression(res)
 			e.pkt.Conversions++
 			e.restockCompressed(e.pkt.FlitCount)
 			r.trace(tracefmt.KindEngineDone, e.pkt)
@@ -587,7 +587,10 @@ func (r *Router) computeEngine() {
 				r.recoverCorrupt(e)
 				return
 			}
-			e.pkt.ApplyDecompression(done.Block())
+			// Otherwise the decode equals the retained block
+			// (TestInNetworkDecodeMatchesRetainedBlock), which the
+			// packet carries on; the decode stays in the job.
+			e.pkt.ApplyDecompression()
 			e.pkt.Conversions++
 			e.restockDecompressed(e.pkt.FlitCount)
 			r.trace(tracefmt.KindEngineDone, e.pkt)
@@ -763,7 +766,7 @@ func (r *Router) noteEngineFault() {
 // delivered instead, so corruption is never propagated.
 func (r *Router) recoverCorrupt(e *vcBuf) {
 	r.faultRecoveries++
-	e.pkt.ApplyDecompression(e.pkt.Block)
+	e.pkt.ApplyDecompression()
 	e.pkt.Conversions++
 	e.restockDecompressed(e.pkt.FlitCount)
 	r.trace(tracefmt.KindFaultRecover, e.pkt)

@@ -155,7 +155,7 @@ func (g *TrafficGen) Step() {
 			p := g.net.TakePacket().InitData(g.nextID, src, dst, blk, wantCompressed)
 			p.ownsBlock = true
 			if !wantCompressed {
-				if c := g.alg.Compress(blk); !c.Stored {
+				if c := g.alg.AppendCompress(p.payload[:0], blk); !c.Stored {
 					p.ApplyCompression(c)
 				}
 			}

@@ -275,7 +275,7 @@ func TestProfileCompressibilityShape(t *testing.T) {
 		alg := compress.NewBDI()
 		raw, comp := 0, 0
 		for addr := uint64(0); addr < 400; addr++ {
-			c := alg.Compress(p.Content(PrivateBase(0) + addr))
+			c := alg.AppendCompress(nil, p.Content(PrivateBase(0)+addr))
 			raw += compress.BlockSize
 			comp += c.SizeBytes()
 		}
