@@ -93,7 +93,7 @@ func main() {
 
 func realMain() int {
 	var (
-		exp     = flag.String("exp", "", "experiment: table1|fig5|fig6|fig7|fig8|area|ablation|calibrate|motivation|sensitivity|composition|all")
+		exp     = flag.String("exp", "", "experiment: table1|fig5|fig6|fig7|fig8|area|ablation|calibrate|motivation|sensitivity|composition|nocsweep|all")
 		jsonOut = flag.String("json", "", "write all experiment results as JSON to this file (runs everything)")
 		csvOut  = flag.String("csv", "", "write raw per-run rows (benchmark x mode) as CSV to this file")
 		quick   = flag.Bool("quick", false, "reduced settings (fewer ops, 4 benchmarks)")
@@ -327,6 +327,8 @@ func runExperiments(exp string, o experiments.Opts) error {
 		}
 		fmt.Println("== Table 1: compression scheme parameters ==")
 		fmt.Println(r.Table())
+		fmt.Println("measured ratio per benchmark:")
+		fmt.Println(r.BenchTable())
 	}
 	if want("fig5") {
 		any = true
@@ -403,6 +405,15 @@ func runExperiments(exp string, o experiments.Opts) error {
 			return err
 		}
 		fmt.Println("== NoC sensitivity (VC depth / flow control) ==")
+		fmt.Println(r.Table())
+	}
+	if exp == "nocsweep" { // analysis aid, not part of "all"
+		any = true
+		r, err := experiments.NocSweep(o)
+		if err != nil {
+			return err
+		}
+		fmt.Println("== NoC-only open-loop sweep (delta DISCO) ==")
 		fmt.Println(r.Table())
 	}
 	if exp == "motivation" { // analysis aid, not part of "all"

@@ -169,7 +169,7 @@ func TestRunExperimentsDispatch(t *testing.T) {
 		t.Skip("full-system runs")
 	}
 	o := experiments.Opts{Ops: 300, Warmup: 150, Seed: 1, Benchmarks: []string{"swaptions"}}
-	for _, exp := range []string{"table1", "area", "motivation", "composition"} {
+	for _, exp := range []string{"table1", "area", "motivation", "composition", "nocsweep"} {
 		if err := runExperiments(exp, o); err != nil {
 			t.Errorf("%s: %v", exp, err)
 		}

@@ -149,7 +149,19 @@ type Table1Row struct {
 }
 
 // Table1Result is the regenerated Table 1.
-type Table1Result struct{ Rows []Table1Row }
+type Table1Result struct {
+	Rows []Table1Row
+	// ByBench is each benchmark's measured ratio per scheme (in Rows
+	// order), in profile order. It stays out of the JSON report, whose
+	// bytes are pinned.
+	ByBench []BenchRatios `json:"-"`
+}
+
+// BenchRatios is one benchmark's row of the Table 1 ratio matrix.
+type BenchRatios struct {
+	Bench  string
+	Ratios []float64
+}
 
 // Table1 measures every implemented scheme over a sample of all profiles'
 // blocks (SC² is trained on a disjoint sample first, mirroring its
@@ -160,14 +172,18 @@ func Table1(o Opts) (Table1Result, error) {
 		return Table1Result{}, err
 	}
 	paper := map[string]float64{"fpc": 1.5, "sfpc": 1.33, "bdi": 1.57, "sc2": 2.4, "delta": 1.57}
-	var res Table1Result
-	for _, name := range []string{"delta", "bdi", "fpc", "sfpc", "cpack", "sc2", "fvc"} {
+	schemes := []string{"delta", "bdi", "fpc", "sfpc", "cpack", "sc2", "fvc"}
+	res := Table1Result{ByBench: make([]BenchRatios, len(profs))}
+	for i, p := range profs {
+		res.ByBench[i] = BenchRatios{Bench: p.Name, Ratios: make([]float64, 0, len(schemes))}
+	}
+	for _, name := range schemes {
 		raw, comp := 0, 0
 		// SC² is a *statistical* compressor: its value table is trained
 		// per workload (the hardware samples the running application), so
 		// the ratio is measured with one freshly trained instance per
 		// profile. The stateless schemes are unaffected by the split.
-		for _, p := range profs {
+		for pi, p := range profs {
 			alg := newAlg(name)
 			var train, test [][]byte
 			for i := 0; i < 800; i++ {
@@ -185,11 +201,14 @@ func Table1(o Opts) (Table1Result, error) {
 				a.Train(train)
 			}
 			var scratch [compress.BlockSize]byte
+			praw, pcomp := 0, 0
 			for _, b := range test {
 				c := alg.AppendCompress(scratch[:0], b)
-				raw += compress.BlockSize
-				comp += c.SizeBytes()
+				praw += compress.BlockSize
+				pcomp += c.SizeBytes()
 			}
+			raw, comp = raw+praw, comp+pcomp
+			res.ByBench[pi].Ratios = append(res.ByBench[pi].Ratios, float64(praw)/float64(pcomp))
 		}
 		a := newAlg(name)
 		res.Rows = append(res.Rows, Table1Row{
@@ -220,6 +239,26 @@ func (r Table1Result) Table() string {
 		})
 	}
 	return table([]string{"scheme", "comp", "decomp", "ratio(meas)", "ratio(paper)"}, rows)
+}
+
+// BenchTable renders the measured ratio matrix: one row per benchmark,
+// one column per scheme, and the overall ratio of each scheme last.
+func (r Table1Result) BenchTable() string {
+	header := []string{"benchmark"}
+	overall := []string{"overall"}
+	for _, row := range r.Rows {
+		header = append(header, row.Scheme)
+		overall = append(overall, fmt.Sprintf("%.2f", row.Ratio))
+	}
+	rows := make([][]string, 0, len(r.ByBench)+1)
+	for _, b := range r.ByBench {
+		cells := []string{b.Bench}
+		for _, v := range b.Ratios {
+			cells = append(cells, fmt.Sprintf("%.2f", v))
+		}
+		rows = append(rows, cells)
+	}
+	return table(header, append(rows, overall))
 }
 
 // --- Fig. 5 / Fig. 6 -------------------------------------------------------

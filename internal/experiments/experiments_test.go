@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -52,6 +53,27 @@ func TestTable1(t *testing.T) {
 	}
 	if !strings.Contains(r.Table(), "sc2") {
 		t.Error("table rendering missing rows")
+	}
+	// The per-benchmark matrix has one row per benchmark and one ratio
+	// per scheme, and every scheme's overall ratio lies within its
+	// per-benchmark range.
+	if len(r.ByBench) != 3 || r.ByBench[1].Bench != "freqmine" {
+		t.Fatalf("ByBench rows = %+v", r.ByBench)
+	}
+	for si, row := range r.Rows {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, b := range r.ByBench {
+			if len(b.Ratios) != len(r.Rows) {
+				t.Fatalf("%s: %d ratios, want %d", b.Bench, len(b.Ratios), len(r.Rows))
+			}
+			lo, hi = math.Min(lo, b.Ratios[si]), math.Max(hi, b.Ratios[si])
+		}
+		if row.Ratio < lo || row.Ratio > hi {
+			t.Errorf("%s overall %.3f outside per-benchmark range [%.3f, %.3f]", row.Scheme, row.Ratio, lo, hi)
+		}
+	}
+	if bt := r.BenchTable(); !strings.Contains(bt, "freqmine") || !strings.Contains(bt, "overall") {
+		t.Errorf("matrix rendering missing rows:\n%s", bt)
 	}
 }
 

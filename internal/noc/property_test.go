@@ -190,45 +190,48 @@ func (c *decodeChecker) Event(rec tracefmt.Record) {
 		if !bytes.Equal(j.Block(), p.Block) {
 			c.t.Errorf("cycle %d r%d pkt %d: in-network decode differs from the retained block", rec.Cycle, rec.Router, p.ID)
 		}
+	case tracefmt.KindEngineFail:
+		if j := c.jobs[rec.Router]; j.Kind == disco.JobDecompress {
+			c.t.Errorf("cycle %d r%d pkt %d: in-network decode failed", rec.Cycle, rec.Router, c.started[rec.Router].ID)
+		}
 	}
 }
 
 // TestInNetworkDecodeMatchesRetainedBlock pins what lets a finished
 // decompression job hand its packet the retained Block instead of the
 // job's decode: in fault-free DISCO runs of every registered codec,
-// every in-network decode equals that block. Half the packets are
-// injected in the codec's own encoding toward a congested core (as LLC
-// responses would be), so the engines decompress in flight.
+// every in-network decode equals that block and none fails. Two loads
+// drive each codec. In the first, half the packets are injected in the
+// codec's own encoding toward a congested core (as LLC responses would
+// be), so the engines decompress in flight. The second is a hotspot
+// TrafficGen load, whose core-bound payloads must be encoded with the
+// mesh's codec for its engines to decode them.
 func TestInNetworkDecodeMatchesRetainedBlock(t *testing.T) {
-	for _, name := range compress.Names() {
-		t.Run(name, func(t *testing.T) {
-			alg, err := compress.New(name)
-			if err != nil {
-				t.Fatal(err)
+	const hot = 10
+	tc := DefaultTraffic()
+	tc.Pattern, tc.HotNode, tc.InjectionRate = Hotspot, hot, 0.03
+	blockFor := func(id int64) []byte {
+		if id%2 == 0 {
+			return compressibleBlock(id)
+		}
+		return narrowBlock(id)
+	}
+	loads := []struct {
+		name string
+		// sample returns n blocks like the ones the load sends.
+		sample func(n int) [][]byte
+		run    func(n *Network, alg compress.Algorithm)
+	}{
+		{"waves", func(n int) [][]byte {
+			var out [][]byte
+			for id := int64(0); id < int64(n); id++ {
+				out = append(out, blockFor(id))
 			}
-			blockFor := func(id int64) []byte {
-				if id%2 == 0 {
-					return compressibleBlock(id)
-				}
-				return narrowBlock(id)
-			}
-			if tr, ok := alg.(interface{ Train([][]byte) }); ok {
-				var sample [][]byte
-				for id := int64(0); id < 64; id++ {
-					sample = append(sample, blockFor(id))
-				}
-				tr.Train(sample)
-			}
-			cfg := DefaultConfig()
-			dc := disco.DefaultConfig(alg)
-			cfg.Disco = &dc
-			n := mustNet(t, cfg)
-			chk := &decodeChecker{t: t, n: n, started: map[int]*Packet{}, jobs: map[int]*disco.Job{}}
-			n.SetTracer(chk)
-			const hot = 10
+			return out
+		}, func(n *Network, alg compress.Algorithm) {
 			id := int64(0)
 			for wave := 0; wave < 40; wave++ {
-				for src := 0; src < cfg.Nodes(); src++ {
+				for src := 0; src < n.cfg.Nodes(); src++ {
 					if src == hot {
 						continue
 					}
@@ -242,17 +245,61 @@ func TestInNetworkDecodeMatchesRetainedBlock(t *testing.T) {
 				}
 				n.Step()
 			}
-			if !n.RunUntilQuiescent(200000) {
-				t.Fatal("network did not drain")
+		}},
+		{"traffic", func(n int) [][]byte {
+			gen := NewTrafficGen(mustNet(t, DefaultConfig()), tc)
+			var out [][]byte
+			for i := 0; i < n; i++ {
+				out = append(out, gen.payload())
 			}
-			st := n.Stats()
-			if chk.checked != st.Decompressions {
-				t.Errorf("checked %d decodes, network made %d", chk.checked, st.Decompressions)
+			return out
+		}, func(n *Network, _ compress.Algorithm) {
+			gen := NewTrafficGen(n, tc)
+			for i := 0; i < 3000; i++ {
+				gen.Step()
+				n.Step()
 			}
-			if name != "none" && st.Decompressions == 0 {
-				t.Error("no in-network decompressions: the check saw nothing")
+		}},
+	}
+	for _, name := range compress.Names() {
+		t.Run(name, func(t *testing.T) {
+			for _, load := range loads {
+				t.Run(load.name, func(t *testing.T) {
+					alg, err := compress.New(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sample := load.sample(128)
+					if tr, ok := alg.(interface{ Train([][]byte) }); ok {
+						tr.Train(sample[:64])
+					}
+					// Decodes are expected wherever the codec compresses the
+					// load's content beyond its training sample; TrafficGen's
+					// payloads suit only delta, BΔI and C-Pack.
+					compresses := false
+					for _, b := range sample[64:] {
+						compresses = compresses || !alg.AppendCompress(nil, b).Stored
+					}
+					cfg := DefaultConfig()
+					dc := disco.DefaultConfig(alg)
+					cfg.Disco = &dc
+					n := mustNet(t, cfg)
+					chk := &decodeChecker{t: t, n: n, started: map[int]*Packet{}, jobs: map[int]*disco.Job{}}
+					n.SetTracer(chk)
+					load.run(n, alg)
+					if !n.RunUntilQuiescent(200000) {
+						t.Fatal("network did not drain")
+					}
+					st := n.Stats()
+					if chk.checked != st.Decompressions {
+						t.Errorf("checked %d decodes, network made %d", chk.checked, st.Decompressions)
+					}
+					if compresses && st.Decompressions == 0 {
+						t.Error("no in-network decompressions: the check saw nothing")
+					}
+					t.Logf("%d in-network decodes checked, %d compressions", chk.checked, st.Compressions)
+				})
 			}
-			t.Logf("%d in-network decodes checked, %d compressions", chk.checked, st.Compressions)
 		})
 	}
 }

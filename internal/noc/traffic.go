@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/disco-sim/disco/internal/compress"
@@ -22,21 +21,6 @@ const (
 	// BitComplement sends node i to N-1-i.
 	BitComplement
 )
-
-// ParsePattern maps a name to a Pattern.
-func ParsePattern(s string) (Pattern, error) {
-	switch s {
-	case "uniform":
-		return Uniform, nil
-	case "transpose":
-		return Transpose, nil
-	case "hotspot":
-		return Hotspot, nil
-	case "bitcomp":
-		return BitComplement, nil
-	}
-	return 0, fmt.Errorf("noc: unknown traffic pattern %q", s)
-}
 
 // TrafficConfig drives a synthetic open-loop load.
 type TrafficConfig struct {
@@ -82,11 +66,17 @@ type TrafficGen struct {
 // NewTrafficGen builds a generator bound to net. Core-bound data packets
 // are injected in compressed form when their payload compresses (as LLC
 // bank responses would be), so in-network decompression is exercised.
+// They are encoded with the mesh's DISCO codec, so its engines can decode
+// them, or with delta on a mesh without DISCO.
 func NewTrafficGen(net *Network, cfg TrafficConfig) *TrafficGen {
+	var alg compress.Algorithm = compress.NewDelta()
+	if net.cfg.Disco != nil {
+		alg = net.cfg.Disco.Algorithm
+	}
 	return &TrafficGen{
 		cfg: cfg, net: net,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
-		alg: compress.NewDelta(),
+		alg: alg,
 	}
 }
 

@@ -8,17 +8,6 @@ import (
 	"github.com/disco-sim/disco/internal/disco"
 )
 
-func TestParsePattern(t *testing.T) {
-	for _, name := range []string{"uniform", "transpose", "hotspot", "bitcomp"} {
-		if _, err := ParsePattern(name); err != nil {
-			t.Errorf("ParsePattern(%q): %v", name, err)
-		}
-	}
-	if _, err := ParsePattern("spiral"); err == nil {
-		t.Error("unknown pattern should fail")
-	}
-}
-
 func TestTrafficPatternsDest(t *testing.T) {
 	n := mustNet(t, DefaultConfig())
 	cfg := DefaultTraffic()
