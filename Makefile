@@ -49,14 +49,15 @@ cover:
 	done
 
 # Short native-fuzzing pass over the compressor decoders, the
-# kernel/reference differential target, the retrain oracle, the
-# streaming decoder's failed-decode state rule, the binary trace reader
+# kernel/reference differential target, the retrain oracle (over
+# observed blocks and over synthetic count bumps), the streaming decoder's failed-decode state rule, the binary trace reader
 # and the stream-layer round-trip (one -fuzz invocation each: go test
 # requires the pattern to match exactly one target).
 fuzz-smoke:
 	$(GO) test -run TestNone -fuzz='^FuzzDecompress$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzKernelEquivalence$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzRetrainEquivalence$$' -fuzztime=10s ./internal/compress
+	$(GO) test -run TestNone -fuzz='^FuzzRetrainBumps$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzStatefulDecode$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzReader$$' -fuzztime=10s ./internal/tracefmt
 	$(GO) test -run TestNone -fuzz='^FuzzStreamRoundTrip$$' -fuzztime=10s ./internal/stream
@@ -139,8 +140,10 @@ soak-smoke:
 # bench/full.txt, then a timing-stable best-of-5 run of the hot-path
 # micro-benchmarks into bench/bench.txt — the committed baseline that
 # bench-compare diffs against (benchcmp keeps the min ns/op of the five
-# repeats). The SC²/FVC table rebuilds take milliseconds each, so they
-# run as a second invocation at 100 iterations per repeat, and the
+# repeats). The SC²/FVC retrain benchmarks (a rebuild over an unchanged
+# long history, and a stream's 256 observations plus rebuild) take up
+# to about a millisecond each, so they run as a second invocation at 100
+# iterations per repeat, and the
 # end-to-end full-system run (BenchmarkSystemRun: cycles/s and
 # allocs/cycle) as a third at two runs per repeat. Also an
 # instrumented quick run whose metrics JSON snapshots the simulator's

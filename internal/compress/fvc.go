@@ -46,8 +46,10 @@ func (*FVC) DecompLatency() int { return 2 }
 func (f *FVC) Observe(block []byte) { f.hist.observe(block) }
 
 // Retrain rebuilds the frequent-value table from the statistics: the
-// fvcTableSize most frequent values, ties to the lower value, in
-// O(distinct values).
+// fvcTableSize most frequent values, ties to the lower value. Only the
+// values counted since the last Retrain are re-ranked against the
+// previous table (valueHist.topK), so the cost follows what moved, not
+// the distinct values observed.
 func (f *FVC) Retrain() {
 	sc := retrainPool.Get().(*retrainScratch)
 	defer retrainPool.Put(sc)

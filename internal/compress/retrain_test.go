@@ -10,7 +10,8 @@ import (
 )
 
 // addN records n occurrences of v: synthetic histograms with counts no
-// short block stream could reach.
+// short block stream could reach. Like observe, it marks v moved for
+// the next topK.
 func (h *valueHist) addN(v uint32, n uint64) {
 	h.cnts[h.entry(v)] += n
 	h.total += n
@@ -248,6 +249,64 @@ func FuzzRetrainEquivalence(f *testing.F) {
 			c.observe(data[b*BlockSize : min((b+1)*BlockSize, len(data))])
 			if (b+1)%cadence == 0 {
 				c.retrainAndCheck(t, fmt.Sprintf("block %d", b))
+			}
+		}
+		c.retrainAndCheck(t, "final")
+	})
+}
+
+// bumpOp is one FuzzRetrainBumps operation, encoded as its 4 input
+// bytes: kind, a little-endian uint16 x, and y.
+func bumpOp(kind byte, x uint16, y byte) []byte {
+	return []byte{kind, byte(x), byte(x >> 8), y}
+}
+
+// FuzzRetrainBumps drives the incremental ranking with synthetic counts
+// over an 8192-value alphabet, checking every retrain against the
+// oracles. Each of the first 24 4-byte ops (kind, x, y) is, by kind%4:
+//
+//	0: retrain
+//	1: bump value x by (y+1) << ((kind>>2)%32), up to 2^39 at once
+//	2: add 1+(kind>>2)%4 to each of the 32*(y+1) values from x on
+//	3: retrain twice, with nothing counted in between
+//
+// so moved entries overtake earlier winners, tie with them at the K-th
+// place, and push the distinct count across K.
+func FuzzRetrainBumps(f *testing.F) {
+	retrain, twice := bumpOp(0, 0, 0), bumpOp(3, 0, 0)
+	spread := func(x uint16, values int, n byte) []byte {
+		return bumpOp(2|(n-1)<<2, x, byte(values/32-1))
+	}
+	// A value far down the ranking overtakes every earlier winner.
+	f.Add(slices.Concat(spread(0, 64, 1), retrain, bumpOp(1|10<<2, 63, 255), retrain))
+	// New values tie at the cut with earlier winners, below leaders that
+	// did not move (FVC, then SC²): the lower values win the last places.
+	f.Add(slices.Concat(spread(0, 64, 1), bumpOp(1, 0, 2), bumpOp(1, 1, 2), retrain, spread(64, 32, 1), retrain))
+	f.Add(slices.Concat(spread(0, 4192, 2), retrain, spread(4192, 256, 2), spread(0, 96, 1), retrain))
+	// The distinct count crosses K (FVC's 32, then SC²'s 4095).
+	f.Add(slices.Concat(spread(0, 32, 1), retrain, spread(32, 32, 1), retrain))
+	f.Add(slices.Concat(spread(0, 4064, 1), retrain, spread(4064, 32, 3), retrain))
+	// Back-to-back retrains, before and after a bump.
+	f.Add(slices.Concat(spread(0, 96, 1), twice, bumpOp(1, 5, 7), twice, retrain))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ops = ops[:min(len(ops), 4*24)] // each retrain checks against full sorts
+		val := func(i int) uint32 { return uint32(i%8192) * 0x9E3779B1 }
+		c := newRetrainCheck()
+		for o := 0; o+4 <= len(ops); o += 4 {
+			kind, x, y := ops[o], int(binary.LittleEndian.Uint16(ops[o+1:])), int(ops[o+3])
+			label := fmt.Sprintf("op %d", o/4)
+			switch kind % 4 {
+			case 0:
+				c.retrainAndCheck(t, label)
+			case 1:
+				c.add(val(x), uint64(y+1)<<((kind>>2)%32))
+			case 2:
+				for i := range 32 * (y + 1) {
+					c.add(val(x+i), uint64(1+(kind>>2)%4))
+				}
+			case 3:
+				c.retrainAndCheck(t, label)
+				c.retrainAndCheck(t, label+" again")
 			}
 		}
 		c.retrainAndCheck(t, "final")

@@ -1,9 +1,6 @@
 package compress
 
-import (
-	"cmp"
-	"slices"
-)
+import "math/bits"
 
 // SC2 stands in for the SC² statistical compression cache (Arelakis &
 // Stenström, ISCA 2014, the paper's reference [3]). Value statistics are
@@ -80,8 +77,11 @@ func (s *SC2) Observe(block []byte) { s.hist.observe(block) }
 
 // Retrain rebuilds the value table and canonical Huffman code from the
 // accumulated statistics: the sc2TableSize-1 most frequent values (ties
-// to the lower value) plus the escape. It costs O(distinct values) for
-// the selection plus O(table size · log table size) for the code build.
+// to the lower value) plus the escape. The selection re-ranks only the
+// values counted since the last Retrain against the previous table
+// (valueHist.topK), and the code build is linear in the table size
+// plus a sort of the newly ranked values: no part of it grows with the
+// distinct values observed.
 func (s *SC2) Retrain() {
 	sc := retrainPool.Get().(*retrainScratch)
 	defer retrainPool.Put(sc)
@@ -244,6 +244,7 @@ type huffScratch struct {
 	f      []uint64
 	lens   []int
 	leaves []int32
+	tmp    []int32
 	merged []uint64
 	parent []int32
 	depth  []int
@@ -294,17 +295,7 @@ func (h *huffScratch) buildLengths(freq []uint64) []int {
 		lens[0] = 1
 		return lens
 	}
-	leaves := resize(h.leaves, n)
-	h.leaves = leaves
-	for i := range leaves {
-		leaves[i] = int32(i)
-	}
-	slices.SortFunc(leaves, func(a, b int32) int {
-		if c := cmp.Compare(freq[a], freq[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	leaves := h.sortLeaves(freq)
 	merged := resize(h.merged, n-1)   // weight of node n+j
 	parent := resize(h.parent, 2*n-1) // node -> merge that consumed it
 	h.merged, h.parent = merged, parent
@@ -341,6 +332,41 @@ func (h *huffScratch) buildLengths(freq []uint64) []int {
 		lens[i] = depth[int(parent[i])-n] + 1
 	}
 	return lens
+}
+
+// sortLeaves returns the symbols in (weight, symbol) order: a stable
+// least-significant-byte-first radix sort of the weights over the
+// symbols in index order, skipping the bytes every weight shares.
+func (h *huffScratch) sortLeaves(freq []uint64) []int32 {
+	n := len(freq)
+	leaves, tmp := resize(h.leaves, n), resize(h.tmp, n)
+	var top uint64
+	for i, w := range freq {
+		leaves[i] = int32(i)
+		top |= w
+	}
+	for shift := 0; shift < bits.Len64(top); shift += 8 {
+		var start [256]int
+		for _, w := range freq {
+			start[byte(w>>uint(shift))]++
+		}
+		if start[byte(freq[0]>>uint(shift))] == n {
+			continue // one bucket: the pass would not move a symbol
+		}
+		pos := 0
+		for b, c := range start {
+			start[b] = pos
+			pos += c
+		}
+		for _, sym := range leaves {
+			b := byte(freq[sym] >> uint(shift))
+			tmp[start[b]] = sym
+			start[b]++
+		}
+		leaves, tmp = tmp, leaves
+	}
+	h.leaves, h.tmp = leaves, tmp
+	return leaves
 }
 
 // canonicalAssign turns code lengths into canonical codewords, written
