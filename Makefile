@@ -81,7 +81,7 @@ chaos-smoke:
 # uninterrupted (the reference artifact), run it again into a cache
 # directory and SIGINT it mid-flight (exit 5 = interrupted-but-
 # resumable; 0 is tolerated when the tiny campaign wins the race), then
-# resume from the cache and require the resumed JSON artifact to be
+# rerun over the same cache and require the resumed JSON artifact to be
 # byte-identical to the reference.
 resume-smoke:
 	@set -e; \
@@ -98,7 +98,7 @@ resume-smoke:
 		echo "interrupted run exited $$rc, want 5 (resumable) or 0"; exit 1; fi; \
 	echo "interrupted run exit code: $$rc"; \
 	echo "== resume-smoke: resumed run =="; \
-	"$$tmp/discosim" $$args -json "$$tmp/res.json" -cache-dir "$$tmp/cache" -resume >/dev/null; \
+	"$$tmp/discosim" $$args -json "$$tmp/res.json" -cache-dir "$$tmp/cache" >/dev/null; \
 	cmp "$$tmp/ref.json" "$$tmp/res.json"; \
 	echo "resume-smoke: resumed artifact is byte-identical to the uninterrupted run"
 

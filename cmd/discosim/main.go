@@ -6,8 +6,7 @@
 //	discosim -exp fig5                # Figure 5 at full fidelity
 //	discosim -exp all -quick          # everything, reduced settings
 //	discosim -exp fig7 -benchmarks canneal,streamcluster -ops 8000
-//	discosim -exp all -cache-dir .disco-cache        # crash-safe campaign
-//	discosim -exp all -cache-dir .disco-cache -resume
+//	discosim -exp all -cache-dir .disco-cache        # crash-safe; rerun to resume
 //	discosim -run disco -benchmark canneal -alg sc2   # one raw run
 //	discosim -run disco -benchmark canneal -profile -http :6060
 //
@@ -19,7 +18,7 @@
 //	3  progress-watchdog stall
 //	4  a cell failed terminally after exhausting its retries
 //	5  interrupted (SIGINT/SIGTERM) after a graceful drain — resumable
-//	   with the same -cache-dir plus -resume
+//	   by rerunning with the same -cache-dir
 package main
 
 import (
@@ -27,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -93,8 +93,8 @@ func main() {
 
 func realMain() int {
 	var (
-		exp     = flag.String("exp", "", "experiment: table1|fig5|fig6|fig7|fig8|area|ablation|calibrate|motivation|sensitivity|composition|nocsweep|all")
-		jsonOut = flag.String("json", "", "write all experiment results as JSON to this file (runs everything)")
+		exp     = flag.String("exp", "", "experiment: "+strings.Join(experiments.Names(), "|"))
+		jsonOut = flag.String("json", "", "run the -exp all experiments and write their results as JSON to this file")
 		csvOut  = flag.String("csv", "", "write raw per-run rows (benchmark x mode) as CSV to this file")
 		quick   = flag.Bool("quick", false, "reduced settings (fewer ops, 4 benchmarks)")
 		ops     = flag.Int("ops", 0, "measured memory ops per core (0 = preset)")
@@ -114,7 +114,6 @@ func realMain() int {
 		faultSeed    = flag.Int64("fault-seed", 1, "with -run: fault-injection PRNG seed")
 
 		cacheDir = flag.String("cache-dir", "", "persist campaign results in this directory (crash-safe content-addressed store; reruns replay finished cells)")
-		resume   = flag.Bool("resume", false, "with -cache-dir: report the previous campaign's manifest before replaying finished cells")
 		retries  = flag.Int("retries", 2, "with -cache-dir: transient-failure retries per cell before recording a terminal failure")
 
 		jobs    = flag.Int("j", 0, "parallel simulation workers (0 = all cores); results are byte-identical at any setting")
@@ -143,10 +142,6 @@ func realMain() int {
 	}
 	if *exp == "" && *jsonOut == "" && *csvOut == "" {
 		flag.Usage()
-		return ExitConfig
-	}
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "discosim: -resume requires -cache-dir")
 		return ExitConfig
 	}
 	o := experiments.Default()
@@ -190,7 +185,7 @@ func realMain() int {
 			fmt.Fprintln(os.Stderr, "discosim:", err)
 			return ExitError
 		}
-		if *resume && st.HasManifest() {
+		if st.HasManifest() {
 			if prev, err := st.LoadManifest(); err != nil {
 				rep.Warnf("previous manifest unreadable (%v); replaying from store entries alone", err)
 			} else {
@@ -249,7 +244,7 @@ func realMain() int {
 	case *jsonOut != "":
 		runErr = writeJSONCampaign(o, *jsonOut)
 	default:
-		runErr = runExperiments(*exp, o)
+		runErr = runExperiments(*exp, o, os.Stdout)
 	}
 	code := exitCode(runErr)
 	if st != nil {
@@ -274,7 +269,7 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "discosim:", runErr)
 	}
 	if code == ExitInterrupted {
-		rep.Infof("interrupted: campaign is resumable — rerun with -cache-dir %s -resume", *cacheDir)
+		rep.Infof("interrupted: campaign is resumable — rerun with -cache-dir %s", *cacheDir)
 	}
 	return code
 }
@@ -315,129 +310,15 @@ func writeJSONCampaign(o experiments.Opts, path string) error {
 	return nil
 }
 
-// runExperiments dispatches one or all experiments.
-func runExperiments(exp string, o experiments.Opts) error {
-	want := func(name string) bool { return exp == name || exp == "all" }
-	any := false
-	if want("table1") {
-		any = true
-		r, err := experiments.Table1(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Table 1: compression scheme parameters ==")
-		fmt.Println(r.Table())
-		fmt.Println("measured ratio per benchmark:")
-		fmt.Println(r.BenchTable())
+// runExperiments runs the experiment exp names, or with "all" the
+// paper's evaluation, writing their text to w.
+func runExperiments(exp string, o experiments.Opts, w io.Writer) error {
+	exps, err := experiments.Select(exp)
+	if err != nil {
+		return &configError{err}
 	}
-	if want("fig5") {
-		any = true
-		r, err := experiments.Fig5(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Figure 5: latency, delta compression ==")
-		fmt.Println(r.Table())
-		fmt.Println(r.Chart())
-		fmt.Printf("DISCO gain: %.1f%% over CC, %.1f%% over CNC\n\n",
-			r.DiscoGainOverCC(), r.DiscoGainOverCNC())
-	}
-	if want("fig6") {
-		any = true
-		rs, err := experiments.Fig6(o)
-		if err != nil {
-			return err
-		}
-		for _, a := range []string{"fpc", "sc2"} {
-			r := rs[a]
-			fmt.Printf("== Figure 6: latency, %s ==\n", a)
-			fmt.Println(r.Table())
-			fmt.Printf("DISCO gain: %.1f%% over CC, %.1f%% over CNC\n\n",
-				r.DiscoGainOverCC(), r.DiscoGainOverCNC())
-		}
-	}
-	if want("fig7") {
-		any = true
-		r, err := experiments.Fig7(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Figure 7: energy ==")
-		fmt.Println(r.Table())
-	}
-	if want("fig8") {
-		any = true
-		r, err := experiments.Fig8(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== Figure 8: scalability ==")
-		fmt.Println(r.Table())
-		fmt.Println(r.Chart())
-	}
-	if want("area") {
-		any = true
-		fmt.Println("== Section 4.3: area overhead ==")
-		fmt.Println(experiments.AreaTable())
-	}
-	if want("ablation") {
-		any = true
-		r, err := experiments.Ablation(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== DISCO policy ablation ==")
-		fmt.Println(r.Table())
-	}
-	if exp == "composition" { // analysis aid, not part of "all"
-		any = true
-		r, err := experiments.Composition(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== on-chip energy composition ==")
-		fmt.Println(r.Table())
-	}
-	if exp == "sensitivity" { // analysis aid, not part of "all"
-		any = true
-		r, err := experiments.Sensitivity(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== NoC sensitivity (VC depth / flow control) ==")
-		fmt.Println(r.Table())
-	}
-	if exp == "nocsweep" { // analysis aid, not part of "all"
-		any = true
-		r, err := experiments.NocSweep(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== NoC-only open-loop sweep (delta DISCO) ==")
-		fmt.Println(r.Table())
-	}
-	if exp == "motivation" { // analysis aid, not part of "all"
-		any = true
-		r, err := experiments.Motivation(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== DISCO motivation statistics ==")
-		fmt.Println(r.Table())
-	}
-	if exp == "calibrate" { // not part of "all": it is a tuning aid
-		any = true
-		r, err := experiments.CalibrateThresholds(o, nil, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println("== threshold calibration (Section 3.2 training) ==")
-		fmt.Println(r.Table())
-	}
-	if !any {
-		return &configError{fmt.Errorf("unknown experiment %q", exp)}
-	}
-	return nil
+	_, err = experiments.Run(exps, o, w)
+	return err
 }
 
 // observeOpts are the -run observability attachments and engine knobs.

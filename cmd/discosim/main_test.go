@@ -129,7 +129,7 @@ func TestConfigMistakesClassifyAsConfig(t *testing.T) {
 		"unknown benchmark":  singleRun("disco", "nope", "delta", 4, 100, 50, 1, o),
 		"unknown algorithm":  singleRun("disco", "swaptions", "bogus", 4, 100, 50, 1, o),
 		"bad fault spec":     singleRun("disco", "swaptions", "delta", 4, 100, 50, 1, observeOpts{faultSpec: "engine=2.0", rep: o.rep}),
-		"unknown experiment": runExperiments("fig99", experiments.Opts{}),
+		"unknown experiment": runExperiments("fig99", experiments.Opts{}, io.Discard),
 	} {
 		if err == nil {
 			t.Errorf("%s: expected an error", name)
@@ -164,18 +164,45 @@ func TestSingleRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestRunExperimentsDispatch drives every path through the experiment
+// table: each entry alone prints its header, "all" prints exactly the
+// entries marked All in table order, and an unknown name is a
+// configuration error that lists the valid ones.
 func TestRunExperimentsDispatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system runs")
 	}
-	o := experiments.Opts{Ops: 300, Warmup: 150, Seed: 1, Benchmarks: []string{"swaptions"}}
-	for _, exp := range []string{"table1", "area", "motivation", "composition", "nocsweep"} {
-		if err := runExperiments(exp, o); err != nil {
-			t.Errorf("%s: %v", exp, err)
+	o := experiments.Opts{Ops: 300, Warmup: 150, Seed: 1, Benchmarks: []string{"swaptions"},
+		Runner: simrun.New(0, true)}
+	var want bytes.Buffer
+	for _, e := range experiments.Experiments {
+		var out bytes.Buffer
+		if err := runExperiments(e.Name, o, &out); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		if !bytes.HasPrefix(out.Bytes(), []byte("== ")) {
+			t.Errorf("%s: output does not start with a header:\n%s", e.Name, out.String())
+		}
+		if e.All {
+			want.Write(out.Bytes())
 		}
 	}
-	if err := runExperiments("fig99", o); err == nil {
-		t.Error("unknown experiment should fail")
+	var all bytes.Buffer
+	if err := runExperiments("all", o, &all); err != nil {
+		t.Fatalf("all: %v", err)
+	}
+	if !bytes.Equal(all.Bytes(), want.Bytes()) {
+		t.Errorf("-exp all is not the All entries in table order:\n%s\nwant:\n%s", all.String(), want.String())
+	}
+	err := runExperiments("fig99", o, io.Discard)
+	if got := exitCode(err); got != ExitConfig {
+		t.Fatalf("unknown experiment: exitCode = %d, want %d (err: %v)", got, ExitConfig, err)
+	}
+	for _, name := range experiments.Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-experiment error %q does not name %q", err, name)
+		}
 	}
 }
 

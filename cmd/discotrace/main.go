@@ -83,38 +83,19 @@ type pktView struct {
 	class    uint8
 	inject   uint64
 	eject    uint64
-
-	total, queue, serial, engine uint64
-	engineBusy, engineHidden     uint64
-	hops, conversions            int
+	tracefmt.LatencyBreakdown
+	hops, conversions int
 }
 
-// breakdown splits the packet latency the same way noc.Packet.Breakdown
-// does: stalls clamped to the latency, engine-exposed clamped to the
-// stalls, serialization as the remainder.
-func breakdown(inject uint64, rec *tracefmt.PacketInfo, eject uint64) pktView {
-	v := pktView{
+// view reconstructs the packet delivered at eject from its ejection
+// record, with the same latency split as noc.Packet.Breakdown.
+func view(inject uint64, rec *tracefmt.PacketInfo, eject uint64) pktView {
+	return pktView{
 		id: rec.ID, src: rec.Src, dst: rec.Dst, class: rec.Class,
 		inject: inject, eject: eject,
 		hops: rec.Hops, conversions: rec.Conversions,
+		LatencyBreakdown: tracefmt.SplitLatency(eject-inject, rec.Queueing, rec.EngineCycles, rec.EngineStall),
 	}
-	v.total = eject - inject
-	stall := rec.Queueing
-	if stall > v.total {
-		stall = v.total
-	}
-	engine := rec.EngineStall
-	if engine > stall {
-		engine = stall
-	}
-	v.queue = stall - engine
-	v.engine = engine
-	v.serial = v.total - stall
-	v.engineBusy = rec.EngineCycles
-	if rec.EngineCycles > rec.EngineStall {
-		v.engineHidden = rec.EngineCycles - rec.EngineStall
-	}
-	return v
 }
 
 // routerStats is per-router activity accumulated from events.
@@ -189,14 +170,14 @@ func analyze(r *tracefmt.Reader) (*analysis, error) {
 				break // injected before tracing started
 			}
 			delete(a.injected, rec.Pkt.ID)
-			v := breakdown(inject, &rec.Pkt, rec.Cycle)
+			v := view(inject, &rec.Pkt, rec.Cycle)
 			a.pkts = append(a.pkts, v)
-			a.totalMean.Add(float64(v.total))
-			a.queueMean.Add(float64(v.queue))
-			a.serialMean.Add(float64(v.serial))
-			a.engineMean.Add(float64(v.engine))
-			a.engineBusySum += v.engineBusy
-			a.engineExposedSum += v.engine
+			a.totalMean.Add(float64(v.Total))
+			a.queueMean.Add(float64(v.Queue))
+			a.serialMean.Add(float64(v.Serialization))
+			a.engineMean.Add(float64(v.Engine))
+			a.engineBusySum += v.EngineBusy
+			a.engineExposedSum += v.Engine
 		case tracefmt.KindRoute:
 			if rs != nil {
 				rs.routes++
@@ -389,8 +370,8 @@ func (a *analysis) renderSlowest(w io.Writer, n int) error {
 	sorted := make([]pktView, len(a.pkts))
 	copy(sorted, a.pkts)
 	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].total != sorted[j].total {
-			return sorted[i].total > sorted[j].total
+		if sorted[i].Total != sorted[j].Total {
+			return sorted[i].Total > sorted[j].Total
 		}
 		return sorted[i].id < sorted[j].id // deterministic tie-break
 	})
@@ -404,7 +385,7 @@ func (a *analysis) renderSlowest(w io.Writer, n int) error {
 	fmt.Fprintln(tw, "pkt\troute\ttotal\tqueue\tserial\tengine\thops\tconv\tinject@")
 	for _, v := range sorted[:n] {
 		fmt.Fprintf(tw, "%d\t%d->%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			v.id, v.src, v.dst, v.total, v.queue, v.serial, v.engine,
+			v.id, v.src, v.dst, v.Total, v.Queue, v.Serialization, v.Engine,
 			v.hops, v.conversions, v.inject)
 	}
 	return tw.Flush()

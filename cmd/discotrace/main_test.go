@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/disco-sim/disco/internal/compress"
+	"github.com/disco-sim/disco/internal/disco"
+	"github.com/disco-sim/disco/internal/noc"
 	"github.com/disco-sim/disco/internal/tracefmt"
 )
 
@@ -58,17 +61,17 @@ func TestAnalyzeBreakdown(t *testing.T) {
 		t.Fatalf("packet order: got ids %d,%d", p2.id, p1.id)
 	}
 	// p1: total 30, stall 10, exposed engine 2 -> queue 8, serial 20.
-	if p1.total != 30 || p1.queue != 8 || p1.engine != 2 || p1.serial != 20 {
+	if p1.Total != 30 || p1.Queue != 8 || p1.Engine != 2 || p1.Serialization != 20 {
 		t.Errorf("p1 breakdown = total %d queue %d engine %d serial %d, want 30/8/2/20",
-			p1.total, p1.queue, p1.engine, p1.serial)
+			p1.Total, p1.Queue, p1.Engine, p1.Serialization)
 	}
-	if p1.engineBusy != 6 || p1.engineHidden != 4 {
-		t.Errorf("p1 engine busy/hidden = %d/%d, want 6/4", p1.engineBusy, p1.engineHidden)
+	if p1.EngineBusy != 6 || p1.EngineHidden != 4 {
+		t.Errorf("p1 engine busy/hidden = %d/%d, want 6/4", p1.EngineBusy, p1.EngineHidden)
 	}
 	// p2: pure serialization.
-	if p2.total != 10 || p2.queue != 0 || p2.engine != 0 || p2.serial != 10 {
+	if p2.Total != 10 || p2.Queue != 0 || p2.Engine != 0 || p2.Serialization != 10 {
 		t.Errorf("p2 breakdown = total %d queue %d engine %d serial %d, want 10/0/0/10",
-			p2.total, p2.queue, p2.engine, p2.serial)
+			p2.Total, p2.Queue, p2.Engine, p2.Serialization)
 	}
 	// Aggregate overlap: 4 of 6 engine cycles hidden.
 	if got := a.overlapRatio(); got < 0.66 || got > 0.67 {
@@ -186,5 +189,63 @@ func TestRenderEmptyTrace(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "empty trace") {
 		t.Errorf("want empty-trace notice, got %q", out.String())
+	}
+}
+
+// TestViewMatchesNocBreakdown cross-checks the offline analysis against
+// the simulator: every packet a traced DISCO mesh delivers must get the
+// same latency split from its trace records as noc.Packet.Breakdown
+// gives the packet itself at ejection.
+func TestViewMatchesNocBreakdown(t *testing.T) {
+	cfg := noc.DefaultConfig()
+	dc := disco.DefaultConfig(compress.NewDelta())
+	cfg.Disco = &dc
+	n, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	bt := noc.NewBinaryTracer(&buf, cfg.Nodes())
+	n.SetTracer(bt)
+	want := map[uint64]tracefmt.LatencyBreakdown{}
+	n.OnEject = func(_ int, pkt *noc.Packet) {
+		want[pkt.ID] = pkt.Breakdown()
+		n.ReleasePacket(pkt)
+	}
+	tc := noc.DefaultTraffic()
+	tc.Seed, tc.InjectionRate = 7, 0.08
+	g := noc.NewTrafficGen(n, tc)
+	for cycle := 0; cycle < 300; cycle++ {
+		g.Step()
+		n.Step()
+	}
+	if !n.RunUntilQuiescent(100000) {
+		t.Fatal("network did not drain")
+	}
+	if err := bt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a := analyzeBytes(t, buf.Bytes())
+	if len(a.pkts) != len(want) {
+		t.Fatalf("trace delivered %d packets, the network %d", len(a.pkts), len(want))
+	}
+	var engine, clamped int
+	for _, v := range a.pkts {
+		if v.LatencyBreakdown != want[v.id] {
+			t.Errorf("packet %d: trace view %+v, noc %+v", v.id, v.LatencyBreakdown, want[v.id])
+		}
+		if v.Engine > 0 {
+			engine++
+		}
+		if v.Queue+v.Engine+v.Serialization != v.Total {
+			clamped++
+		}
+	}
+	t.Logf("%d packets, %d with exposed engine stalls", len(a.pkts), engine)
+	if engine == 0 {
+		t.Error("no packet stalled behind an engine; the load exercises too little")
+	}
+	if clamped != 0 {
+		t.Errorf("%d packets' components do not sum to their latency", clamped)
 	}
 }

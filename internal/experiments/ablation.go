@@ -6,7 +6,6 @@ import (
 	"github.com/disco-sim/disco/internal/cmp"
 	"github.com/disco-sim/disco/internal/disco"
 	"github.com/disco-sim/disco/internal/simrun"
-	"github.com/disco-sim/disco/internal/trace"
 )
 
 // AblationRow is one DISCO policy variant's gmean normalized latency
@@ -47,53 +46,45 @@ func Ablation(o Opts) (AblationResult, error) {
 	}
 	r := o.runner()
 	variants := ablationVariants()
-	idealFuts := make([]*simrun.Future, len(profs))
-	for i, p := range profs {
-		idealFuts[i] = submitOne(r, cmp.Ideal, "delta", p, o, 0)
+	// Row 0 is the Ideal baseline; row 1+vi is variant vi.
+	futs := make([][]*simrun.Future, 1+len(variants))
+	for _, p := range profs {
+		futs[0] = append(futs[0], o.cell(r, cmp.Ideal, "delta", p, nil))
 	}
-	varFuts := make([][]*simrun.Future, len(variants))
 	for vi, v := range variants {
 		for _, p := range profs {
-			varFuts[vi] = append(varFuts[vi], submitVariant(r, p, o, v.mut))
+			futs[1+vi] = append(futs[1+vi], o.cell(r, cmp.DISCO, "delta", p, withDisco(v.mut)))
 		}
 	}
-	ideal := make([]float64, len(profs))
-	for i := range profs {
-		res, err := idealFuts[i].Wait()
-		if err != nil {
-			return AblationResult{}, err
-		}
-		ideal[i] = res.AvgMissLatency
+	rs, err := wait(futs)
+	if err != nil {
+		return AblationResult{}, err
 	}
 	var res AblationResult
 	for vi, v := range variants {
-		sum, n := 0.0, 0
-		for i := range profs {
-			r, err := varFuts[vi][i].Wait()
-			if err != nil {
-				return res, err
-			}
-			sum += r.AvgMissLatency / ideal[i]
-			n++
-		}
-		res.Rows = append(res.Rows, AblationRow{Variant: v.name, Normalized: sum / float64(n)})
+		res.Rows = append(res.Rows, AblationRow{Variant: v.name, Normalized: meanNormalized(rs[1+vi], rs[0])})
 	}
 	return res, nil
 }
 
-// submitVariant schedules one DISCO system with a mutated policy config.
-func submitVariant(r *simrun.Runner, p trace.Profile, o Opts, mut func(*disco.Config)) *simrun.Future {
-	return submitCfg(r, func() cmp.Config {
-		alg := newAlg("delta")
-		cfg := cmp.DefaultConfig(cmp.DISCO, alg, p)
-		cfg.OpsPerCore = o.Ops
-		cfg.WarmupOps = o.Warmup
-		cfg.Seed = o.Seed
-		dc := disco.DefaultConfig(alg)
+// withDisco returns a cell mutation that sets the DISCO policy to the
+// defaults for the cell's algorithm, changed by mut.
+func withDisco(mut func(*disco.Config)) func(*cmp.Config) {
+	return func(c *cmp.Config) {
+		dc := disco.DefaultConfig(c.Algorithm)
 		mut(&dc)
-		cfg.Disco = &dc
-		return cfg
-	})
+		c.Disco = &dc
+	}
+}
+
+// meanNormalized is the mean over benchmarks of rs's miss latency
+// normalized to ideal's.
+func meanNormalized(rs, ideal []cmp.Results) float64 {
+	sum := 0.0
+	for i, r := range rs {
+		sum += r.AvgMissLatency / ideal[i].AvgMissLatency
+	}
+	return sum / float64(len(rs))
 }
 
 // Table renders the ablation study.

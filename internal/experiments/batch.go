@@ -33,15 +33,15 @@ func BatchCSV(o Opts, alg string, w io.Writer) error {
 	futs := make([][]*simrun.Future, len(profs))
 	for i, p := range profs {
 		for _, mode := range modes {
-			futs[i] = append(futs[i], submitOne(rn, mode, alg, p, o, 0))
+			futs[i] = append(futs[i], o.cell(rn, mode, alg, p, nil))
 		}
 	}
-	for i := range profs {
-		for mi := range modes {
-			r, err := futs[i][mi].Wait()
-			if err != nil {
-				return err
-			}
+	rs, err := wait(futs)
+	if err != nil {
+		return err
+	}
+	for _, runs := range rs {
+		for _, r := range runs {
 			row := []string{
 				r.Benchmark, r.Mode.String(), r.Algorithm,
 				fmt.Sprintf("%.2f", r.AvgMissLatency),
@@ -60,7 +60,6 @@ func BatchCSV(o Opts, alg string, w io.Writer) error {
 				return err
 			}
 		}
-		cw.Flush()
 	}
 	cw.Flush()
 	return cw.Error()

@@ -44,53 +44,37 @@ func CalibrateThresholds(o Opts, ccths, cdths []float64) (CalibrationResult, err
 		return CalibrationResult{}, err
 	}
 	rn := o.runner()
-	idealFuts := make([]*simrun.Future, len(profs))
-	for i, p := range profs {
-		idealFuts[i] = submitOne(rn, cmp.Ideal, "delta", p, o, 0)
-	}
-	type gridPoint struct {
-		cc, cd float64
-		futs   []*simrun.Future
-	}
-	var grid []gridPoint
-	for _, cc := range ccths {
-		for _, cd := range cdths {
-			cc, cd := cc, cd
-			gp := gridPoint{cc: cc, cd: cd}
-			for _, p := range profs {
-				gp.futs = append(gp.futs, submitVariant(rn, p, o, func(c *disco.Config) {
-					c.CCth, c.CDth = cc, cd
-				}))
-			}
-			grid = append(grid, gp)
-		}
-	}
-	ideal := make([]float64, len(profs))
-	for i := range profs {
-		r, err := idealFuts[i].Wait()
-		if err != nil {
-			return CalibrationResult{}, err
-		}
-		ideal[i] = r.AvgMissLatency
+	// Row 0 is the Ideal baseline; then one row per grid point.
+	futs := [][]*simrun.Future{nil}
+	for _, p := range profs {
+		futs[0] = append(futs[0], o.cell(rn, cmp.Ideal, "delta", p, nil))
 	}
 	var res CalibrationResult
-	for _, gp := range grid {
-		var pt CalibrationPoint
-		pt.CCth, pt.CDth = gp.cc, gp.cd
-		sum := 0.0
-		for i := range profs {
-			r, err := gp.futs[i].Wait()
-			if err != nil {
-				return res, err
+	for _, cc := range ccths {
+		for _, cd := range cdths {
+			res.Points = append(res.Points, CalibrationPoint{CCth: cc, CDth: cd})
+			var row []*simrun.Future
+			for _, p := range profs {
+				row = append(row, o.cell(rn, cmp.DISCO, "delta", p, withDisco(func(c *disco.Config) {
+					c.CCth, c.CDth = cc, cd
+				})))
 			}
-			sum += r.AvgMissLatency / ideal[i]
+			futs = append(futs, row)
+		}
+	}
+	rs, err := wait(futs)
+	if err != nil {
+		return CalibrationResult{}, err
+	}
+	for gi := range res.Points {
+		pt := &res.Points[gi]
+		pt.Latency = meanNormalized(rs[1+gi], rs[0])
+		for _, r := range rs[1+gi] {
 			pt.EngineOps += r.Net.Compressions + r.Net.Decompressions
 			pt.Releases += r.Net.EngineReleases
 		}
-		pt.Latency = sum / float64(len(profs))
-		res.Points = append(res.Points, pt)
 		if res.Best.Latency == 0 || pt.Latency < res.Best.Latency {
-			res.Best = pt
+			res.Best = *pt
 		}
 	}
 	return res, nil

@@ -60,6 +60,9 @@ func TestExperimentCellOrderDigest(t *testing.T) {
 			if err := c.run(o); err != nil {
 				t.Fatal(err)
 			}
+			// A future completes before its cell's outcome reaches the
+			// observer, so wait for the worker to finish reporting.
+			r.Quiesce()
 			mu.Lock()
 			sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
 			mu.Unlock()

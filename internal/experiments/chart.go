@@ -35,30 +35,6 @@ func (r LatencyResult) Chart() string {
 	return b.String()
 }
 
-// Chart renders an EnergyResult as an ASCII bar chart (baseline = 1.0;
-// shorter bars are better).
-func (r EnergyResult) Chart() string {
-	var b strings.Builder
-	b.WriteString("energy relative to uncompressed baseline (1.0 = full bar)\n")
-	rows := append(append([]EnergyRow(nil), r.Rows...), r.GMean)
-	bar := func(v float64) string {
-		n := int(v * 44)
-		if n < 0 {
-			n = 0
-		}
-		if n > 60 {
-			n = 60
-		}
-		return strings.Repeat("#", n)
-	}
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-14s CC    %5.3f |%s\n", row.Bench, row.CC, bar(row.CC))
-		fmt.Fprintf(&b, "%-14s CNC   %5.3f |%s\n", "", row.CNC, bar(row.CNC))
-		fmt.Fprintf(&b, "%-14s DISCO %5.3f |%s\n", "", row.DISCO, bar(row.DISCO))
-	}
-	return b.String()
-}
-
 // Chart renders the Fig. 8 scalability rows.
 func (r ScaleResult) Chart() string {
 	var b strings.Builder

@@ -41,13 +41,14 @@ func Composition(o Opts) (CompositionResult, error) {
 	modes := []cmp.Mode{cmp.Baseline, cmp.Ideal, cmp.CC, cmp.CNC, cmp.DISCO}
 	futs := make([]*simrun.Future, 0, len(modes))
 	for _, mode := range modes {
-		futs = append(futs, submitOne(rn, mode, "delta", p, o, 0))
+		futs = append(futs, o.cell(rn, mode, "delta", p, nil))
+	}
+	rs, err := wait([][]*simrun.Future{futs})
+	if err != nil {
+		return res, err
 	}
 	for mi, mode := range modes {
-		r, err := futs[mi].Wait()
-		if err != nil {
-			return res, err
-		}
+		r := rs[0][mi]
 		b := r.Energy
 		total := b.OnChip()
 		row := CompositionRow{Mode: mode.String(), Breakdown: b}

@@ -8,9 +8,18 @@
 //	          baseline
 //	Fig. 8  — scalability: 2×2 / 4×4 / 8×8 meshes
 //	§4.3    — area overhead table
+//	ablation — every Section 3.2–3.3 mechanism toggled
+//
+// plus analysis aids the paper alludes to but does not plot: the
+// CCth/CDth calibration, the motivation statistics, the NoC sensitivity
+// sweep, the energy composition and the open-loop NoC sweep.
 //
 // Each experiment returns structured rows (for tests and benches) and a
-// formatted table (for the CLI). Runs are deterministic for a fixed seed.
+// formatted table (for the CLI). The Experiments table lists them all:
+// its order is the print order, its All marks select "all" and the
+// Report, and discosim's -exp, -exp all and -json all run from it.
+// Every full-system cell is built by Opts.cell and collected by wait,
+// and runs are deterministic for a fixed seed.
 package experiments
 
 import (
@@ -87,14 +96,27 @@ func newAlg(name string) compress.Algorithm {
 	return a
 }
 
-// submitCfg fingerprints the cell build describes and schedules it; the
-// runner invokes build again on execution so every simulation gets fresh
-// algorithm state.
-func submitCfg(r *simrun.Runner, build func() cmp.Config) *simrun.Future {
+// cell schedules one full-system simulation: cmp.DefaultConfig for mode,
+// a fresh alg instance (none for Baseline) and profile p, with o's ops,
+// warmup and seed, then mut (nil for none). The runner builds the config
+// again when the cell executes, so every simulation gets fresh algorithm
+// state.
+func (o Opts) cell(r *simrun.Runner, mode cmp.Mode, alg string, p trace.Profile, mut func(*cmp.Config)) *simrun.Future {
+	build := func() cmp.Config {
+		var a compress.Algorithm
+		if mode != cmp.Baseline {
+			a = newAlg(alg)
+		}
+		cfg := cmp.DefaultConfig(mode, a, p)
+		cfg.OpsPerCore, cfg.WarmupOps, cfg.Seed = o.Ops, o.Warmup, o.Seed
+		if mut != nil {
+			mut(&cfg)
+		}
+		return cfg
+	}
 	cfg := build()
 	return r.Submit(simrun.KeyFor(&cfg), func() (cmp.Results, error) {
-		c := build()
-		sys, err := cmp.New(c)
+		sys, err := cmp.New(build())
 		if err != nil {
 			return cmp.Results{}, err
 		}
@@ -102,23 +124,21 @@ func submitCfg(r *simrun.Runner, build func() cmp.Config) *simrun.Future {
 	})
 }
 
-// submitOne schedules one (mode, algorithm, profile) full-system
-// simulation cell.
-func submitOne(r *simrun.Runner, mode cmp.Mode, alg string, prof trace.Profile, o Opts, k int) *simrun.Future {
-	return submitCfg(r, func() cmp.Config {
-		var a compress.Algorithm
-		if mode != cmp.Baseline {
-			a = newAlg(alg)
+// wait collects a grid of futures into results, waiting in submission
+// order, and returns the first error.
+func wait(futs [][]*simrun.Future) ([][]cmp.Results, error) {
+	res := make([][]cmp.Results, len(futs))
+	for i, row := range futs {
+		res[i] = make([]cmp.Results, len(row))
+		for j, f := range row {
+			r, err := f.Wait()
+			if err != nil {
+				return nil, err
+			}
+			res[i][j] = r
 		}
-		cfg := cmp.DefaultConfig(mode, a, prof)
-		cfg.OpsPerCore = o.Ops
-		cfg.WarmupOps = o.Warmup
-		cfg.Seed = o.Seed
-		if k != 0 {
-			cfg.K = k
-		}
-		return cfg
-	})
+	}
+	return res, nil
 }
 
 // table renders rows with a header through a tabwriter.
@@ -282,39 +302,28 @@ type LatencyResult struct {
 }
 
 // latencyFigure runs CC/CNC/DISCO/Ideal for every benchmark with one
-// algorithm at mesh radix k.
-func latencyFigure(alg string, o Opts, k int) (LatencyResult, error) {
+// algorithm on the 4×4 mesh.
+func latencyFigure(alg string, o Opts) (LatencyResult, error) {
 	profs, err := o.profiles()
 	if err != nil {
 		return LatencyResult{}, err
 	}
-	res := LatencyResult{Algorithm: alg}
 	r := o.runner()
 	modes := []cmp.Mode{cmp.Ideal, cmp.CC, cmp.CNC, cmp.DISCO}
 	futs := make([][]*simrun.Future, len(profs))
 	for i, p := range profs {
 		for _, m := range modes {
-			futs[i] = append(futs[i], submitOne(r, m, alg, p, o, k))
+			futs[i] = append(futs[i], o.cell(r, m, alg, p, nil))
 		}
 	}
+	rs, err := wait(futs)
+	if err != nil {
+		return LatencyResult{}, err
+	}
+	res := LatencyResult{Algorithm: alg}
 	var gcc, gcnc, gdisco []float64
 	for i, p := range profs {
-		ideal, err := futs[i][0].Wait()
-		if err != nil {
-			return res, err
-		}
-		cc, err := futs[i][1].Wait()
-		if err != nil {
-			return res, err
-		}
-		cnc, err := futs[i][2].Wait()
-		if err != nil {
-			return res, err
-		}
-		d, err := futs[i][3].Wait()
-		if err != nil {
-			return res, err
-		}
+		ideal, cc, cnc, d := rs[i][0], rs[i][1], rs[i][2], rs[i][3]
 		row := LatencyRow{
 			Bench:       p.Name,
 			CC:          cc.AvgMissLatency / ideal.AvgMissLatency,
@@ -338,13 +347,13 @@ func latencyFigure(alg string, o Opts, k int) (LatencyResult, error) {
 
 // Fig5 regenerates Figure 5: normalized latency with the paper's
 // delta-based compressor on the 4×4 CMP.
-func Fig5(o Opts) (LatencyResult, error) { return latencyFigure("delta", o, 0) }
+func Fig5(o Opts) (LatencyResult, error) { return latencyFigure("delta", o) }
 
 // Fig6 regenerates Figure 6: the same experiment with FPC and SC².
 func Fig6(o Opts) (map[string]LatencyResult, error) {
 	out := make(map[string]LatencyResult, 2)
 	for _, alg := range []string{"fpc", "sc2"} {
-		r, err := latencyFigure(alg, o, 0)
+		r, err := latencyFigure(alg, o)
 		if err != nil {
 			return nil, err
 		}
@@ -404,33 +413,22 @@ func Fig7(o Opts) (EnergyResult, error) {
 	if err != nil {
 		return EnergyResult{}, err
 	}
-	var res EnergyResult
 	r := o.runner()
 	modes := []cmp.Mode{cmp.Baseline, cmp.CC, cmp.CNC, cmp.DISCO}
 	futs := make([][]*simrun.Future, len(profs))
 	for i, p := range profs {
 		for _, m := range modes {
-			futs[i] = append(futs[i], submitOne(r, m, "delta", p, o, 0))
+			futs[i] = append(futs[i], o.cell(r, m, "delta", p, nil))
 		}
 	}
+	rs, err := wait(futs)
+	if err != nil {
+		return EnergyResult{}, err
+	}
+	var res EnergyResult
 	var gcc, gcnc, gdisco []float64
 	for i, p := range profs {
-		base, err := futs[i][0].Wait()
-		if err != nil {
-			return res, err
-		}
-		cc, err := futs[i][1].Wait()
-		if err != nil {
-			return res, err
-		}
-		cnc, err := futs[i][2].Wait()
-		if err != nil {
-			return res, err
-		}
-		d, err := futs[i][3].Wait()
-		if err != nil {
-			return res, err
-		}
+		base, cc, cnc, d := rs[i][0], rs[i][1], rs[i][2], rs[i][3]
 		bt := base.Energy.OnChip()
 		row := EnergyRow{
 			Bench:          p.Name,
@@ -491,41 +489,35 @@ func Fig8(o Opts) (ScaleResult, error) {
 	if err != nil {
 		return ScaleResult{}, err
 	}
-	var res ScaleResult
 	r := o.runner()
 	ks := []int{2, 4, 8}
 	modes := []cmp.Mode{cmp.Ideal, cmp.CC, cmp.DISCO}
-	futs := make(map[int][][]*simrun.Future, len(ks))
-	for _, k := range ks {
-		ops := o
-		if k == 8 && ops.Ops > 4000 {
-			// 64-core runs are ~8x the work; cap them to keep the figure
-			// affordable without changing its trend.
-			ops.Ops, ops.Warmup = 4000, 2000
+	futs := make([][][]*simrun.Future, len(ks))
+	for ki, k := range ks {
+		mesh := func(c *cmp.Config) {
+			c.K = k
+			if k == 8 && c.OpsPerCore > 4000 {
+				// 64-core runs are ~8x the work; cap them to keep the
+				// figure affordable without changing its trend.
+				c.OpsPerCore, c.WarmupOps = 4000, 2000
+			}
 		}
-		fs := make([][]*simrun.Future, len(profs))
+		futs[ki] = make([][]*simrun.Future, len(profs))
 		for i, p := range profs {
 			for _, m := range modes {
-				fs[i] = append(fs[i], submitOne(r, m, "delta", p, ops, k))
+				futs[ki][i] = append(futs[ki][i], o.cell(r, m, "delta", p, mesh))
 			}
 		}
-		futs[k] = fs
 	}
-	for _, k := range ks {
+	var res ScaleResult
+	for ki, k := range ks {
+		rs, err := wait(futs[ki])
+		if err != nil {
+			return ScaleResult{}, err
+		}
 		var gcc, gdisco []float64
-		for i := range profs {
-			ideal, err := futs[k][i][0].Wait()
-			if err != nil {
-				return res, err
-			}
-			cc, err := futs[k][i][1].Wait()
-			if err != nil {
-				return res, err
-			}
-			d, err := futs[k][i][2].Wait()
-			if err != nil {
-				return res, err
-			}
+		for _, c := range rs {
+			ideal, cc, d := c[0], c[1], c[2]
 			gcc = append(gcc, cc.AvgMissLatency/ideal.AvgMissLatency)
 			gdisco = append(gdisco, d.AvgMissLatency/ideal.AvgMissLatency)
 		}

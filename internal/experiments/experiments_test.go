@@ -186,13 +186,6 @@ func TestChartsRender(t *testing.T) {
 	if !strings.Contains(c, "canneal") || !strings.Contains(c, "#") {
 		t.Errorf("latency chart malformed:\n%s", c)
 	}
-	er := EnergyResult{
-		Rows:  []EnergyRow{{Bench: "x264", CC: 0.8, CNC: 0.79, DISCO: 0.78}},
-		GMean: EnergyRow{Bench: "gmean", CC: 0.8, CNC: 0.79, DISCO: 0.78},
-	}
-	if c := er.Chart(); !strings.Contains(c, "x264") {
-		t.Errorf("energy chart malformed:\n%s", c)
-	}
 	sr := ScaleResult{Rows: []ScaleRow{{K: 4, Banks: 16, CC: 1.1, DISCO: 1.05, GainPct: 5}}}
 	if c := sr.Chart(); !strings.Contains(c, "4x4") {
 		t.Errorf("scale chart malformed:\n%s", c)

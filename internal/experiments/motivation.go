@@ -45,18 +45,19 @@ func Motivation(o Opts) (MotivationResult, error) {
 	rn := o.runner()
 	futs := make([]*simrun.Future, len(profs))
 	for i, p := range profs {
-		futs[i] = submitOne(rn, cmp.DISCO, "delta", p, o, 0)
+		futs[i] = o.cell(rn, cmp.DISCO, "delta", p, nil)
+	}
+	rs, err := wait([][]*simrun.Future{futs})
+	if err != nil {
+		return res, err
 	}
 	for i, p := range profs {
-		r, err := futs[i].Wait()
-		if err != nil {
-			return res, err
-		}
+		r := rs[0][i]
 		inNet := r.Net.Compressions + r.Net.Decompressions
 		row := MotivationRow{
 			Bench: p.Name,
 			ResponseFlitShare: float64(r.Net.FlitHopsByClass[noc.ClassResponse]) /
-				float64(maxU64(r.Net.FlitHops, 1)),
+				float64(max(r.Net.FlitHops, 1)),
 			AvgQueueing:  r.Net.QueueCycles.Mean(),
 			InNetworkOps: inNet,
 			ResidualOps:  r.ResidualOps,
@@ -67,13 +68,6 @@ func Motivation(o Opts) (MotivationResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Table renders the study.

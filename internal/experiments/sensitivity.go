@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"github.com/disco-sim/disco/internal/cmp"
-	"github.com/disco-sim/disco/internal/compress"
 	"github.com/disco-sim/disco/internal/noc"
 	"github.com/disco-sim/disco/internal/simrun"
-	"github.com/disco-sim/disco/internal/trace"
 )
 
 // SensitivityRow is one NoC design point's outcome: CC and DISCO
@@ -56,47 +54,28 @@ func Sensitivity(o Opts) (SensitivityResult, error) {
 	if err != nil {
 		return SensitivityResult{}, err
 	}
-	var res SensitivityResult
 	r := o.runner()
 	points := sensitivityPoints()
 	modes := []cmp.Mode{cmp.Ideal, cmp.CC, cmp.DISCO}
 	futs := make([][][]*simrun.Future, len(points))
 	for pi, pt := range points {
-		pt := pt
-		submitPoint := func(mode cmp.Mode, p trace.Profile) *simrun.Future {
-			return submitCfg(r, func() cmp.Config {
-				cfg := cmp.DefaultConfig(mode, compress.NewDelta(), p)
-				cfg.OpsPerCore = o.Ops
-				cfg.WarmupOps = o.Warmup
-				cfg.Seed = o.Seed
-				cfg.VCs = pt.vcs
-				cfg.BufDepth = pt.buf
-				cfg.FlowControl = pt.fc
-				return cfg
-			})
-		}
+		point := func(c *cmp.Config) { c.VCs, c.BufDepth, c.FlowControl = pt.vcs, pt.buf, pt.fc }
 		futs[pi] = make([][]*simrun.Future, len(profs))
 		for i, p := range profs {
 			for _, m := range modes {
-				futs[pi][i] = append(futs[pi][i], submitPoint(m, p))
+				futs[pi][i] = append(futs[pi][i], o.cell(r, m, "delta", p, point))
 			}
 		}
 	}
+	var res SensitivityResult
 	for pi, pt := range points {
+		rs, err := wait(futs[pi])
+		if err != nil {
+			return res, err
+		}
 		sumCC, sumD := 0.0, 0.0
-		for i := range profs {
-			ideal, err := futs[pi][i][0].Wait()
-			if err != nil {
-				return res, err
-			}
-			cc, err := futs[pi][i][1].Wait()
-			if err != nil {
-				return res, err
-			}
-			d, err := futs[pi][i][2].Wait()
-			if err != nil {
-				return res, err
-			}
+		for _, c := range rs {
+			ideal, cc, d := c[0], c[1], c[2]
 			sumCC += cc.AvgMissLatency / ideal.AvgMissLatency
 			sumD += d.AvgMissLatency / ideal.AvgMissLatency
 		}

@@ -87,64 +87,8 @@ func (l *Lifetime) EngineCommitCycle() (uint64, bool) { return decode(l.engCommi
 // release).
 func (l *Lifetime) EngineEndCycle() (uint64, bool) { return decode(l.engEnd) }
 
-// LatencyBreakdown splits a delivered packet's inject→eject latency
-// into its three components (all in cycles):
-//
-//	Serialization — head pipeline traversal, link hops and flit
-//	                streaming: Total minus all recorded stall cycles;
-//	Queue         — stall cycles from contention and backpressure
-//	                (lost arbitration, exhausted credits);
-//	Engine        — stall cycles attributable solely to a DISCO engine
-//	                lock (the exposed part of the transform latency).
-//
-// EngineBusy is the total engine service time spent on the packet and
-// EngineHidden the part of it that coincided with cycles the packet
-// could not have moved anyway — the overlap the paper's scheduling is
-// designed to maximize.
-type LatencyBreakdown struct {
-	Total         uint64
-	Queue         uint64
-	Engine        uint64
-	Serialization uint64
-
-	EngineBusy   uint64
-	EngineHidden uint64
-}
-
-// OverlapRatio is EngineHidden / EngineBusy — 1.0 when the transform
-// was entirely hidden under queuing, 0 when fully exposed. Packets the
-// engine never touched report 0 (filter with EngineBusy > 0).
-func (b LatencyBreakdown) OverlapRatio() float64 {
-	if b.EngineBusy == 0 {
-		return 0
-	}
-	return float64(b.EngineHidden) / float64(b.EngineBusy)
-}
-
-// Breakdown computes the latency breakdown of an ejected packet. A
-// wormhole packet spread over several routers can accrue stall cycles
-// at more than one of them in the same cycle, so the stall total is
-// clamped to the packet latency before splitting.
-func (p *Packet) Breakdown() LatencyBreakdown {
-	total := p.EjectCycle - p.InjectCycle
-	stall := p.Queueing
-	if stall > total {
-		stall = total
-	}
-	engine := p.Life.EngineStall
-	if engine > stall {
-		engine = stall
-	}
-	hidden := uint64(0)
-	if p.Life.EngineCycles > p.Life.EngineStall {
-		hidden = p.Life.EngineCycles - p.Life.EngineStall
-	}
-	return LatencyBreakdown{
-		Total:         total,
-		Queue:         stall - engine,
-		Engine:        engine,
-		Serialization: total - stall,
-		EngineBusy:    p.Life.EngineCycles,
-		EngineHidden:  hidden,
-	}
+// Breakdown computes the latency breakdown of an ejected packet (see
+// tracefmt.SplitLatency).
+func (p *Packet) Breakdown() tracefmt.LatencyBreakdown {
+	return tracefmt.SplitLatency(p.EjectCycle-p.InjectCycle, p.Queueing, p.Life.EngineCycles, p.Life.EngineStall)
 }

@@ -146,6 +146,53 @@ type Record struct {
 	Pkt       PacketInfo
 }
 
+// LatencyBreakdown splits a delivered packet's inject→eject latency
+// into its three components (all in cycles):
+//
+//	Serialization — head pipeline traversal, link hops and flit
+//	                streaming: Total minus all recorded stall cycles;
+//	Queue         — stall cycles from contention and backpressure
+//	                (lost arbitration, exhausted credits);
+//	Engine        — stall cycles attributable solely to a DISCO engine
+//	                lock (the exposed part of the transform latency).
+//
+// EngineBusy is the total engine service time spent on the packet and
+// EngineHidden the part of it that coincided with cycles the packet
+// could not have moved anyway — the overlap the paper's scheduling is
+// designed to maximize.
+type LatencyBreakdown struct {
+	Total         uint64
+	Queue         uint64
+	Engine        uint64
+	Serialization uint64
+
+	EngineBusy   uint64
+	EngineHidden uint64
+}
+
+// SplitLatency computes the breakdown of a packet delivered total
+// cycles after injection from its cumulative stall counters (the
+// PacketInfo fields of the same names). A wormhole packet spread over
+// several routers can accrue stall cycles at more than one of them in
+// the same cycle, so the stalls are clamped to the latency, and the
+// engine-exposed stalls to the stalls, before splitting.
+func SplitLatency(total, queueing, engineCycles, engineStall uint64) LatencyBreakdown {
+	stall := min(queueing, total)
+	engine := min(engineStall, stall)
+	hidden := uint64(0)
+	if engineCycles > engineStall {
+		hidden = engineCycles - engineStall
+	}
+	return LatencyBreakdown{
+		Total:         total,
+		Queue:         stall - engine,
+		Engine:        engine,
+		Serialization: total - stall,
+		EngineBusy:    engineCycles,
+		EngineHidden:  hidden,
+	}
+}
+
 // AppendHeader appends the file header to buf.
 func AppendHeader(buf []byte, nodes int) []byte {
 	buf = append(buf, Magic...)
