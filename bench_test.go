@@ -450,3 +450,17 @@ func BenchmarkBlockContent(b *testing.B) {
 		_ = prof.Content(uint64(rng.Intn(1 << 20)))
 	}
 }
+
+// BenchmarkBlockContentGen measures block materialization as the
+// simulator does it: one reused ContentGen appending into scratch.
+func BenchmarkBlockContentGen(b *testing.B) {
+	prof, _ := trace.ByName("canneal")
+	rng := rand.New(rand.NewSource(1))
+	var g trace.ContentGen
+	buf := make([]byte, 0, compress.BlockSize)
+	b.SetBytes(compress.BlockSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = g.Append(&prof, buf[:0], uint64(rng.Intn(1<<20)))
+	}
+}

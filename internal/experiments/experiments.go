@@ -197,32 +197,40 @@ func Table1(o Opts) (Table1Result, error) {
 	for i, p := range profs {
 		res.ByBench[i] = BenchRatios{Bench: p.Name, Ratios: make([]float64, 0, len(schemes))}
 	}
+	// Every scheme measures the same sample: each profile's blocks are
+	// materialized once, into one backing array.
+	const samples = 800
+	train, test := make([][][]byte, len(profs)), make([][][]byte, len(profs))
+	blocks := make([]byte, 0, len(profs)*samples*compress.BlockSize)
+	var gen trace.ContentGen
+	for pi := range profs {
+		for i := 0; i < samples; i++ {
+			blocks = gen.Append(&profs[pi], blocks, trace.PrivateBase(i%8)+uint64(i)*13)
+			b := blocks[len(blocks)-compress.BlockSize : len(blocks) : len(blocks)]
+			if i%5 != 0 {
+				train[pi] = append(train[pi], b)
+			} else {
+				test[pi] = append(test[pi], b)
+			}
+		}
+	}
 	for _, name := range schemes {
 		raw, comp := 0, 0
 		// SC² is a *statistical* compressor: its value table is trained
 		// per workload (the hardware samples the running application), so
 		// the ratio is measured with one freshly trained instance per
 		// profile. The stateless schemes are unaffected by the split.
-		for pi, p := range profs {
+		for pi := range profs {
 			alg := newAlg(name)
-			var train, test [][]byte
-			for i := 0; i < 800; i++ {
-				addr := trace.PrivateBase(i%8) + uint64(i)*13
-				if i%5 != 0 {
-					train = append(train, p.Content(addr))
-				} else {
-					test = append(test, p.Content(addr))
-				}
-			}
 			switch a := alg.(type) {
 			case *compress.SC2:
-				a.Train(train)
+				a.Train(train[pi])
 			case *compress.FVC:
-				a.Train(train)
+				a.Train(train[pi])
 			}
 			var scratch [compress.BlockSize]byte
 			praw, pcomp := 0, 0
-			for _, b := range test {
+			for _, b := range test[pi] {
 				c := alg.AppendCompress(scratch[:0], b)
 				praw += compress.BlockSize
 				pcomp += c.SizeBytes()

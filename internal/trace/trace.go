@@ -124,13 +124,16 @@ func (p *Profile) AppendContent(dst []byte, addr uint64) []byte {
 var blockZero [compress.BlockSize]byte
 
 // ContentGen materializes block contents with one reusable pseudorandom
-// generator, reseeded per block: Rand.Seed on the standard source yields
-// the same stream as a fresh rand.New(rand.NewSource(seed)), so a reused
-// ContentGen produces exactly Content's bytes without allocating a
-// 4.9 KB source per block. The zero value is ready to use; a ContentGen
-// must not be shared between goroutines.
+// generator, reseeded per block. Its source yields exactly the stream of
+// math/rand's standard source but seeds in O(1), computing a lag entry
+// only when one of the block's few draws touches it (see lazySource), so
+// a reused ContentGen produces exactly Content's bytes without allocating
+// or fully seeding a source per block. The zero value is ready to use; a
+// ContentGen must not be copied after first use or shared between
+// goroutines.
 type ContentGen struct {
-	rng *rand.Rand
+	src lazySource
+	rng *rand.Rand // wraps &src, built on first use
 }
 
 // Append appends the 64 bytes of profile p's block at addr to dst and
@@ -144,13 +147,11 @@ func (g *ContentGen) Append(p *Profile, dst []byte, addr uint64) []byte {
 		total = 1
 	}
 	pick := float64(h%1000000) / 1000000 * total
-	seed := int64(splitmix64(h))
 	if g.rng == nil {
-		g.rng = rand.New(rand.NewSource(seed))
-	} else {
-		g.rng.Seed(seed)
+		g.rng = rand.New(&g.src)
 	}
 	rng := g.rng
+	rng.Seed(int64(splitmix64(h))) // also resets Read's buffered bytes
 	dst = append(dst, blockZero[:]...)
 	b := dst[len(dst)-compress.BlockSize:]
 	switch {
