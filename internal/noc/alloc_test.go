@@ -44,3 +44,47 @@ func TestDiscoMeshAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDiscoMeshSparseAllocs pins the same zero for a lightly loaded 4×4
+// DISCO mesh, where routers drop in and out of the per-cycle active list
+// and NIs in and out of the injection bitset from one cycle to the next.
+// The mesh warms under DefaultTraffic, as TestDiscoMeshAllocs does, before
+// the load drops: per-router scratch (switch-allocation request lists, an
+// engine's first job) grows on first use to its high-water mark, which a
+// sparse load reaches only slowly.
+func TestDiscoMeshSparseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const warm, settle, block = 20_000, 5_000, 2_000
+	n := mustNet(t, discoConfig())
+	g := NewTrafficGen(n, DefaultTraffic())
+	for i := 0; i < warm+settle; i++ {
+		if i == warm {
+			g.cfg.InjectionRate = 0.005
+		}
+		g.Step()
+		n.Step()
+	}
+	minActive, maxActive, niFlips := len(n.Routers), 0, 0
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < block; i++ {
+			live := n.niLive[0]
+			g.Step()
+			n.Step()
+			if n.niLive[0] != live {
+				niFlips++
+			}
+			minActive = min(minActive, len(n.active))
+			maxActive = max(maxActive, len(n.active))
+		}
+	})
+	perCycle := allocs / block
+	t.Logf("%.3f allocs/cycle; %d-%d active routers, %d NI bitset changes", perCycle, minActive, maxActive, niFlips)
+	if minActive > 0 || maxActive == 0 || niFlips == 0 {
+		t.Errorf("load did not toggle the work sets (%d-%d active, %d NI changes)", minActive, maxActive, niFlips)
+	}
+	if perCycle != 0 {
+		t.Errorf("%.3f allocs per cycle, want 0", perCycle)
+	}
+}

@@ -3,6 +3,7 @@ package noc
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 
 	"github.com/disco-sim/disco/internal/compress"
 	"github.com/disco-sim/disco/internal/fault"
@@ -57,8 +58,8 @@ func (ni *niState) qpop() *Packet {
 }
 
 // setStream opens a stream on VC v; clearStream closes it. All stream
-// slot writes go through these so active stays exact — stepInjection
-// skips a node entirely when it has no queue and no open stream.
+// slot writes go through these so active stays exact — Step drops a
+// node from niLive once it has no queue and no open stream.
 func (ni *niState) setStream(v int, p *Packet) {
 	ni.stream[v] = p
 	ni.streamed[v] = 0
@@ -127,10 +128,17 @@ type Network struct {
 	Routers []*Router
 	Cycle   uint64
 
-	ni          []niState
-	pending     []arrival
-	busyScratch []bool
-	stats       Stats
+	ni      []niState
+	pending []arrival
+	// niLive has bit i set exactly while node i's NI has a waiting packet
+	// or an open stream (qlen() > 0 || active > 0): Inject sets it, the
+	// injection epilogue clears it once the NI drains.
+	niLive []uint64
+	// active is the per-cycle list of busy routers in index order,
+	// refilled by Step after the prologue; every stage and commit of the
+	// cycle walks it, so idle routers cost nothing past that one scan.
+	active []*Router
+	stats  Stats
 
 	// Packet/block arenas: ejected pool-born packets (and the payload
 	// blocks they own) are recycled instead of feeding the garbage
@@ -191,10 +199,11 @@ func New(cfg Config) (*Network, error) {
 	// Everything the cycle loop touches is sized here, once: Step and the
 	// stages it drives must not allocate (enforced by discolint hotalloc).
 	n := &Network{
-		cfg:         cfg,
-		ni:          make([]niState, cfg.Nodes()),
-		busyScratch: make([]bool, cfg.Nodes()),
-		decoders:    make(map[string]compress.Algorithm),
+		cfg:      cfg,
+		ni:       make([]niState, cfg.Nodes()),
+		niLive:   make([]uint64, (cfg.Nodes()+63)/64),
+		active:   make([]*Router, 0, cfg.Nodes()),
+		decoders: make(map[string]compress.Algorithm),
 	}
 	for i := range n.ni {
 		n.ni[i].stream = make([]*Packet, cfg.VCs)
@@ -308,18 +317,13 @@ func (n *Network) Inject(p *Packet) {
 	n.stats.Injected++
 	n.trace(p.Src, tracefmt.KindInject, p)
 	n.ni[p.Src].queue = append(n.ni[p.Src].queue, p)
+	n.niLive[p.Src/64] |= 1 << uint(p.Src%64)
 }
 
 // InjectQueueLen returns the backlog at node's NI.
 func (n *Network) InjectQueueLen(node int) int {
 	ni := &n.ni[node]
-	l := ni.qlen()
-	for _, p := range ni.stream {
-		if p != nil {
-			l++
-		}
-	}
-	return l
+	return ni.qlen() + ni.active
 }
 
 // eject delivers a packet to the node's NI.
@@ -391,8 +395,8 @@ func (n *Network) decodeComp(c compress.Compressed) ([]byte, error) {
 }
 
 // Step advances the network by one cycle of the two-phase engine: each
-// pipeline stage runs its compute over all busy routers, then commits
-// the staged effects in canonical router-index order. The stage
+// pipeline stage runs its compute over the cycle's busy routers, then
+// commits the staged effects in canonical router-index order. The stage
 // sequence matches the classic phase order (engines, SA+ST, VA, RC,
 // DISCO arbitration, NI injection).
 func (n *Network) Step() {
@@ -427,12 +431,16 @@ func (n *Network) Step() {
 		}
 		e.acceptFlit()
 	}
-	// Idle routers (no flits present or expected) skip all stages.
-	// busyScratch is sized once in New (the router count is fixed).
-	busy := n.busyScratch[:len(n.Routers)]
-	for i, r := range n.Routers {
-		busy[i] = r.busy()
+	// Idle routers (no flits present or expected) skip all stages: the
+	// busy set is fixed here for the whole cycle, so a router that turns
+	// busy mid-cycle is picked up next cycle.
+	busy := n.active[:0]
+	for _, r := range n.Routers {
+		if r.busy() {
+			busy = append(busy, r)
+		}
 	}
+	n.active = busy
 	t = n.profMark(obs.PhaseOther, t)
 	// Each stage's compute covers every busy router before its commit
 	// runs: fused per router, a commit's effects (e.g. a traversal
@@ -448,25 +456,29 @@ func (n *Network) Step() {
 	// (flit moves, credit reservations, ejections, fault draws).
 	n.runStage(busy, obs.PhaseSA, (*Router).computeSA)
 	t = n.profClock()
-	for i, r := range n.Routers {
-		if busy[i] {
-			r.commitSA()
-		}
+	for _, r := range busy {
+		r.commitSA()
 	}
 	t = n.profMark(obs.PhaseCommit, t)
 	// Stage: allocation-side computes (VA, RC, DISCO arbitration fused
 	// per router), then the arbitration commit (engine job starts).
 	n.runStage(busy, obs.PhaseAlloc, (*Router).computeAlloc)
 	t = n.profClock()
-	for i, r := range n.Routers {
-		if busy[i] {
-			r.commitArb()
-		}
+	for _, r := range busy {
+		r.commitArb()
 	}
 	t = n.profMark(obs.PhaseCommit, t)
-	// Epilogue: NI injection (one flit per node per cycle).
-	for node := range n.ni {
-		n.stepInjection(node)
+	// Epilogue: NI injection (one flit per node per cycle) over the NIs
+	// with work, in node order; an NI that drained leaves the set.
+	for w, word := range n.niLive {
+		for m := word; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			node := w*64 + b
+			n.stepInjection(node)
+			if ni := &n.ni[node]; ni.qlen() == 0 && ni.active == 0 {
+				n.niLive[w] &^= 1 << uint(b)
+			}
+		}
 	}
 	n.Cycle++
 	n.stepping = false
@@ -477,17 +489,15 @@ func (n *Network) Step() {
 	}
 }
 
-// runStage applies f to every busy router in index order and stamps
+// runStage applies f to every busy router (in index order) and stamps
 // the stage as ph on the profiler (when armed). f must follow the
 // compute-phase contract — read prior-cycle state, write only
 // router-local state (staged effects, own scratch, own VC/engine
 // fields); the phasesafety analyzer checks it from this call's roots.
-func (n *Network) runStage(busy []bool, ph obs.Phase, f func(*Router)) {
+func (n *Network) runStage(busy []*Router, ph obs.Phase, f func(*Router)) {
 	start := n.profClock()
-	for i, r := range n.Routers {
-		if busy[i] {
-			f(r)
-		}
+	for _, r := range busy {
+		f(r)
 	}
 	if n.prof != nil {
 		n.prof.Observe(ph, start)
@@ -508,11 +518,9 @@ func (r *Router) trace(kind tracefmt.Kind, pkt *Packet) { r.net.trace(r.id, kind
 
 // stepInjection assigns queued packets to free local input VCs and
 // streams one flit over the NI link (round-robin across active streams).
+// Step calls it only for NIs in niLive.
 func (n *Network) stepInjection(node int) {
 	ni := &n.ni[node]
-	if ni.qlen() == 0 && ni.active == 0 {
-		return // nothing queued, nothing streaming
-	}
 	r := n.Routers[node]
 	// Fill free VCs from the queue so waiting packets are buffered where
 	// the router (and the DISCO arbitrator) can see them.
@@ -565,14 +573,9 @@ func (n *Network) Quiescent() bool {
 	if len(n.pending) > 0 {
 		return false
 	}
-	for i := range n.ni {
-		if n.ni[i].qlen() > 0 {
+	for _, w := range n.niLive {
+		if w != 0 {
 			return false
-		}
-		for _, p := range n.ni[i].stream {
-			if p != nil {
-				return false
-			}
 		}
 	}
 	for _, r := range n.Routers {

@@ -246,10 +246,11 @@ func (r *Router) routeFor(dst int) Port {
 // the whole stage is compute-safe: it reads remote pkt/reserved fields no
 // other router's compute writes.
 func (r *Router) computeVA() {
+	// ports has bit p set once output port p got a request this cycle;
+	// a port's request list is reset on its first request, and only set
+	// ports arbitrate, in ascending (port) order.
 	reqs := &r.vaReqs
-	for p := Port(0); p < NumPorts; p++ {
-		reqs[p] = reqs[p][:0]
-	}
+	var ports uint
 	for m := r.live; m != 0; m &= m - 1 {
 		e := &r.vcs[bits.TrailingZeros64(m)]
 		if e.state != vcVA {
@@ -261,13 +262,15 @@ func (r *Router) computeVA() {
 			e.state = vcActive
 			continue
 		}
+		if bit := uint(1) << uint(e.outPort); ports&bit == 0 {
+			ports |= bit
+			reqs[e.outPort] = reqs[e.outPort][:0]
+		}
 		reqs[e.outPort] = append(reqs[e.outPort], e)
 	}
-	for p := Port(0); p < NumPorts; p++ {
+	for ; ports != 0; ports &= ports - 1 {
+		p := Port(bits.TrailingZeros(ports))
 		cand := reqs[p]
-		if len(cand) == 0 {
-			continue
-		}
 		down := r.oppIn[p]
 		if down == nil {
 			// Edge port: XY routing never requests it; defensive.
@@ -359,9 +362,7 @@ func (r *Router) computeSA() {
 	var inUsed [NumPorts]bool
 	var stalls, engineStalls uint64 // staged for commitSA (see Router)
 	wants := &r.saWants
-	for p := Port(0); p < NumPorts; p++ {
-		wants[p] = wants[p][:0]
-	}
+	var ports uint // output ports with a request (see computeVA)
 	vcs := r.net.cfg.VCs
 	for m := r.live; m != 0; m &= m - 1 {
 		idx := bits.TrailingZeros64(m)
@@ -371,6 +372,10 @@ func (r *Router) computeSA() {
 		}
 		if r.schedulable(e) {
 			ip := Port(idx / vcs)
+			if bit := uint(1) << uint(e.outPort); ports&bit == 0 {
+				ports |= bit
+				wants[e.outPort] = wants[e.outPort][:0]
+			}
 			wants[e.outPort] = append(wants[e.outPort], saWant{e, ip, r.priority(e.pkt)})
 		} else if e.state >= vcVA && e.stored > 0 {
 			// Buffered but unable to move: queueing time DISCO can use.
@@ -386,11 +391,9 @@ func (r *Router) computeSA() {
 			}
 		}
 	}
-	for p := Port(0); p < NumPorts; p++ {
+	for ; ports != 0; ports &= ports - 1 {
+		p := Port(bits.TrailingZeros(ports))
 		cand := wants[p]
-		if len(cand) == 0 {
-			continue
-		}
 		// Highest priority first; round-robin among equals; skip used
 		// input ports.
 		best := -1

@@ -105,19 +105,14 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Content deterministically materializes the 64-byte content of a block.
-// The pattern class is chosen by hashing the address against the profile's
-// mix, so a benchmark's blocks are a stable population.
+// Content deterministically materializes the 64-byte content of a block
+// with a one-shot ContentGen: the bytes of record that tests compare
+// against. The pattern class is chosen by hashing the address against
+// the profile's mix, so a benchmark's blocks are a stable population.
+// Callers that materialize many blocks keep their own ContentGen.
 func (p *Profile) Content(addr uint64) []byte {
-	return p.AppendContent(nil, addr)
-}
-
-// AppendContent appends the block's 64 bytes to dst and returns the
-// extended slice, with a one-shot ContentGen. Callers that materialize
-// many blocks keep their own ContentGen instead.
-func (p *Profile) AppendContent(dst []byte, addr uint64) []byte {
 	var g ContentGen
-	return g.Append(p, dst, addr)
+	return g.Append(p, nil, addr)
 }
 
 // blockZero seeds Append's 64 block bytes in one append.

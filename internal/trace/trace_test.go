@@ -53,26 +53,6 @@ func TestContentDeterministic(t *testing.T) {
 	}
 }
 
-func TestAppendContentMatchesContent(t *testing.T) {
-	p, _ := ByName("x264")
-	var scratch []byte
-	for addr := uint64(0); addr < 200; addr += 3 {
-		scratch = p.AppendContent(scratch[:0], addr)
-		if want := p.Content(addr); !bytes.Equal(scratch, want) {
-			t.Fatalf("AppendContent(addr=%d) = %x, want %x", addr, scratch, want)
-		}
-	}
-	// Appending must extend dst, not clobber it.
-	prefix := []byte{1, 2, 3}
-	out := p.AppendContent(prefix, 42)
-	if len(out) != 3+compress.BlockSize || !bytes.Equal(out[:3], prefix) {
-		t.Fatalf("AppendContent did not extend the prefix: len=%d", len(out))
-	}
-	if !bytes.Equal(out[3:], p.Content(42)) {
-		t.Fatal("appended bytes differ from Content")
-	}
-}
-
 // contentTestAddrs spans the address space the simulator touches:
 // scattered low blocks, every core's private slab and the shared region.
 func contentTestAddrs() []uint64 {
