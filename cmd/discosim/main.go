@@ -16,7 +16,7 @@
 //	1  internal error (I/O, unexpected failure)
 //	2  configuration error (bad flags, unknown mode/benchmark/experiment)
 //	3  progress-watchdog stall
-//	4  a cell failed terminally after exhausting its retries
+//	4  a cell failed (error or panic); queued cells were canceled
 //	5  interrupted (SIGINT/SIGTERM) after a graceful drain — resumable
 //	   by rerunning with the same -cache-dir
 package main
@@ -50,7 +50,7 @@ const (
 	ExitError       = 1 // internal error: I/O failure, unexpected error
 	ExitConfig      = 2 // configuration error: bad flags, unknown names
 	ExitStall       = 3 // the progress watchdog declared a stall
-	ExitCellFailed  = 4 // a cell failed terminally after its retries
+	ExitCellFailed  = 4 // a cell failed; queued cells were canceled
 	ExitInterrupted = 5 // graceful drain completed; campaign is resumable
 )
 
@@ -114,7 +114,6 @@ func realMain() int {
 		faultSeed    = flag.Int64("fault-seed", 1, "with -run: fault-injection PRNG seed")
 
 		cacheDir = flag.String("cache-dir", "", "persist campaign results in this directory (crash-safe content-addressed store; reruns replay finished cells)")
-		retries  = flag.Int("retries", 2, "with -cache-dir: transient-failure retries per cell before recording a terminal failure")
 
 		jobs    = flag.Int("j", 0, "parallel simulation workers (0 = all cores); results are byte-identical at any setting")
 		noCache = flag.Bool("no-cache", false, "disable the cross-figure run memo cache")
@@ -196,9 +195,6 @@ func realMain() int {
 		}
 		mf = store.NewManifest(st.Version())
 		o.Runner.SetStore(st)
-		retry := simrun.DefaultRetry()
-		retry.MaxAttempts = *retries + 1
-		o.Runner.SetRetry(retry)
 		o.Runner.SetObserver(func(out simrun.Outcome) {
 			rec := store.CellRecord{Key: out.Key.String(),
 				Entry: st.EntryName(out.Key.Canonical()), Attempts: out.Attempts}
@@ -261,8 +257,8 @@ func realMain() int {
 	if ss.Submitted > 0 {
 		rep.Infof("simrun: %d cells (%d simulated, %d cache hits, %d disk hits), j=%d",
 			ss.Submitted, ss.Executed, ss.Hits, ss.DiskHits, o.Runner.Workers())
-		if st != nil && (ss.Retries > 0 || ss.Quarantined > 0) {
-			rep.Infof("store: %d retries, %d quarantined entries", ss.Retries, ss.Quarantined)
+		if st != nil && ss.Quarantined > 0 {
+			rep.Infof("store: %d quarantined entries", ss.Quarantined)
 		}
 	}
 	if runErr != nil {
@@ -516,7 +512,6 @@ type campaignStatus struct {
 	Executed    uint64 `json:"cells_executed"`
 	Hits        uint64 `json:"cells_cache_hits"`
 	DiskHits    uint64 `json:"cells_disk_hits"`
-	Retries     uint64 `json:"retries"`
 	Quarantined uint64 `json:"quarantined"`
 	Done        uint64 `json:"cells_done"`
 	Workers     int    `json:"workers"`
@@ -531,8 +526,8 @@ func startCampaignServer(addr string, r *simrun.Runner, rep *obs.Reporter) (*obs
 	srv.SetLiveStatus(func() any {
 		st := r.Stats()
 		return campaignStatus{Submitted: st.Submitted, Executed: st.Executed,
-			Hits: st.Hits, DiskHits: st.DiskHits, Retries: st.Retries,
-			Quarantined: st.Quarantined, Done: st.Done, Workers: r.Workers()}
+			Hits: st.Hits, DiskHits: st.DiskHits, Quarantined: st.Quarantined,
+			Done: st.Done, Workers: r.Workers()}
 	})
 	srv.SetLiveMetrics(func() []byte {
 		st := r.Stats()
@@ -542,7 +537,6 @@ func startCampaignServer(addr string, r *simrun.Runner, rep *obs.Reporter) (*obs
 		sc.Counter("cells_executed").Add(st.Executed)
 		sc.Counter("cells_cache_hits").Add(st.Hits)
 		sc.Counter("disk_hits").Add(st.DiskHits)
-		sc.Counter("retries").Add(st.Retries)
 		sc.Counter("quarantined").Add(st.Quarantined)
 		sc.Counter("cells_done").Add(st.Done)
 		sc.Gauge("workers").Set(float64(r.Workers()))

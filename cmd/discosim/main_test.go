@@ -39,11 +39,12 @@ func TestExitCodeClassification(t *testing.T) {
 		{"config", &configError{errors.New("unknown mode")}, ExitConfig},
 		{"wrapped config", fmt.Errorf("setup: %w", &configError{plain}), ExitConfig},
 		{"stall", &cmp.StallError{}, ExitStall},
-		{"cell failure", &simrun.CellError{Attempts: 3, Err: plain}, ExitCellFailed},
-		{"stalled cell is a stall", &simrun.CellError{Attempts: 1, Err: &cmp.StallError{}}, ExitStall},
+		{"cell failure", &simrun.CellError{Err: plain}, ExitCellFailed},
+		{"panicked cell", &simrun.CellError{Err: &simrun.PanicError{Value: "wedged"}}, ExitCellFailed},
+		{"stalled cell is a stall", &simrun.CellError{Err: &cmp.StallError{}}, ExitStall},
 		{"interrupted", fmt.Errorf("canceled: %w", simrun.ErrInterrupted), ExitInterrupted},
 		{"interrupted beats cell failure",
-			&simrun.CellError{Attempts: 1, Err: fmt.Errorf("drain: %w", simrun.ErrInterrupted)},
+			&simrun.CellError{Err: fmt.Errorf("drain: %w", simrun.ErrInterrupted)},
 			ExitInterrupted},
 	}
 	for _, c := range cases {
@@ -55,7 +56,7 @@ func TestExitCodeClassification(t *testing.T) {
 
 // TestCampaignServerExportsStoreCounters: the campaign /status and
 // /metrics endpoints must carry the persistence counters (disk hits,
-// retries, quarantined) alongside the scheduler ones.
+// quarantined) alongside the scheduler ones.
 func TestCampaignServerExportsStoreCounters(t *testing.T) {
 	r := simrun.New(1, true)
 	st, err := store.Open(t.TempDir(), store.Options{Version: "campaign-test"})
@@ -91,7 +92,7 @@ func TestCampaignServerExportsStoreCounters(t *testing.T) {
 		t.Fatalf("/status is not JSON: %v", err)
 	}
 	for field, want := range map[string]float64{
-		"cells_submitted": 1, "cells_disk_hits": 1, "retries": 0, "quarantined": 0,
+		"cells_submitted": 1, "cells_disk_hits": 1, "quarantined": 0,
 	} {
 		got, ok := status[field].(float64)
 		if !ok || got != want {
@@ -109,7 +110,7 @@ func TestCampaignServerExportsStoreCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, family := range []string{
-		"disco_simrun_disk_hits 1", "disco_simrun_retries 0", "disco_simrun_quarantined 0",
+		"disco_simrun_disk_hits 1", "disco_simrun_quarantined 0",
 	} {
 		if !bytes.Contains(text, []byte(family)) {
 			t.Errorf("/metrics missing %q:\n%s", family, text)

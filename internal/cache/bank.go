@@ -15,9 +15,6 @@ type Line struct {
 	SizeBytes int
 	// Pinned lines are mid-transaction and ineligible for eviction.
 	Pinned bool
-	// Prefetched marks lines installed by the prefetcher and not yet
-	// demanded (prefetch-accuracy accounting).
-	Prefetched bool
 
 	// Directory state: Owner is the tile holding the line in M/O (-1 when
 	// none); Sharers is a bitmap of tiles holding it in S/E.

@@ -390,42 +390,6 @@ func TestReplayStreamsDriveSystem(t *testing.T) {
 	}
 }
 
-func TestMultiMCRelievesChannelPressure(t *testing.T) {
-	// Four memory controllers at the mesh corners vs one: same workload,
-	// strictly fewer DRAM stalls per access and no correctness change.
-	cfg1 := quickCfg(Baseline, "streamcluster")
-	cfg1.OpsPerCore, cfg1.WarmupOps = 2000, 1000
-	one := run(t, cfg1)
-	cfg4 := cfg1
-	cfg4.ExtraMCNodes = []int{3, 12, 15}
-	four := run(t, cfg4)
-	if four.DramAccesses == 0 || one.DramAccesses == 0 {
-		t.Fatal("no DRAM traffic")
-	}
-	// Both runs execute the same measured work.
-	if four.Misses == 0 || one.Misses == 0 {
-		t.Fatal("no misses recorded")
-	}
-	// Total end-to-end latency should improve (or at least not regress
-	// meaningfully) with 4 channels.
-	if four.AvgMissTotal > one.AvgMissTotal*1.02 {
-		t.Errorf("4 MCs (%.1f) should not be slower than 1 MC (%.1f)",
-			four.AvgMissTotal, one.AvgMissTotal)
-	}
-}
-
-func TestMultiMCValidation(t *testing.T) {
-	cfg := quickCfg(Baseline, "vips")
-	cfg.ExtraMCNodes = []int{0} // duplicates MCNode
-	if _, err := New(cfg); err == nil {
-		t.Error("duplicate MC node should be rejected")
-	}
-	cfg.ExtraMCNodes = []int{99}
-	if _, err := New(cfg); err == nil {
-		t.Error("out-of-range MC node should be rejected")
-	}
-}
-
 func TestInvariantsHoldAfterDrain(t *testing.T) {
 	for _, bench := range []string{"canneal", "vips"} {
 		cfg := quickCfg(DISCO, bench)
@@ -452,48 +416,6 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestPrefetcherReducesDemandMisses(t *testing.T) {
-	base := quickCfg(Baseline, "streamcluster")
-	base.OpsPerCore, base.WarmupOps = 2000, 1000
-	off := run(t, base)
-	cfgP := base
-	cfgP.PrefetchDegree = 4
-	on := run(t, cfgP)
-	if on.PrefetchIssued == 0 {
-		t.Fatal("prefetcher issued nothing")
-	}
-	if on.PrefetchUseful == 0 {
-		t.Error("no prefetch was ever useful")
-	}
-	// Demand L2 misses must drop (prefetches themselves are not counted
-	// as demand misses).
-	if on.L2Misses >= off.L2Misses {
-		t.Errorf("prefetching did not reduce demand misses: %d vs %d", on.L2Misses, off.L2Misses)
-	}
-	// But total DRAM traffic grows (speculation is not free).
-	if on.DramAccesses <= off.DramAccesses {
-		t.Errorf("prefetching should add DRAM traffic: %d vs %d", on.DramAccesses, off.DramAccesses)
-	}
-}
-
-func TestPrefetchTransactionsComplete(t *testing.T) {
-	cfg := quickCfg(DISCO, "vips")
-	cfg.PrefetchDegree = 2
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !sys.Drain(500000) {
-		t.Fatal("no drain with prefetching")
-	}
-	if viol := sys.CheckInvariants(); len(viol) != 0 {
-		t.Errorf("invariants violated with prefetching: %v", viol[:minInt(len(viol), 5)])
-	}
 }
 
 func TestPerTileStats(t *testing.T) {

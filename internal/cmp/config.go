@@ -64,12 +64,9 @@ type Config struct {
 
 	// K is the mesh radix: K×K tiles, each with a core and a NUCA bank.
 	K int
-	// MCNode is the tile whose router hosts the memory controller.
+	// MCNode is the tile whose router hosts the memory controller and
+	// its one DRAM channel (Table 2).
 	MCNode int
-	// ExtraMCNodes optionally adds more memory controllers (Table 2 has a
-	// single channel; extra MCs are a sensitivity knob). Blocks interleave
-	// across all controllers; each gets its own DRAM channel.
-	ExtraMCNodes []int
 
 	// Profile is the workload: it supplies both the default per-core
 	// access streams and every block's content.
@@ -90,12 +87,6 @@ type Config struct {
 
 	// MSHRs bounds each core's outstanding misses.
 	MSHRs int
-	// PrefetchDegree enables a sequential LLC prefetcher: on a demand L2
-	// miss the home bank also fetches the next N blocks of its address
-	// slice (0 = off, the Table 2 configuration). Prefetch fills travel
-	// as ordinary memory data packets, so DISCO compresses them like any
-	// other fill (the Section 1 discussion of prefetched blocks).
-	PrefetchDegree int
 	// L1Sets × L1Ways at 64 B lines (Table 2: 32 KB 4-way → 128×4).
 	L1Sets, L1Ways int
 	// BankSets × BankWays per NUCA bank (Table 2: 4 MB/16 banks, 8-way →
@@ -164,11 +155,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MCNode < 0 || c.MCNode >= c.K*c.K {
 		return fmt.Errorf("cmp: MCNode %d out of range", c.MCNode)
-	}
-	for _, n := range c.ExtraMCNodes {
-		if n < 0 || n >= c.K*c.K || n == c.MCNode {
-			return fmt.Errorf("cmp: extra MC node %d invalid", n)
-		}
 	}
 	if c.FlowControl != noc.Wormhole && c.BufDepth < 9 {
 		return fmt.Errorf("cmp: %v flow control needs BufDepth >= 9 for 64B data packets", c.FlowControl)

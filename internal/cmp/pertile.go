@@ -23,10 +23,6 @@ type TileStats struct {
 // PerTile snapshots per-tile statistics after a run.
 func (s *System) PerTile() []TileStats {
 	out := make([]TileStats, s.cfg.tiles())
-	mcs := make(map[int]bool, len(s.mcNodes))
-	for _, n := range s.mcNodes {
-		mcs[n] = true
-	}
 	for i := range out {
 		lines, segs := s.banks[i].Occupancy()
 		out[i] = TileStats{
@@ -37,7 +33,7 @@ func (s *System) PerTile() []TileStats {
 			BankMisses: s.banks[i].Misses,
 			BankLines:  lines,
 			BankSegs:   segs,
-			IsMC:       mcs[i],
+			IsMC:       i == s.cfg.MCNode,
 		}
 		if e := s.net.Routers[i].Engine(); e != nil {
 			out[i].EngineComps = e.Compressions

@@ -109,39 +109,12 @@ func (s *System) txnProbe(t *txn) {
 	if line == nil {
 		s.l2Misses++
 		t.phase = phMem
-		s.sendCtrl(mMemRead, t.addr, t.home, s.mcNodeFor(t.addr), t.id, noc.ClassRequest)
-		s.issuePrefetches(t.home, t.addr)
+		s.sendCtrl(mMemRead, t.addr, t.home, s.cfg.MCNode, t.id, noc.ClassRequest)
 		return
-	}
-	if line.Prefetched {
-		line.Prefetched = false
-		s.prefUseful++
 	}
 	s.l2Hits++
 	line.Pinned = true
 	s.txnCollect(t, line)
-}
-
-// issuePrefetches launches sequential prefetch transactions for the next
-// blocks of this bank's address slice (stride = bank count).
-func (s *System) issuePrefetches(home int, addr cache.Addr) {
-	deg := s.cfg.PrefetchDegree
-	if deg <= 0 {
-		return
-	}
-	stride := cache.Addr(s.cfg.tiles())
-	for k := 1; k <= deg; k++ {
-		pa := addr + cache.Addr(k)*stride
-		if _, busy := s.txns[home][pa]; busy || s.banks[home].Peek(pa) != nil {
-			continue
-		}
-		s.nextTxnID++
-		t := s.takeTxn()
-		t.id, t.addr, t.home, t.requester, t.phase = s.nextTxnID, pa, home, -1, phMem
-		s.txns[home][pa] = t
-		s.prefIssued++
-		s.sendCtrl(mMemRead, pa, home, s.mcNodeFor(pa), t.id, noc.ClassRequest)
-	}
 }
 
 // txnCollect issues invalidations / owner fetches and waits for acks.
@@ -207,7 +180,7 @@ func (s *System) strayOwnerData(home int, msg *message) {
 		line.Dirty = true
 		return
 	}
-	s.sendData(mMemWB, msg.addr, home, s.mcNodeFor(msg.addr), 0, cache.Invalid, srcCore)
+	s.sendData(mMemWB, msg.addr, home, s.cfg.MCNode, 0, cache.Invalid, srcCore)
 }
 
 // txnRespond updates the directory and sends the grant.
@@ -215,12 +188,6 @@ func (s *System) txnRespond(t *txn) {
 	line := s.banks[t.home].Peek(t.addr)
 	if line == nil {
 		panic("cmp: responding transaction lost its (pinned) line")
-	}
-	if t.requester < 0 {
-		// Prefetch transaction: the fill itself was the goal.
-		line.Prefetched = true
-		s.finishTxn(t)
-		return
 	}
 	t.phase = phUnblock
 	if t.write {
@@ -309,7 +276,7 @@ func (s *System) applyWriteback(home int, msg *message) {
 	s.wbPackets++
 	line := s.banks[home].Peek(msg.addr)
 	if line == nil {
-		s.sendData(mMemWB, msg.addr, home, s.mcNodeFor(msg.addr), 0, cache.Invalid, srcCore)
+		s.sendData(mMemWB, msg.addr, home, s.cfg.MCNode, 0, cache.Invalid, srcCore)
 		return
 	}
 	s.bankAccesses++
@@ -369,7 +336,7 @@ func (s *System) evictVictim(home int, v cache.Victim2) {
 		return // the owner's data will continue to memory via strayOwnerData
 	}
 	if v.Line.Dirty {
-		s.sendData(mMemWB, v.Line.Addr, home, s.mcNodeFor(v.Line.Addr), 0, cache.Invalid, srcBank)
+		s.sendData(mMemWB, v.Line.Addr, home, s.cfg.MCNode, 0, cache.Invalid, srcBank)
 	}
 }
 
@@ -377,14 +344,14 @@ func (s *System) evictVictim(home int, v cache.Victim2) {
 
 // mcRead services a fill request at the memory controller.
 func (s *System) mcRead(node int, msg *message) {
-	ready := s.drams[s.mcFor(msg.addr)].Access(uint64(msg.addr), false, s.now)
+	ready := s.dram.Access(uint64(msg.addr), false, s.now)
 	s.events.push(event{cycle: ready, kind: evDRAMReturn, node: node, peer: msg.requester,
 		addr: msg.addr, txnID: msg.txnID, dram: ready - s.now})
 }
 
 // mcWrite absorbs a writeback at the memory controller.
 func (s *System) mcWrite(_ int, msg *message) {
-	s.drams[s.mcFor(msg.addr)].Access(uint64(msg.addr), true, s.now)
+	s.dram.Access(uint64(msg.addr), true, s.now)
 }
 
 // --- Core-side protocol handlers ------------------------------------------

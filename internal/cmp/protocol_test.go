@@ -123,10 +123,10 @@ func TestProtocolWritebackToPresentLine(t *testing.T) {
 func TestProtocolWritebackToAbsentLineGoesToMemory(t *testing.T) {
 	s := protoSystem(t, Baseline)
 	addr := cache.Addr(trace.PrivateBase(3) + 101)
-	before := s.dramWrites()
+	before := s.dram.Writes
 	// Writeback for a line the LLC does not hold: must continue to DRAM.
 	s.sendData(mWB, addr, 5, s.homeOf(addr), 0, cache.Invalid, srcCore)
-	drive(t, s, 5000, func() bool { return s.dramWrites() == before+1 })
+	drive(t, s, 5000, func() bool { return s.dram.Writes == before+1 })
 }
 
 func TestProtocolInvalidateAbsentLineStillAcks(t *testing.T) {

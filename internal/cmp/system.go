@@ -87,10 +87,8 @@ type System struct {
 	cores []*coreState
 	l1s   []*cache.L1
 	banks []*cache.Bank
-	// mcNodes lists all memory-controller tiles; drams[i] is the channel
-	// behind mcNodes[i].
-	mcNodes []int
-	drams   []*mem.DRAM
+	// dram is the one off-chip channel, behind the MCNode tile.
+	dram *mem.DRAM
 
 	events eventQueue
 	now    uint64
@@ -123,8 +121,6 @@ type System struct {
 	decompOps    uint64 // endpoint decompressions
 	residualOps  uint64 // DISCO conversions paid at ejection
 	wbPackets    uint64
-	prefIssued   uint64
-	prefUseful   uint64
 
 	// Observability probe (see SetProbe): fn runs on the simulation
 	// goroutine every probeEvery cycles, only at commit boundaries.
@@ -183,44 +179,15 @@ func New(cfg Config) (*System, error) {
 		s.txns[i] = make(map[cache.Addr]*txn)
 		s.cores[i] = newCore(i, &cfg)
 	}
-	s.mcNodes = append([]int{cfg.MCNode}, cfg.ExtraMCNodes...)
-	for range s.mcNodes {
-		d, err := mem.New(mem.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		s.drams = append(s.drams, d)
+	if s.dram, err = mem.New(mem.DefaultConfig()); err != nil {
+		return nil, err
 	}
 	s.trainSC2()
 	return s, nil
 }
 
-// mcFor maps a block address to its memory controller index (block
-// interleaving across channels).
-func (s *System) mcFor(addr cache.Addr) int {
-	return int((uint64(addr) / uint64(s.cfg.tiles())) % uint64(len(s.mcNodes)))
-}
-
-// mcNodeFor returns the tile hosting addr's memory controller.
-func (s *System) mcNodeFor(addr cache.Addr) int { return s.mcNodes[s.mcFor(addr)] }
-
-// dramAccesses sums all channels.
-func (s *System) dramAccesses() uint64 {
-	var n uint64
-	for _, d := range s.drams {
-		n += d.Accesses()
-	}
-	return n
-}
-
-// dramWrites sums write counts over all channels (used by tests).
-func (s *System) dramWrites() uint64 {
-	var n uint64
-	for _, d := range s.drams {
-		n += d.Writes
-	}
-	return n
-}
+// dramAccesses counts the channel's reads and writes.
+func (s *System) dramAccesses() uint64 { return s.dram.Accesses() }
 
 // trainSC2 mirrors the value-sampling phase of the statistical
 // compressors (SC², FVC): the shared table is built from a sample of the
@@ -534,8 +501,6 @@ func (s *System) results() Results {
 		ResidualOps:    s.residualOps,
 		EndpointComp:   s.compOps,
 		EndpointDecomp: s.decompOps,
-		PrefetchIssued: s.prefIssued,
-		PrefetchUseful: s.prefUseful,
 		Energy:         model.Energy(counts),
 	}
 }
@@ -572,7 +537,10 @@ type Results struct {
 	ResidualOps    uint64
 	EndpointComp   uint64
 	EndpointDecomp uint64
-	// PrefetchIssued/Useful report the optional LLC prefetcher's activity.
+	// PrefetchIssued and PrefetchUseful are always 0: the simulator has
+	// no prefetcher. They stay because the Results JSON is pinned by
+	// TestResultsGoldenDigest and by the end-to-end benchmark's frozen
+	// result digests, which a removed field would change.
 	PrefetchIssued uint64
 	PrefetchUseful uint64
 

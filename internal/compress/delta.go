@@ -268,7 +268,10 @@ type IncrementalDelta struct {
 }
 
 // NewIncrementalDelta returns an engine ready for the first fragment.
-func NewIncrementalDelta() *IncrementalDelta { return &IncrementalDelta{} }
+// Its fragment list is sized for the worst case, one fragment per flit.
+func NewIncrementalDelta() *IncrementalDelta {
+	return &IncrementalDelta{fragBits: make([]int, 0, BlockSize/FlitBytes)}
+}
 
 // Reset returns the engine to its initial state, retaining the fragment
 // bookkeeping's backing array — a recycled engine job absorbs its first

@@ -50,10 +50,6 @@ type Config struct {
 	// ResponseOnly restricts compression to data/response packets
 	// (Section 3.3C); request/coherence packets are never touched.
 	ResponseOnly bool
-	// CompressCoreBound also compresses packets whose destination wants
-	// them uncompressed (pure traffic optimization; off by default, and
-	// off in the paper's configuration).
-	CompressCoreBound bool
 
 	// Adaptive enables congestion-aware threshold scaling. The paper
 	// observes that the best CCth/CDth depend on the NoC congestion

@@ -99,16 +99,11 @@ type Engine struct {
 
 	// retired is the most recently finished (or dropped) job, recycled at
 	// the next Start*: the Job struct, its IncrementalDelta and its stream
-	// buffer are reused, so a steady-state engine starts jobs without
-	// allocating. Callers may read a finished job's fields only until the
-	// next Start* on the same engine — the cycle engine consumes results
+	// buffer are reused, so an engine starts jobs without allocating.
+	// Callers may read a finished job's fields only until the next
+	// Start* on the same engine — the cycle engine consumes results
 	// within the stage that collected them, so this is never observable.
 	retired *Job
-
-	// strictIncremental selects IncrementalDelta semantics (Δ1 commitment,
-	// possible abort) for separate compression; only meaningful when the
-	// algorithm is the paper's delta scheme.
-	strictIncremental bool
 
 	// faultFn, when non-nil, is consulted at job start: true marks the
 	// job Faulted (see Job.Faulted). stuckCycles is the busy window a
@@ -132,7 +127,15 @@ type Engine struct {
 // pipeline.
 func NewEngine(alg compress.Algorithm) *Engine {
 	_, isDelta := alg.(*compress.Delta)
-	return &Engine{alg: alg, strictIncremental: isDelta}
+	// The engine's one Job is built here with its scratch at full size,
+	// so no job start allocates, not even the first.
+	j := &Job{}
+	if isDelta {
+		j.inc = compress.NewIncrementalDelta()
+	} else {
+		j.streamBuf = make([]byte, 0, compress.BlockSize)
+	}
+	return &Engine{alg: alg, retired: j}
 }
 
 // Algorithm returns the engine's compressor.
@@ -161,22 +164,16 @@ func (e *Engine) retire(j *Job) {
 	e.retired = j
 }
 
-// takeJob returns a zeroed Job, recycling the retired one (and its
-// incremental scratch) when available.
+// takeJob returns the engine's one Job, zeroed but keeping its
+// incremental scratch. NewEngine builds it, and every finished or dropped
+// job is retired, so it is there whenever the engine is idle.
 func (e *Engine) takeJob() *Job {
 	j := e.retired
-	if j == nil {
-		return &Job{}
-	}
 	e.retired = nil
 	inc, buf := j.inc, j.streamBuf
-	*j = Job{}
+	*j = Job{inc: inc, streamBuf: buf[:0]}
 	if inc != nil {
 		inc.Reset()
-		j.inc = inc
-	}
-	if buf != nil {
-		j.streamBuf = buf[:0]
 	}
 	return j
 }
@@ -195,9 +192,6 @@ func (e *Engine) StartCompress(pktID uint64, resident []uint64, totalFlits int, 
 	j.startCycle = now
 	j.latency = e.alg.CompLatency()
 	j.total = totalFlits
-	if e.strictIncremental && j.inc == nil {
-		j.inc = compress.NewIncrementalDelta()
-	}
 	if e.faultFn != nil && e.faultFn() {
 		j.Faulted = true
 	}

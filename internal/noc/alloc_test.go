@@ -48,21 +48,19 @@ func TestDiscoMeshAllocs(t *testing.T) {
 // TestDiscoMeshSparseAllocs pins the same zero for a lightly loaded 4×4
 // DISCO mesh, where routers drop in and out of the per-cycle active list
 // and NIs in and out of the injection bitset from one cycle to the next.
-// The mesh warms under DefaultTraffic, as TestDiscoMeshAllocs does, before
-// the load drops: per-router scratch (switch-allocation request lists, an
-// engine's first job) grows on first use to its high-water mark, which a
-// sparse load reaches only slowly.
+// The mesh warms at the same sparse rate it is measured at: routers and
+// engines size their scratch at construction, so no high-water mark has
+// to be reached first.
 func TestDiscoMeshSparseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	const warm, settle, block = 20_000, 5_000, 2_000
+	const warm, block = 20_000, 2_000
 	n := mustNet(t, discoConfig())
-	g := NewTrafficGen(n, DefaultTraffic())
-	for i := 0; i < warm+settle; i++ {
-		if i == warm {
-			g.cfg.InjectionRate = 0.005
-		}
+	tc := DefaultTraffic()
+	tc.InjectionRate = 0.005
+	g := NewTrafficGen(n, tc)
+	for i := 0; i < warm; i++ {
 		g.Step()
 		n.Step()
 	}

@@ -53,34 +53,6 @@ func (p Port) opposite() Port {
 	panic("noc: Local port has no opposite")
 }
 
-// Routing selects the routing algorithm.
-type Routing int
-
-// Routing algorithms. All three are deadlock-free on a mesh.
-const (
-	// XY is dimension-ordered, X first (Table 2's configuration).
-	XY Routing = iota
-	// YX is dimension-ordered, Y first.
-	YX
-	// WestFirst is the turn-model adaptive algorithm: westbound hops are
-	// taken first (deterministically); all other minimal directions are
-	// chosen adaptively by downstream congestion.
-	WestFirst
-)
-
-// String implements fmt.Stringer.
-func (r Routing) String() string {
-	switch r {
-	case XY:
-		return "xy"
-	case YX:
-		return "yx"
-	case WestFirst:
-		return "west-first"
-	}
-	return fmt.Sprintf("routing(%d)", int(r))
-}
-
 // FlowControl selects the switching policy (Section 3.3A discusses the
 // interaction of each with in-network compression).
 type FlowControl int
@@ -123,8 +95,6 @@ type Config struct {
 	BufDepth int
 	// FlowControl is the switching policy (default Wormhole, as Table 2).
 	FlowControl FlowControl
-	// Routing selects the routing algorithm (Table 2 uses XY).
-	Routing Routing
 	// Disco enables DISCO in-router compression when non-nil.
 	Disco *disco.Config
 	// Fault arms deterministic fault injection when non-nil and at least
@@ -192,27 +162,12 @@ func (c *Config) Hops(a, b int) int {
 	return abs(ax-bx) + abs(ay-by)
 }
 
-// routePort computes the dimension-ordered output port at node `here`
-// for a packet destined to dst (X first by default, Y first with YX;
-// Local when arrived). WestFirst adaptivity is resolved in the router,
-// which has congestion visibility; this returns its deterministic
-// fallback.
+// routePort computes the XY (dimension-ordered, X first: Table 2's
+// routing) output port at node `here` for a packet destined to dst;
+// Local when arrived.
 func (c *Config) routePort(here, dst int) Port {
 	hx, hy := c.XY(here)
 	dx, dy := c.XY(dst)
-	if c.Routing == YX {
-		switch {
-		case dy > hy:
-			return South
-		case dy < hy:
-			return North
-		case dx > hx:
-			return East
-		case dx < hx:
-			return West
-		}
-		return Local
-	}
 	switch {
 	case dx > hx:
 		return East
@@ -224,27 +179,6 @@ func (c *Config) routePort(here, dst int) Port {
 		return North
 	}
 	return Local
-}
-
-// adaptivePorts lists the minimal productive ports WestFirst may choose
-// among at `here` for dst. Empty means Local (arrived). When dst lies to
-// the west the only legal choice is West (turn-model restriction).
-func (c *Config) adaptivePorts(here, dst int) []Port {
-	hx, hy := c.XY(here)
-	dx, dy := c.XY(dst)
-	if dx < hx {
-		return []Port{West}
-	}
-	var out []Port
-	if dx > hx {
-		out = append(out, East)
-	}
-	if dy > hy {
-		out = append(out, South)
-	} else if dy < hy {
-		out = append(out, North)
-	}
-	return out
 }
 
 // neighbor returns the node id adjacent to `here` through port p, or -1

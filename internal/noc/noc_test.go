@@ -612,24 +612,6 @@ func TestHotspotStressNoDeadlockProperty(t *testing.T) {
 	}
 }
 
-func TestYXRouting(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Routing = YX
-	if p := cfg.routePort(0, 5); p != South { // (0,0)->(1,1): Y first
-		t.Errorf("YX routePort(0,5) = %v, want S", p)
-	}
-	if p := cfg.routePort(4, 5); p != East { // same row: X
-		t.Errorf("YX routePort(4,5) = %v, want E", p)
-	}
-	n := mustNet(t, cfg)
-	delivered := false
-	n.OnEject = func(node int, _ *Packet) { delivered = node == 15 }
-	n.Inject(NewControlPacket(1, 0, 15, ClassRequest))
-	if !n.RunUntilQuiescent(1000) || !delivered {
-		t.Error("YX routing failed to deliver")
-	}
-}
-
 func TestLinkUtilization(t *testing.T) {
 	n := mustNet(t, DefaultConfig())
 	max0, mean0 := n.LinkUtilization()
@@ -645,69 +627,5 @@ func TestLinkUtilization(t *testing.T) {
 	max, mean := n.LinkUtilization()
 	if !(max > 0 && mean > 0 && max >= mean && max <= 1.0) {
 		t.Errorf("utilization out of range: max=%.3f mean=%.3f", max, mean)
-	}
-}
-
-func TestWestFirstRouting(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Routing = WestFirst
-	// Westbound destinations are deterministic.
-	if ps := cfg.adaptivePorts(5, 4); len(ps) != 1 || ps[0] != West {
-		t.Errorf("westbound adaptivePorts = %v", ps)
-	}
-	// East+south destinations offer two choices.
-	if ps := cfg.adaptivePorts(0, 5); len(ps) != 2 {
-		t.Errorf("diagonal adaptivePorts = %v", ps)
-	}
-	if Routing(9).String() == "" || WestFirst.String() != "west-first" {
-		t.Error("Routing strings wrong")
-	}
-	// Functional: heavy diagonal traffic drains and balances over both
-	// minimal paths.
-	n := mustNet(t, cfg)
-	ej := 0
-	n.OnEject = func(_ int, _ *Packet) { ej++ }
-	id := uint64(0)
-	for wave := 0; wave < 50; wave++ {
-		id++
-		n.Inject(NewDataPacket(id, 0, 15, compressibleBlock(int64(id)), false))
-		n.Step()
-	}
-	if !n.RunUntilQuiescent(200000) {
-		t.Fatal("west-first did not drain")
-	}
-	if uint64(ej) != id {
-		t.Errorf("delivered %d of %d", ej, id)
-	}
-	// Both south-out of router 0 and east-out must have carried flits
-	// (adaptive spreading); strictly XY would use East only at router 0.
-	r0 := n.Routers[0]
-	if r0.linkFlits[East] == 0 || r0.linkFlits[South] == 0 {
-		t.Errorf("no adaptive spreading: east=%d south=%d", r0.linkFlits[East], r0.linkFlits[South])
-	}
-}
-
-func TestWestFirstConservationUnderRandomTraffic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Routing = WestFirst
-	dc := disco.DefaultConfig(compress.NewDelta())
-	cfg.Disco = &dc
-	n := mustNet(t, cfg)
-	rng := rand.New(rand.NewSource(13))
-	id := uint64(0)
-	for i := 0; i < 800; i++ {
-		id++
-		src, dst := rng.Intn(16), rng.Intn(16)
-		n.Inject(NewDataPacket(id, src, dst, compressibleBlock(int64(id)), rng.Intn(2) == 0))
-		if i%2 == 0 {
-			n.Step()
-		}
-	}
-	if !n.RunUntilQuiescent(500000) {
-		t.Fatal("west-first+DISCO deadlocked")
-	}
-	s := n.Stats()
-	if s.Injected != s.Ejected {
-		t.Error("conservation violated")
 	}
 }

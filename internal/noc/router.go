@@ -121,6 +121,15 @@ func newRouter(id int, net *Network) *Router {
 		}
 		r.outOwner[p] = make([]*Packet, vcs)
 	}
+	// Size every per-cycle scratch list at its bound (all input VCs), so
+	// the router never grows one mid-run, however light the load.
+	n := int(NumPorts) * vcs
+	for p := Port(0); p < NumPorts; p++ {
+		r.vaReqs[p] = make([]*vcBuf, 0, n)
+		r.saWants[p] = make([]saWant, 0, n)
+	}
+	r.arbVCs = make([]*vcBuf, 0, n)
+	r.arbCand = make([]disco.Candidate, 0, n)
 	if net.cfg.Disco != nil {
 		r.engine = disco.NewEngine(net.cfg.Disco.Algorithm)
 		if net.fault != nil {
@@ -209,34 +218,10 @@ func (r *Router) computeRC() {
 		if e.state != vcRoute {
 			continue
 		}
-		e.outPort = r.routeFor(e.pkt.Dst)
+		e.outPort = r.net.cfg.routePort(r.id, e.pkt.Dst)
 		e.state = vcVA
 		r.trace(tracefmt.KindRoute, e.pkt)
 	}
-}
-
-// routeFor resolves the output port, applying WestFirst adaptivity (pick
-// the least-congested legal minimal direction) when configured.
-func (r *Router) routeFor(dst int) Port {
-	cfg := &r.net.cfg
-	if cfg.Routing != WestFirst {
-		return cfg.routePort(r.id, dst)
-	}
-	cands := cfg.adaptivePorts(r.id, dst)
-	switch len(cands) {
-	case 0:
-		return Local
-	case 1:
-		return cands[0]
-	}
-	best := cands[0]
-	bestOcc := r.downstreamOccupancy(best)
-	for _, p := range cands[1:] {
-		if occ := r.downstreamOccupancy(p); occ < bestOcc {
-			best, bestOcc = p, occ
-		}
-	}
-	return best
 }
 
 // computeVA allocates downstream VCs: one grant per output port per
@@ -681,7 +666,7 @@ func (r *Router) computeArb() {
 		switch {
 		case pkt.Compressed && !pkt.WantCompressedAtDst && fullyArrived:
 			decompress = true
-		case !pkt.Compressed && (pkt.WantCompressedAtDst || cfg.CompressCoreBound):
+		case !pkt.Compressed && pkt.WantCompressedAtDst:
 			if !cfg.SeparateFlit && !fullyArrived {
 				continue
 			}

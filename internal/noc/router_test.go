@@ -220,32 +220,3 @@ func TestBlockingEngineModeNeverReleases(t *testing.T) {
 		t.Error("conservation violated")
 	}
 }
-
-func TestCompressCoreBoundOption(t *testing.T) {
-	// With CompressCoreBound on, even core-bound (raw-wanted) payloads are
-	// compression candidates; everything must still deliver intact.
-	cfg := DefaultConfig()
-	dc := disco.DefaultConfig(compress.NewDelta())
-	dc.CompressCoreBound = true
-	cfg.Disco = &dc
-	n := mustNet(t, cfg)
-	id := uint64(0)
-	for wave := 0; wave < 25; wave++ {
-		for src := 0; src < 16; src++ {
-			if src == 5 {
-				continue
-			}
-			id++
-			// Core-bound: wants uncompressed at destination.
-			n.Inject(NewDataPacket(id, src, 5, compressibleBlock(int64(id)), false))
-		}
-		n.Step()
-	}
-	if !n.RunUntilQuiescent(400000) {
-		t.Fatal("no drain")
-	}
-	s := n.Stats()
-	if s.Injected != s.Ejected {
-		t.Error("conservation violated")
-	}
-}

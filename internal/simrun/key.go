@@ -59,8 +59,12 @@ func KeyFor(cfg *cmp.Config) Key {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "prof=%+v", cfg.Profile)
-	fmt.Fprintf(&b, "|mc=%d,%v|max=%d|mshr=%d|pref=%d",
-		cfg.MCNode, cfg.ExtraMCNodes, cfg.MaxCycles, cfg.MSHRs, cfg.PrefetchDegree)
+	// "[]" (extra memory controllers) and "pref=0" (prefetch degree)
+	// print options the simulator no longer has. They stay as literals
+	// because the canonical string is the persistent store's content
+	// address: dropping them would orphan every stored result.
+	fmt.Fprintf(&b, "|mc=%d,[]|max=%d|mshr=%d|pref=0",
+		cfg.MCNode, cfg.MaxCycles, cfg.MSHRs)
 	fmt.Fprintf(&b, "|l1=%dx%d|bank=%dx%d|tagf=%d",
 		cfg.L1Sets, cfg.L1Ways, cfg.BankSets, cfg.BankWays, cfg.TagFactor)
 	fmt.Fprintf(&b, "|noc=%d,%d,%v|lat=%d,%d",
@@ -92,8 +96,10 @@ func discoFingerprint(cfg *cmp.Config) string {
 		d := disco.DefaultConfig(cfg.Algorithm)
 		dc = &d
 	}
-	return fmt.Sprintf("g=%g,a=%g,b=%g,cc=%g,cd=%g,nb=%t,sf=%t,lp=%t,ro=%t,cb=%t,ad=%t,ag=%g",
+	// "cb=false" prints a removed option (compress core-bound packets),
+	// kept as a literal so the store's content addresses do not move.
+	return fmt.Sprintf("g=%g,a=%g,b=%g,cc=%g,cd=%g,nb=%t,sf=%t,lp=%t,ro=%t,cb=false,ad=%t,ag=%g",
 		dc.Gamma, dc.Alpha, dc.Beta, dc.CCth, dc.CDth,
 		dc.NonBlocking, dc.SeparateFlit, dc.LowPriorityRule, dc.ResponseOnly,
-		dc.CompressCoreBound, dc.Adaptive, dc.AdaptiveGain)
+		dc.Adaptive, dc.AdaptiveGain)
 }

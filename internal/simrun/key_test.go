@@ -38,7 +38,6 @@ func TestKeyDistinguishesDiscoConfigs(t *testing.T) {
 		"beta":          func(c *disco.Config) { c.Beta = 0 },
 		"adaptive":      func(c *disco.Config) { c.Adaptive = true; c.AdaptiveGain = 1 },
 		"gamma":         func(c *disco.Config) { c.Gamma = 0.25 },
-		"core-bound":    func(c *disco.Config) { c.CompressCoreBound = true },
 		"cc-threshold":  func(c *disco.Config) { c.CCth = 2 },
 		"cd-threshold":  func(c *disco.Config) { c.CDth = 2 },
 		"adaptive-gain": func(c *disco.Config) { c.Adaptive = true; c.AdaptiveGain = 0.5 },
@@ -83,7 +82,6 @@ func TestKeySeparatesModesAndWorkloads(t *testing.T) {
 		mk(cmp.DISCO, prof, func(c *cmp.Config) { c.OpsPerCore = 999 }),
 		mk(cmp.DISCO, prof, func(c *cmp.Config) { c.VCs = 4 }),
 		mk(cmp.DISCO, prof, func(c *cmp.Config) { c.BufDepth = 16 }),
-		mk(cmp.DISCO, prof, func(c *cmp.Config) { c.PrefetchDegree = 2 }),
 	}
 	seen := map[Key]int{}
 	for i, k := range keys {

@@ -15,20 +15,16 @@
 // cache is single-flight — two submissions of the same Key share one
 // simulation even when both arrive before it finishes.
 //
-// Two optional layers make campaigns crash-safe (DESIGN.md §13):
+// One optional layer makes campaigns crash-safe (DESIGN.md §13): SetStore
+// attaches a persistent content-addressed tier (internal/store) consulted
+// behind the in-process map, so a killed campaign resumes from disk
+// instead of from zero. Only successful results are ever persisted; a
+// corrupt entry quarantines and recomputes. A plain New runner has no
+// store.
 //
-//   - SetStore attaches a persistent content-addressed tier
-//     (internal/store) consulted behind the in-process map, so a killed
-//     campaign resumes from disk instead of from zero. Only successful
-//     results are ever persisted; a corrupt entry quarantines and
-//     recomputes.
-//   - SetRetry arms bounded, deterministic per-cell retry for transient
-//     failures (cell panics, injected I/O errors), so one flaky cell no
-//     longer cancels a 136-cell campaign; terminal failures surface as
-//     *CellError, recorded rather than silently dropped.
-//
-// Neither layer is armed by default: a plain New runner behaves exactly
-// as it always has.
+// A cell runs once. A cell is a seeded, deterministic simulation, so a
+// failure (a panic included) would recur on every attempt: it surfaces
+// as a *CellError, fails its own future and cancels the queued cells.
 package simrun
 
 import (
@@ -37,7 +33,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"github.com/disco-sim/disco/internal/cmp"
 	"github.com/disco-sim/disco/internal/store"
@@ -65,16 +60,13 @@ type Runner struct {
 	submitted uint64
 	hits      uint64
 	executed  uint64
-	retries   uint64
 	done      uint64 // cells completed (simulated, replayed or canceled)
 	canceled  bool
 	firstErr  error
 	drained   bool // Interrupt called: stop starting queued cells
 
-	store    *store.Store // persistent second tier (nil = off)
-	retry    RetryPolicy
-	sleep    func(time.Duration) // backoff sleeper (tests stub it)
-	observer func(Outcome)       // campaign bookkeeping hook
+	store    *store.Store  // persistent second tier (nil = off)
+	observer func(Outcome) // campaign bookkeeping hook
 }
 
 // job pairs a cell with its key and the closure that simulates it.
@@ -113,11 +105,8 @@ type Stats struct {
 	// DiskHits counts cells replayed from the persistent store instead
 	// of simulated (0 without SetStore).
 	DiskHits uint64
-	// Executed counts simulation attempts actually run, retries
-	// included.
+	// Executed counts cells actually simulated.
 	Executed uint64
-	// Retries counts re-executions after a transient failure.
-	Retries uint64
 	// Quarantined counts persistent-store entries renamed aside after
 	// failing verification (each one was recomputed, never replayed).
 	Quarantined uint64
@@ -127,42 +116,6 @@ type Stats struct {
 	Done uint64
 }
 
-// RetryPolicy bounds per-cell retry of transient failures. Backoff is
-// deterministic — BaseDelay doubling per retry up to MaxDelay, no
-// jitter — so a flaky campaign replays identically.
-type RetryPolicy struct {
-	// MaxAttempts caps executions per cell, first try included; values
-	// below 2 disable retry.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; each subsequent
-	// retry doubles it, capped at MaxDelay.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (0 = no cap).
-	MaxDelay time.Duration
-}
-
-// DefaultRetry is the campaign policy discosim arms: three attempts
-// with 50ms/100ms backoffs.
-func DefaultRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second}
-}
-
-// delay returns the deterministic backoff preceding the given retry
-// (retry 1 = first re-execution).
-func (p RetryPolicy) delay(retry int) time.Duration {
-	d := p.BaseDelay
-	for i := 1; i < retry; i++ {
-		d *= 2
-		if p.MaxDelay > 0 && d >= p.MaxDelay {
-			return p.MaxDelay
-		}
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	return d
-}
-
 // Outcome describes one completed distinct cell for campaign
 // bookkeeping (manifests): memo-cache joins do not produce outcomes,
 // disk replays and cancellations do.
@@ -170,8 +123,8 @@ type Outcome struct {
 	Key Key
 	// FromDisk marks results replayed from the persistent store.
 	FromDisk bool
-	// Attempts counts executions including retries (0 when nothing ran:
-	// disk replays and cancellations).
+	// Attempts is 1 for a simulated cell and 0 when nothing ran (disk
+	// replays and cancellations).
 	Attempts int
 	// Err is the terminal error: nil for done cells, wrapping
 	// ErrInterrupted for drained cells, the cancellation cause for
@@ -186,7 +139,7 @@ func New(workers int, memo bool) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &Runner{workers: workers, sleep: time.Sleep}
+	r := &Runner{workers: workers}
 	r.idle = sync.NewCond(&r.mu)
 	if memo {
 		r.cache = make(map[Key]*cell)
@@ -207,9 +160,6 @@ func (r *Runner) SetStore(s *store.Store) { r.store = s }
 // Store returns the attached persistent store (nil when off).
 func (r *Runner) Store() *store.Store { return r.store }
 
-// SetRetry arms per-cell retry. Call before the first Submit.
-func (r *Runner) SetRetry(p RetryPolicy) { r.retry = p }
-
 // SetObserver installs a campaign bookkeeping hook invoked (from
 // worker goroutines, unsynchronized with each other) once per distinct
 // completed cell. Call before the first Submit.
@@ -218,8 +168,7 @@ func (r *Runner) SetObserver(fn func(Outcome)) { r.observer = fn }
 // Stats snapshots the activity counters.
 func (r *Runner) Stats() Stats {
 	r.mu.Lock()
-	st := Stats{Submitted: r.submitted, Hits: r.hits, Executed: r.executed,
-		Retries: r.retries, Done: r.done}
+	st := Stats{Submitted: r.submitted, Hits: r.hits, Executed: r.executed, Done: r.done}
 	r.mu.Unlock()
 	if r.store != nil {
 		ss := r.store.Stats()
@@ -314,48 +263,18 @@ func (r *Runner) drain() {
 				continue
 			}
 		}
-		res, attempts, err := r.runWithRetry(j)
-		if err == nil && r.store != nil && !j.key.Volatile {
-			// A failed Put is counted by the store and must not fail the
-			// cell: the result is in hand, only its durability is lost.
-			_ = r.store.Put(j.key.Canonical(), res)
-		}
-		r.finish(j, res, err, Outcome{Key: j.key, Attempts: attempts, Err: err})
-	}
-}
-
-// runWithRetry executes one cell, retrying transient failures under
-// the armed policy with deterministic backoff.
-func (r *Runner) runWithRetry(j *job) (cmp.Results, int, error) {
-	max := r.retry.MaxAttempts
-	if max < 1 {
-		max = 1
-	}
-	attempt := 0
-	for {
-		attempt++
 		r.mu.Lock()
 		r.executed++
 		r.mu.Unlock()
 		res, err := runCell(j.run)
-		if err == nil {
-			return res, attempt, nil
+		if err != nil {
+			res, err = cmp.Results{}, &CellError{Key: j.key, Err: err}
+		} else if r.store != nil && !j.key.Volatile {
+			// A failed Put is counted by the store and must not fail the
+			// cell: the result is in hand, only its durability is lost.
+			_ = r.store.Put(j.key.Canonical(), res)
 		}
-		if attempt >= max || !IsTransient(err) {
-			return cmp.Results{}, attempt, &CellError{Key: j.key, Attempts: attempt, Err: err}
-		}
-		r.mu.Lock()
-		stop := r.drained || r.canceled
-		if !stop {
-			r.retries++
-		}
-		r.mu.Unlock()
-		if stop {
-			// The campaign is draining or canceled: give up without
-			// burning the remaining attempts.
-			return cmp.Results{}, attempt, &CellError{Key: j.key, Attempts: attempt, Err: err}
-		}
-		r.sleep(r.retry.delay(attempt))
+		r.finish(j, res, err, Outcome{Key: j.key, Attempts: 1, Err: err})
 	}
 }
 
@@ -382,17 +301,16 @@ func (r *Runner) finish(j *job, res cmp.Results, err error, out Outcome) {
 	}
 }
 
-// CellError is a cell's terminal failure after the retry policy is
-// exhausted (Attempts executions). It wraps the last underlying error.
+// CellError is a simulated cell's failure. It wraps the cell's own
+// error, or a *PanicError when the cell panicked.
 type CellError struct {
-	Key      Key
-	Attempts int
-	Err      error
+	Key Key
+	Err error
 }
 
 // Error implements error.
 func (e *CellError) Error() string {
-	return fmt.Sprintf("simrun: cell %s failed after %d attempt(s): %v", e.Key, e.Attempts, e.Err)
+	return fmt.Sprintf("simrun: cell %s failed: %v", e.Key, e.Err)
 }
 
 // Unwrap exposes the underlying failure to errors.Is/As.
@@ -413,22 +331,6 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("simrun: cell panicked: %v", e.Value)
-}
-
-// IsTransient reports whether err is worth retrying: cell panics
-// (*PanicError) and any error exposing Transient() bool — the contract
-// injected I/O failures use — qualify. Watchdog stalls and
-// configuration errors are deterministic and do not.
-func IsTransient(err error) bool {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	var tr interface{ Transient() bool }
-	if errors.As(err, &tr) {
-		return tr.Transient()
-	}
-	return false
 }
 
 // runCell invokes one cell's simulation closure, converting a panic into

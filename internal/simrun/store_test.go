@@ -6,9 +6,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/disco-sim/disco/internal/cmp"
 	"github.com/disco-sim/disco/internal/store"
@@ -180,85 +180,71 @@ func TestErroredCellsNeverMemoizedOrPersisted(t *testing.T) {
 	}
 }
 
-// TestRetryTransientThenSuccess: a cell that panics twice and then
-// succeeds completes under a 3-attempt policy, with deterministic
-// doubling backoff and correct counters.
-func TestRetryTransientThenSuccess(t *testing.T) {
-	r := New(1, true)
-	r.SetRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Second})
-	var slept []time.Duration
-	r.sleep = func(d time.Duration) { slept = append(slept, d) }
-	attempts := 0
-	want := storeResults(4)
-	got, err := r.Submit(testKey(1), func() (cmp.Results, error) {
-		attempts++
-		if attempts < 3 {
-			panic("flaky")
-		}
-		return want, nil
-	}).Wait()
-	if err != nil {
-		t.Fatalf("cell failed despite succeeding within the policy: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("retried cell returned wrong results")
-	}
-	st := r.Stats()
-	if st.Executed != 3 || st.Retries != 2 {
-		t.Errorf("stats = %+v, want 3 executions / 2 retries", st)
-	}
-	wantSleeps := []time.Duration{time.Millisecond, 2 * time.Millisecond}
-	if !reflect.DeepEqual(slept, wantSleeps) {
-		t.Errorf("backoffs = %v, want %v", slept, wantSleeps)
-	}
-}
-
-// TestRetryExhaustedIsCellError: persistent transient failure becomes
-// a *CellError carrying the attempt count and the last cause.
-func TestRetryExhaustedIsCellError(t *testing.T) {
+// TestPanickingCellRunsOnce: a cell is deterministic, so its panic is
+// not retried. The closure runs exactly once, its future fails with a
+// *CellError wrapping the *PanicError, nothing reaches the disk tier,
+// and the cells queued behind it are canceled without running.
+func TestPanickingCellRunsOnce(t *testing.T) {
 	dir := t.TempDir()
 	r := New(1, true)
 	r.SetStore(testStore(t, dir))
-	r.SetRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond})
-	r.sleep = func(time.Duration) {}
-	key := testKey(1)
-	_, err := r.Submit(key, func() (cmp.Results, error) {
-		panic("always broken")
-	}).Wait()
-	var ce *CellError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CellError", err)
+	var outcomes []Outcome
+	var mu sync.Mutex
+	r.SetObserver(func(out Outcome) {
+		mu.Lock()
+		outcomes = append(outcomes, out)
+		mu.Unlock()
+	})
+	var runs atomic.Int32
+	release := make(chan struct{})
+	key := testKey(0)
+	first := r.Submit(key, func() (cmp.Results, error) {
+		runs.Add(1)
+		<-release // hold the worker until the rest are queued
+		panic("wedged configuration")
+	})
+	var queued []*Future
+	for i := 1; i <= 2; i++ {
+		queued = append(queued, r.Submit(testKey(i), func() (cmp.Results, error) {
+			t.Error("a cell queued behind a failure ran")
+			return cmp.Results{}, nil
+		}))
 	}
-	if ce.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", ce.Attempts)
+	close(release)
+
+	_, err := first.Wait()
+	var ce *CellError
+	if !errors.As(err, &ce) || ce.Key != key {
+		t.Fatalf("err = %v, want *CellError for %v", err, key)
 	}
 	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Error("CellError does not expose the underlying *PanicError")
+	if !errors.As(err, &pe) || pe.Value != "wedged configuration" {
+		t.Fatalf("err = %v, want a wrapped *PanicError", err)
 	}
-	if st := r.Stats(); st.Executed != 2 || st.Retries != 1 {
-		t.Errorf("stats = %+v, want 2 executions / 1 retry", st)
+	for i, f := range queued {
+		if _, err := f.Wait(); !errors.As(err, &ce) || !errors.As(err, &pe) {
+			t.Errorf("queued cell %d: err = %v, want cancellation wrapping the cell failure", i+1, err)
+		}
+	}
+	r.Quiesce()
+	if n := runs.Load(); n != 1 {
+		t.Errorf("panicking closure ran %d times, want 1", n)
+	}
+	if st := r.Stats(); st.Executed != 1 || st.Done != 3 {
+		t.Errorf("stats = %+v, want 1 executed / 3 done", st)
 	}
 	if _, ok := testStore(t, dir).Get(key.Canonical()); ok {
-		t.Error("terminally failed cell persisted to the disk tier")
+		t.Error("failed cell persisted to the disk tier")
 	}
-}
-
-// TestNonTransientNotRetried: deterministic failures (configuration
-// errors, watchdog stalls) burn exactly one attempt.
-func TestNonTransientNotRetried(t *testing.T) {
-	r := New(1, true)
-	r.SetRetry(DefaultRetry())
-	r.sleep = func(time.Duration) { t.Error("backoff slept for a non-transient failure") }
-	_, err := r.Submit(testKey(1), func() (cmp.Results, error) {
-		return cmp.Results{}, errors.New("bad config")
-	}).Wait()
-	var ce *CellError
-	if !errors.As(err, &ce) || ce.Attempts != 1 {
-		t.Fatalf("err = %v, want *CellError after exactly 1 attempt", err)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(outcomes) != 3 || outcomes[0].Key != key || outcomes[0].Attempts != 1 {
+		t.Fatalf("outcomes = %+v, want the failed cell first with 1 attempt", outcomes)
 	}
-	if st := r.Stats(); st.Executed != 1 || st.Retries != 0 {
-		t.Errorf("stats = %+v, want 1 execution / 0 retries", st)
+	for _, out := range outcomes[1:] {
+		if out.Attempts != 0 || out.Err == nil {
+			t.Errorf("canceled outcome = %+v, want 0 attempts and an error", out)
+		}
 	}
 }
 
@@ -376,15 +362,5 @@ func TestQuarantinedEntryRecomputes(t *testing.T) {
 		return cmp.Results{}, nil
 	}).Wait(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRetryDelaySchedule(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 50 * time.Millisecond, MaxDelay: 300 * time.Millisecond}
-	want := []time.Duration{50, 100, 200, 300, 300}
-	for i, w := range want {
-		if got := p.delay(i + 1); got != w*time.Millisecond {
-			t.Errorf("delay(%d) = %v, want %v", i+1, got, w*time.Millisecond)
-		}
 	}
 }

@@ -15,7 +15,7 @@ const ManifestName = "manifest.json"
 // Cell statuses recorded in a manifest.
 const (
 	StatusDone     = "done"     // results produced (simulated or replayed)
-	StatusFailed   = "failed"   // terminal failure after retries
+	StatusFailed   = "failed"   // the cell ran and failed
 	StatusCanceled = "canceled" // never ran: queue canceled or drained
 )
 
@@ -36,8 +36,9 @@ type CellRecord struct {
 	// Source distinguishes simulated results from disk replays (set for
 	// done cells only).
 	Source string `json:"source,omitempty"`
-	// Attempts counts executions including retries (0 for disk hits and
-	// canceled cells).
+	// Attempts is 1 for a simulated or failed cell and 0 (omitted) for
+	// disk hits and canceled cells. Manifests written while the runner
+	// still retried failed cells carry values up to 3; they load as is.
 	Attempts int `json:"attempts,omitempty"`
 	// Error is the terminal error text for failed/canceled cells.
 	Error string `json:"error,omitempty"`

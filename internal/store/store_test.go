@@ -352,6 +352,55 @@ func TestManifestRoundtrip(t *testing.T) {
 	}
 }
 
+// TestManifestWithRetryAttemptsLoads: a manifest written while the
+// runner still retried failed cells (testdata/manifest_attempts3.json,
+// saved by that version's SaveManifest) records up to three attempts per
+// cell. A campaign resumed over such a directory must still read it.
+func TestManifestWithRetryAttemptsLoads(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "manifest_attempts3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openTest(t, dir, Options{Version: "v1-parent"})
+	if !s.HasManifest() {
+		t.Fatal("HasManifest false for the fixture")
+	}
+	m, err := s.LoadManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Version != "v1-parent" || m.Len() != 5 {
+		t.Fatalf("version %q, %d cells; want v1-parent, 5", m.Version, m.Len())
+	}
+	done, failed, canceled := m.Counts()
+	if done != 3 || failed != 1 || canceled != 1 {
+		t.Errorf("counts = %d/%d/%d, want 3 done, 1 failed, 1 canceled", done, failed, canceled)
+	}
+	attempts := map[string]int{}
+	for _, c := range m.Cells {
+		attempts[c.Status+"/"+c.Source] += c.Attempts
+	}
+	want := map[string]int{"done/disk": 0, "done/simulated": 4, "failed/": 3, "canceled/": 0}
+	if !reflect.DeepEqual(attempts, want) {
+		t.Errorf("attempts by status/source = %v, want %v", attempts, want)
+	}
+	// Saving the loaded ledger again writes the same bytes.
+	if err := s.SaveManifest(m); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(data) {
+		t.Errorf("re-saved manifest differs from the fixture:\n%s", again)
+	}
+}
+
 // TestManifestSaveFailureKeepsOld: the manifest rename is atomic, so a
 // failed save leaves the previous ledger intact.
 func TestManifestSaveFailureKeepsOld(t *testing.T) {
