@@ -20,13 +20,19 @@ import (
 // its address. Cleanup shuts it down with a generous deadline.
 func startServer(t *testing.T, opts Options) (*Server, string) {
 	t.Helper()
-	srv, err := NewServer(opts)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
+	}
+	return serveOn(t, opts, ln), ln.Addr().String()
+}
+
+// serveOn serves a new Server on ln until cleanup shuts it down.
+func serveOn(t *testing.T, opts Options, ln net.Listener) *Server {
+	t.Helper()
+	srv, err := NewServer(opts)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
@@ -38,7 +44,7 @@ func startServer(t *testing.T, opts Options) (*Server, string) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return srv, ln.Addr().String()
+	return srv
 }
 
 // echoOnce runs one complete client stream against addr: dial,
