@@ -79,10 +79,11 @@ chaos-smoke:
 
 # Kill-resume byte-identity smoke (DESIGN.md §13): run a small campaign
 # uninterrupted (the reference artifact), run it again into a cache
-# directory and SIGINT it mid-flight (exit 5 = interrupted-but-
-# resumable; 0 is tolerated when the tiny campaign wins the race), then
-# rerun over the same cache and require the resumed JSON artifact to be
-# byte-identical to the reference.
+# directory and SIGINT it once the store holds RESUME_KILL_AT finished
+# cells (it must exit 5, interrupted-but-resumable), then rerun over the
+# same cache and require the resumed JSON artifact to be byte-identical
+# to the reference.
+RESUME_KILL_AT = 3
 resume-smoke:
 	@set -e; \
 	tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -92,11 +93,14 @@ resume-smoke:
 	"$$tmp/discosim" $$args -json "$$tmp/ref.json" >/dev/null; \
 	echo "== resume-smoke: interrupted run =="; \
 	"$$tmp/discosim" $$args -json "$$tmp/int.json" -cache-dir "$$tmp/cache" >/dev/null & pid=$$!; \
-	sleep 2; kill -INT $$pid 2>/dev/null || true; \
+	n=0; while [ "$$n" -lt $(RESUME_KILL_AT) ] && kill -0 $$pid 2>/dev/null; do \
+		sleep 0.05; n="$$(ls "$$tmp/cache" 2>/dev/null | grep -c '\.cell$$' || true)"; \
+	done; \
+	echo "store holds $$n finished cells: sending SIGINT"; \
+	kill -INT $$pid 2>/dev/null || true; \
 	rc=0; wait $$pid || rc=$$?; \
-	if [ "$$rc" != 5 ] && [ "$$rc" != 0 ]; then \
-		echo "interrupted run exited $$rc, want 5 (resumable) or 0"; exit 1; fi; \
-	echo "interrupted run exit code: $$rc"; \
+	if [ "$$rc" != 5 ]; then \
+		echo "interrupted run exited $$rc, want 5 (resumable)"; exit 1; fi; \
 	echo "== resume-smoke: resumed run =="; \
 	"$$tmp/discosim" $$args -json "$$tmp/res.json" -cache-dir "$$tmp/cache" >/dev/null; \
 	cmp "$$tmp/ref.json" "$$tmp/res.json"; \

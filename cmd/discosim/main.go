@@ -195,25 +195,7 @@ func realMain() int {
 		}
 		mf = store.NewManifest(st.Version())
 		o.Runner.SetStore(st)
-		o.Runner.SetObserver(func(out simrun.Outcome) {
-			rec := store.CellRecord{Key: out.Key.String(),
-				Entry: st.EntryName(out.Key.Canonical()), Attempts: out.Attempts}
-			switch {
-			case out.Err == nil:
-				rec.Status = store.StatusDone
-				rec.Source = store.SourceSimulated
-				if out.FromDisk {
-					rec.Source = store.SourceDisk
-				}
-			case out.Attempts > 0:
-				rec.Status = store.StatusFailed
-				rec.Error = out.Err.Error()
-			default:
-				rec.Status = store.StatusCanceled
-				rec.Error = out.Err.Error()
-			}
-			mf.Record(rec)
-		})
+		o.Runner.SetObserver(recordCells(st, mf))
 		sigc := make(chan os.Signal, 2)
 		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 		defer signal.Stop(sigc)
@@ -552,4 +534,31 @@ func startCampaignServer(addr string, r *simrun.Runner, rep *obs.Reporter) (*obs
 	}
 	rep.Infof("observability endpoint on http://%s (/metrics /status /debug/pprof)", bound)
 	return srv, nil
+}
+
+// recordCells returns the runner observer that records each cell's
+// outcome in mf. Records are keyed by the canonical key: cells that
+// differ only in configuration (ablation variants, sensitivity points)
+// share a Key.String, and keyed by that they would overwrite each
+// other's records.
+func recordCells(st *store.Store, mf *store.Manifest) func(simrun.Outcome) {
+	return func(out simrun.Outcome) {
+		key := out.Key.Canonical()
+		rec := store.CellRecord{Key: key, Entry: st.EntryName(key), Attempts: out.Attempts}
+		switch {
+		case out.Err == nil:
+			rec.Status = store.StatusDone
+			rec.Source = store.SourceSimulated
+			if out.FromDisk {
+				rec.Source = store.SourceDisk
+			}
+		case out.Attempts > 0:
+			rec.Status = store.StatusFailed
+			rec.Error = out.Err.Error()
+		default:
+			rec.Status = store.StatusCanceled
+			rec.Error = out.Err.Error()
+		}
+		mf.Record(rec)
+	}
 }

@@ -121,6 +121,45 @@ func TestCampaignServerExportsStoreCounters(t *testing.T) {
 	}
 }
 
+// TestManifestRecordsEveryDistinctCell: cells that differ only in
+// their configuration (as ablation variants and sensitivity points do)
+// share a Key.String but are distinct cells, and the campaign manifest
+// keeps one record for each.
+func TestManifestRecordsEveryDistinctCell(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{Version: "manifest-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf := store.NewManifest(st.Version())
+	r := simrun.New(2, true)
+	r.SetStore(st)
+	r.SetObserver(recordCells(st, mf))
+	configs := []string{"vc=2", "vc=4", "depth=8", "vc=2"} // the last repeats the first
+	for _, cfg := range configs {
+		key := simrun.Key{Mode: "disco", Algorithm: "delta", Benchmark: "swaptions",
+			K: 4, Ops: 100, Warmup: 50, Seed: 1, Config: cfg}
+		r.Submit(key, func() (cmp.Results, error) { return cmp.Results{Benchmark: cfg}, nil })
+	}
+	r.Quiesce()
+	if err := st.SaveManifest(mf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.LoadManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, _, _ := got.Counts(); got.Len() != 3 || done != 3 {
+		t.Fatalf("manifest holds %d records (%d done), want one done record per distinct cell (3)", got.Len(), done)
+	}
+	entries := map[string]bool{}
+	for _, c := range got.Cells {
+		entries[c.Entry] = true
+	}
+	if len(entries) != 3 {
+		t.Fatalf("records name %d store entries, want 3", len(entries))
+	}
+}
+
 // TestConfigMistakesClassifyAsConfig: every operator-input error the
 // CLI produces must exit 2, not 1.
 func TestConfigMistakesClassifyAsConfig(t *testing.T) {

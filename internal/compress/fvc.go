@@ -15,10 +15,15 @@ import "encoding/binary"
 // table (the hardware variants age entries continuously; periodic rebuild
 // is the deterministic equivalent).
 type FVC struct {
-	values   []uint32
-	valueIdx map[uint32]int
-	hist     valueHist
-	trained  bool
+	values []uint32
+	// Open-addressing value -> table-index lookup (SC²'s encode-table
+	// scheme at a fixed size): 2×fvcTableSize slots keep the load at
+	// ≤0.5. indexSlot[i] holds the value's table index plus one, so 0
+	// marks a free slot; indexKeys[i] is only meaningful when occupied.
+	indexKeys [fvcSlots]uint32
+	indexSlot [fvcSlots]uint8
+	hist      valueHist
+	trained   bool
 }
 
 // fvcTableSize is the frequent-value table depth (32 entries, 5-bit
@@ -28,9 +33,15 @@ const fvcTableSize = 32
 // fvcIndexBits is the per-match index width.
 const fvcIndexBits = 5
 
+// fvcSlotBits sizes the lookup: 1<<fvcSlotBits = 2×fvcTableSize slots.
+const fvcSlotBits = fvcIndexBits + 1
+
+// fvcSlots is the lookup's slot count.
+const fvcSlots = 1 << fvcSlotBits
+
 // NewFVC returns an untrained frequent-value compressor.
 func NewFVC() *FVC {
-	return &FVC{valueIdx: make(map[uint32]int)}
+	return &FVC{}
 }
 
 // Name implements Algorithm.
@@ -55,12 +66,29 @@ func (f *FVC) Retrain() {
 	defer retrainPool.Put(sc)
 	top := f.hist.topK(fvcTableSize, sc)
 	f.values = f.values[:0]
-	clear(f.valueIdx)
+	f.indexSlot = [fvcSlots]uint8{}
 	for i, e := range top {
 		f.values = append(f.values, e.v)
-		f.valueIdx[e.v] = i
+		slot := (e.v * sc2HashMul) >> (32 - fvcSlotBits)
+		for f.indexSlot[slot] != 0 {
+			slot = (slot + 1) % fvcSlots
+		}
+		f.indexKeys[slot] = e.v
+		f.indexSlot[slot] = uint8(i + 1)
 	}
 	f.trained = true
+}
+
+// index returns word's frequent-value table index, or -1 when the
+// table does not hold it.
+func (f *FVC) index(word uint32) int {
+	slot := (word * sc2HashMul) >> (32 - fvcSlotBits)
+	for {
+		if e := f.indexSlot[slot]; e == 0 || f.indexKeys[slot] == word {
+			return int(e) - 1
+		}
+		slot = (slot + 1) % fvcSlots
+	}
 }
 
 // Train is Observe over samples followed by Retrain.
@@ -83,7 +111,7 @@ func (f *FVC) AppendCompress(dst, block []byte) Compressed {
 	var w bitAcc
 	for i := 0; i < BlockSize; i += WordSize {
 		word := binary.LittleEndian.Uint32(block[i:])
-		if idx, ok := f.valueIdx[word]; ok {
+		if idx := f.index(word); idx >= 0 {
 			w.emit(1<<fvcIndexBits|uint64(idx), 1+fvcIndexBits)
 		} else {
 			w.emit(uint64(word), 1+32)

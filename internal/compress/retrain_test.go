@@ -74,12 +74,18 @@ func checkFVCTable(t testing.TB, label string, f *FVC, freq map[uint32]uint64) {
 		t.Fatalf("%s: fvc values differ from the full-sort oracle", label)
 	}
 	for i, v := range want {
-		if f.valueIdx[v] != i {
-			t.Fatalf("%s: fvc index of %#x is %d, want %d", label, v, f.valueIdx[v], i)
+		if got := f.index(v); got != i {
+			t.Fatalf("%s: fvc index of %#x is %d, want %d", label, v, got, i)
 		}
 	}
-	if len(f.valueIdx) != len(want) {
-		t.Fatalf("%s: fvc index has %d entries, want %d", label, len(f.valueIdx), len(want))
+	occupied := 0
+	for _, e := range f.indexSlot {
+		if e != 0 {
+			occupied++
+		}
+	}
+	if occupied != len(want) {
+		t.Fatalf("%s: fvc index has %d entries, want %d", label, occupied, len(want))
 	}
 }
 

@@ -27,7 +27,10 @@ const (
 
 // CellRecord is one campaign cell's outcome.
 type CellRecord struct {
-	// Key is the human-readable cell identifier (simrun.Key.String).
+	// Key identifies the cell: its full canonical key
+	// (simrun.Key.Canonical). Manifests written before records were
+	// keyed that way carry the shorter simrun.Key.String, which omits
+	// the configuration; they load as is.
 	Key string `json:"key"`
 	// Entry is the store file basename the cell's results live under.
 	Entry string `json:"entry"`

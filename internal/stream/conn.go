@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -11,10 +12,12 @@ import (
 	"github.com/disco-sim/disco/internal/compress"
 )
 
-// connBufSize sizes the per-connection bufio buffers. One frame is at
-// most frameHeaderLen+maxFramePayload = 70 bytes; 1 KiB batches a
-// dozen frames per syscall while keeping per-conn memory small enough
-// that thousands of concurrent streams stay in tens of megabytes.
+// connBufSize sizes the per-connection bufio buffers and the server's
+// echo buffer. One frame is at most frameHeaderLen+maxFramePayload =
+// 70 bytes; 1 KiB batches a dozen or more frames per syscall, and the
+// echo moves up to 16 buffered blocks per Read and flushes them once,
+// while per-conn memory stays small enough that thousands of
+// concurrent streams stay in tens of megabytes.
 const connBufSize = 1024
 
 // defaultHandshakeTimeout bounds how long either end waits for the
@@ -63,8 +66,7 @@ type Conn struct {
 	rhdr     [frameHeaderLen]byte
 	rscratch [maxFramePayload]byte
 	rbuf     []byte // unread tail of the last decoded block (dec's scratch)
-	reof     bool
-	rerr     error
+	rerr     error  // latched: io.EOF after the peer's half-close, or the failure
 }
 
 // newConn wraps nc after a successful handshake. Each direction gets
@@ -233,47 +235,79 @@ func (c *Conn) CloseWrite() error {
 	return nil
 }
 
-// Read decodes frames into application bytes. It returns io.EOF after
-// the peer's half-close, and ErrProtocol (wrapped) on any malformed or
-// corrupt frame — a broken stream never resynchronizes.
+// Read decodes frames into application bytes. It blocks only for the
+// first frame of a call. After that it keeps decoding frames that are
+// already buffered in full while p has room, and it stops after a
+// short (partial) block. So when len(p) is a multiple of the block
+// size, a Write of what Read returned re-frames exactly the peer's
+// blocks (the server's echo relies on this). An error or the peer's
+// half-close met after some bytes were decoded is returned by the next
+// call. Read returns io.EOF after the peer's half-close, and
+// ErrProtocol (wrapped) on any malformed or corrupt frame — a broken
+// stream never resynchronizes.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	for len(c.rbuf) == 0 {
-		if c.rerr != nil {
-			return 0, c.rerr
-		}
-		if c.reof {
-			return 0, io.EOF
-		}
-		f, err := readFrame(c.br, &c.rhdr, c.rscratch[:])
-		if err != nil {
-			c.rerr = err
+	if len(c.rbuf) == 0 {
+		if err := c.readBlock(); err != nil {
 			return 0, err
 		}
-		if f.mode == frameClose {
-			c.reof = true
-			return 0, io.EOF
+	}
+	n := 0
+	for {
+		m := copy(p[n:], c.rbuf)
+		c.rbuf = c.rbuf[m:]
+		n += m
+		if m < compress.BlockSize || n == len(p) || !c.frameBuffered() {
+			return n, nil
 		}
-		out, err := c.dec.Decode(compress.StatefulBlock{
-			Mode:     compress.BlockMode(f.mode),
-			SizeBits: f.sizeBits,
-			Payload:  f.payload,
-		})
-		if err != nil {
-			c.rerr = fmt.Errorf("%w: block decode: %v", ErrProtocol, err)
-			return 0, c.rerr
-		}
-		c.rbuf = out[:f.n] // valid until the next Decode, which waits for it to drain
-		if c.stats != nil {
-			c.stats.BlocksIn.Add(1)
-			c.stats.BytesIn.Add(uint64(f.n))
-			c.stats.WireBytesIn.Add(uint64(frameHeaderLen + len(f.payload)))
+		if c.readBlock() != nil {
+			return n, nil // latched: the next call returns it
 		}
 	}
-	n := copy(p, c.rbuf)
-	c.rbuf = c.rbuf[n:]
-	return n, nil
+}
+
+// frameBuffered reports whether a whole frame is in the read buffer, so
+// that reading it cannot block. It checks Buffered before Peek, which
+// blocks when fewer bytes are buffered than it asks for.
+func (c *Conn) frameBuffered() bool {
+	if c.br.Buffered() < frameHeaderLen {
+		return false
+	}
+	hdr, _ := c.br.Peek(frameHeaderLen)
+	return c.br.Buffered() >= frameHeaderLen+int(binary.LittleEndian.Uint16(hdr[4:]))
+}
+
+// readBlock reads and decodes the next frame into c.rbuf. An error,
+// io.EOF included, latches: every later call returns it again.
+func (c *Conn) readBlock() error {
+	if c.rerr != nil {
+		return c.rerr
+	}
+	f, err := readFrame(c.br, &c.rhdr, c.rscratch[:])
+	if err == nil && f.mode == frameClose {
+		err = io.EOF
+	}
+	if err != nil {
+		c.rerr = err
+		return err
+	}
+	out, err := c.dec.Decode(compress.StatefulBlock{
+		Mode:     compress.BlockMode(f.mode),
+		SizeBits: f.sizeBits,
+		Payload:  f.payload,
+	})
+	if err != nil {
+		c.rerr = fmt.Errorf("%w: block decode: %v", ErrProtocol, err)
+		return c.rerr
+	}
+	c.rbuf = out[:f.n] // valid until the next Decode, which waits for it to drain
+	if c.stats != nil {
+		c.stats.BlocksIn.Add(1)
+		c.stats.BytesIn.Add(uint64(f.n))
+		c.stats.WireBytesIn.Add(uint64(frameHeaderLen + len(f.payload)))
+	}
+	return nil
 }
 
 // Close closes the underlying connection. It does not flush: call

@@ -339,8 +339,9 @@ func tcpPair(t *testing.T, codec string) (*Conn, *Conn) {
 var raceEnabled bool
 
 // TestConnEchoAllocs is the runtime gate behind Conn's hotalloc roots:
-// a TCP loopback client+server echo of one 64-byte block at a time,
-// both ends in this process, allocates nothing per round trip once
+// a TCP loopback client echoing one 64-byte block at a time through
+// the server's echo loop, both ends in this process, allocates nothing
+// per round trip once
 // warmed up on blocks whose words are already in the codec histogram —
 // four Stateful passes (client encode, server decode, server encode,
 // client decode) plus the framing, for every codec. One AllocsPerRun
@@ -356,15 +357,8 @@ func TestConnEchoAllocs(t *testing.T) {
 		t.Run(codec, func(t *testing.T) {
 			cli, srv := tcpPair(t, codec)
 			done := make(chan error, 1)
-			go func() {
-				var buf [compress.BlockSize]byte
-				_, err := io.CopyBuffer(onlyWriter{srv}, onlyReader{srv}, buf[:])
-				if err == nil {
-					err = srv.CloseWrite()
-				}
-				done <- err
-			}()
-			var echo [compress.BlockSize]byte
+			go func() { done <- echo(srv) }()
+			var back [compress.BlockSize]byte
 			next := 0
 			var bad error
 			roundTrip := func() {
@@ -374,11 +368,11 @@ func TestConnEchoAllocs(t *testing.T) {
 					bad = err
 					return
 				}
-				if _, err := io.ReadFull(cli, echo[:]); err != nil {
+				if _, err := io.ReadFull(cli, back[:]); err != nil {
 					bad = err
 					return
 				}
-				if !bytes.Equal(echo[:], blk) && bad == nil {
+				if !bytes.Equal(back[:], blk) && bad == nil {
 					bad = errors.New("echo mismatch")
 				}
 			}
@@ -408,7 +402,7 @@ func TestConnEchoAllocs(t *testing.T) {
 }
 
 // TestConnConcurrentEcho runs one writer and one reader on the same
-// client Conn at once, against a server echoing block by block: the
+// client Conn at once, against the server's echo loop: the
 // two directions decode and encode out of separate Stateful scratch,
 // which `go test -race` checks, and every echoed byte must match.
 func TestConnConcurrentEcho(t *testing.T) {
@@ -417,14 +411,7 @@ func TestConnConcurrentEcho(t *testing.T) {
 		t.Run(codec, func(t *testing.T) {
 			cli, srv := tcpPair(t, codec)
 			srvDone := make(chan error, 1)
-			go func() {
-				var buf [compress.BlockSize]byte
-				_, err := io.CopyBuffer(onlyWriter{srv}, onlyReader{srv}, buf[:])
-				if err == nil {
-					err = srv.CloseWrite()
-				}
-				srvDone <- err
-			}()
+			go func() { srvDone <- echo(srv) }()
 			writeDone := make(chan error, 1)
 			go func() {
 				for off := 0; off < len(payload); off += compress.BlockSize {

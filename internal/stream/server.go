@@ -154,20 +154,24 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.M.Handshook(cs)
 	defer c.release()
 
-	// The echo loop: Read decompresses a block, Write recompresses it
-	// through the return direction's persistent state. io.CopyBuffer
-	// keeps it allocation-free per block at the loop level.
-	var buf [compress.BlockSize]byte
-	_, err = io.CopyBuffer(onlyWriter{c}, onlyReader{c}, buf[:])
-	if err == nil {
-		// Client half-closed; flush our half-close and let the client
-		// drain.
-		err = c.CloseWrite()
-	}
-	if err != nil && !errors.Is(err, net.ErrClosed) {
+	if err := echo(c); err != nil && !errors.Is(err, net.ErrClosed) {
 		s.M.ConnErrors.Add(1)
 		s.opts.Rep.Infof("stream %d (%s) aborted: %v", cs.ID, c.Codec(), err)
 	}
+}
+
+// echo is a connection's data phase. Read decompresses every frame
+// already buffered, up to connBufSize bytes; one Write recompresses the
+// batch through the return direction's persistent state and flushes it
+// once, before the loop blocks on its next Read. io.CopyBuffer keeps
+// the loop allocation-free per batch. After the client's half-close,
+// echo sends ours so the client can drain.
+func echo(c *Conn) error {
+	var buf [connBufSize]byte
+	if _, err := io.CopyBuffer(onlyWriter{c}, onlyReader{c}, buf[:]); err != nil {
+		return err
+	}
+	return c.CloseWrite()
 }
 
 // onlyReader / onlyWriter hide Conn's other methods from io.CopyBuffer
