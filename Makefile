@@ -48,12 +48,13 @@ cover:
 			printf "%s coverage %s%% (floor %s%%)\n", pkg, p, floor }' || exit 1; \
 	done
 
-# Short native-fuzzing pass over the compressor decoders, the
-# kernel/reference differential target, the retrain oracle (over
-# observed blocks and over synthetic count bumps), the streaming decoder's failed-decode state rule, the binary trace reader
+# Short native-fuzzing pass over the bit-packing codecs' bit I/O, the
+# compressor decoders, the kernel/reference differential target, the
+# retrain oracle (over observed blocks and over synthetic count bumps), the streaming decoder's failed-decode state rule, the binary trace reader
 # and the stream-layer round-trip (one -fuzz invocation each: go test
 # requires the pattern to match exactly one target).
 fuzz-smoke:
+	$(GO) test -run TestNone -fuzz='^FuzzBitIO$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzDecompress$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzKernelEquivalence$$' -fuzztime=10s ./internal/compress
 	$(GO) test -run TestNone -fuzz='^FuzzRetrainEquivalence$$' -fuzztime=10s ./internal/compress
@@ -156,7 +157,7 @@ bench-snapshot:
 	@mkdir -p bench
 	$(GO) test -run TestNone -bench=. -benchtime=1x . | tee bench/full.txt
 	$(GO) test -run TestNone \
-		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkStatefulEncode|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
+		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkStatefulEncode|BenchmarkStatefulRoundTrip|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
 		-benchtime=50000x -count=5 -benchmem . | tee bench/bench.txt
 	$(GO) test -run TestNone -bench '^BenchmarkRetrain' \
 		-benchtime=100x -count=5 -benchmem . | tee -a bench/bench.txt
@@ -174,7 +175,7 @@ bench-snapshot:
 bench-compare:
 	@mkdir -p bench
 	$(GO) test -run TestNone \
-		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkStatefulEncode|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
+		-bench '^(BenchmarkCompress|BenchmarkDecompress|BenchmarkStatefulEncode|BenchmarkStatefulRoundTrip|BenchmarkNoCStep|BenchmarkTraceGeneration|BenchmarkBlockContent)' \
 		-benchtime=50000x -count=5 -benchmem . | tee bench/new.txt
 	$(GO) test -run TestNone -bench '^BenchmarkRetrain' \
 		-benchtime=100x -count=5 -benchmem . | tee -a bench/new.txt

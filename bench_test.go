@@ -209,14 +209,18 @@ func BenchmarkCompressCPack(b *testing.B) { benchCompress(b, compress.NewCPack()
 // BenchmarkCompressSC2 measures the SC² codec throughput.
 func BenchmarkCompressSC2(b *testing.B) { benchCompress(b, compress.NewSC2()) }
 
-// decodedSink keeps BenchmarkDecompressDelta's blocks on the heap.
+// decodedSink keeps the Decompress benchmarks' blocks on the heap.
 var decodedSink *[compress.BlockSize]byte
 
-// BenchmarkDecompressDelta measures delta decode throughput into a
-// fresh block per op, as a decoder that keeps its output pays.
-func BenchmarkDecompressDelta(b *testing.B) {
-	alg := compress.NewDelta()
+// benchDecompress measures decode throughput into a fresh block per op,
+// as a decoder that keeps its output pays. A trainable codec is trained
+// on the blocks first.
+func benchDecompress(b *testing.B, alg compress.Algorithm) {
+	b.Helper()
 	blocks := benchBlocks()
+	if t, ok := alg.(interface{ Train([][]byte) }); ok {
+		t.Train(blocks)
+	}
 	comp := make([]compress.Compressed, len(blocks))
 	for i, blk := range blocks {
 		comp[i] = alg.AppendCompress(nil, blk)
@@ -230,6 +234,24 @@ func BenchmarkDecompressDelta(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecompressDelta measures delta decode throughput.
+func BenchmarkDecompressDelta(b *testing.B) { benchDecompress(b, compress.NewDelta()) }
+
+// BenchmarkDecompressFPC measures FPC decode throughput.
+func BenchmarkDecompressFPC(b *testing.B) { benchDecompress(b, compress.NewFPC()) }
+
+// BenchmarkDecompressSFPC measures simplified-FPC decode throughput.
+func BenchmarkDecompressSFPC(b *testing.B) { benchDecompress(b, compress.NewSFPC()) }
+
+// BenchmarkDecompressCPack measures C-Pack decode throughput.
+func BenchmarkDecompressCPack(b *testing.B) { benchDecompress(b, compress.NewCPack()) }
+
+// BenchmarkDecompressSC2 measures SC² decode throughput.
+func BenchmarkDecompressSC2(b *testing.B) { benchDecompress(b, compress.NewSC2()) }
+
+// BenchmarkDecompressFVC measures FVC decode throughput.
+func BenchmarkDecompressFVC(b *testing.B) { benchDecompress(b, compress.NewFVC()) }
 
 // benchStatefulEncode measures discod's per-block encoder: a
 // compress.Stateful encodes each block directly and as an XOR residual
@@ -327,6 +349,41 @@ func benchRetrainStream(b *testing.B, alg compress.Trainable) {
 			next = (next + 1) % len(blocks)
 		}
 		alg.Retrain()
+	}
+}
+
+// roundTripSink keeps BenchmarkStatefulRoundTrip's decoded bytes live.
+var roundTripSink byte
+
+// BenchmarkStatefulRoundTrip measures one stream direction of discod,
+// per codec: a compress.Stateful encodes each block of the bulk
+// population and a mirrored one decodes it, both retraining every 256
+// blocks. One untimed pass over the population comes first, so a
+// trainable codec starts from a 1 MiB history, as at the end of a bulk
+// stream.
+func BenchmarkStatefulRoundTrip(b *testing.B) {
+	blocks, _ := bulkPopulation()
+	for _, name := range compress.Names() {
+		b.Run(name, func(b *testing.B) {
+			encAlg, _ := compress.New(name)
+			decAlg, _ := compress.New(name)
+			enc, dec := compress.NewStateful(encAlg), compress.NewStateful(decAlg)
+			roundTrip := func(blk []byte) {
+				out, err := dec.Decode(enc.Encode(blk))
+				if err != nil {
+					b.Fatal(err)
+				}
+				roundTripSink ^= out[0]
+			}
+			for _, blk := range blocks {
+				roundTrip(blk)
+			}
+			b.SetBytes(compress.BlockSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				roundTrip(blocks[i%len(blocks)])
+			}
+		})
 	}
 }
 

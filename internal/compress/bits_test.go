@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -59,6 +60,44 @@ func (w *bitWriter) bits() int { return w.nbit }
 
 // bytes returns the backing buffer (last byte possibly partial).
 func (w *bitWriter) bytes() []byte { return w.buf }
+
+// refBitReader reads MSB-first fields one bit at a time: the reference
+// for the window reader (peek, consume) and the reader of the reference
+// decoders in reference_test.go.
+type refBitReader struct {
+	buf []byte
+	pos int
+}
+
+// readBits reads n bits; ok is false, and the cursor stays put, on
+// underrun.
+func (r *refBitReader) readBits(n int) (v uint64, ok bool) {
+	if n < 0 || n > 64 || r.pos+n > 8*len(r.buf) {
+		return 0, false
+	}
+	for ; n > 0; n-- {
+		v = v<<1 | uint64(r.buf[r.pos>>3]>>uint(7-r.pos&7))&1
+		r.pos++
+	}
+	return v, true
+}
+
+// readBits reads an n-bit field MSB-first through peek and consume, as
+// the decoders read one word's fields; widths above 56 take two
+// windows. ok is false, and the cursor stays put, on underrun.
+func (r *bitReader) readBits(n int) (v uint64, ok bool) {
+	if n < 0 || n > 64 || n > r.remaining() {
+		return 0, false
+	}
+	if n > 56 {
+		hi, _ := r.readBits(n - 32)
+		lo, _ := r.readBits(32)
+		return hi<<32 | lo, true
+	}
+	v = r.peek() >> uint(64-n)
+	r.consume(n)
+	return v, true
+}
 
 // refWriteBits is the original bit-at-a-time packer, kept as the format
 // oracle for the batched writeBits fast path.
@@ -182,4 +221,96 @@ func TestBitAccMatchesBitWriter(t *testing.T) {
 			t.Fatalf("trial %d: payload = %x, want %x", trial, got, want)
 		}
 	}
+}
+
+// FuzzBitIO checks both halves of the bit I/O on sequences of fields
+// drawn from the input.
+//
+// Writing: at every start offset (a lead of 0–7 bits), the fields —
+// widths 0–56 — go through bitAcc and the bitWriter oracle, and filler
+// fields follow until the payload reaches bitAcc's BlockSize+8-byte
+// limit, so the last 8 bytes of the buffer take spills on every run.
+// Bits and payload must match.
+//
+// Reading: over the written payload and over every input prefix of up
+// to 11 bytes (shorter than one window), peek at every bit offset must
+// return the next 64-offset%8 bits, zeros past the end and below them
+// (at least 57 bits of payload per window), and a read of each
+// width 0–64 must return what the bit-at-a-time reader does, with the
+// same cursor afterwards, and fail without moving on underrun.
+func FuzzBitIO(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{56, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 1, 0x80})
+	mixed := make([]byte, 64)
+	for i := range mixed {
+		mixed[i] = byte(37 * i) // widths i*37 mod 57, overlapping values
+	}
+	f.Add(mixed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var payload []byte
+		for lead := 0; lead < 8; lead++ {
+			var a bitAcc
+			var w bitWriter
+			emit := func(v uint64, n int) {
+				a.emit(v, n)
+				w.writeBits(v, n)
+			}
+			emit(uint64(0x5A)>>uint(8-lead), lead)
+			limit := 8 * (BlockSize + 8)
+			for i := 0; ; i++ {
+				n, v := 0, uint64(0)
+				if i < len(data) {
+					n = int(data[i]) % 57
+					var word [8]byte
+					copy(word[:], data[i:])
+					v = binary.LittleEndian.Uint64(word[:])
+				} else {
+					n = (7*i + lead) % 57 // filler up to the limit
+					v = uint64(i) * 0x9E3779B97F4A7C15
+				}
+				if w.bits()+n > limit {
+					if i >= len(data) {
+						break
+					}
+					continue
+				}
+				emit(v, n)
+			}
+			if a.bits() != w.bits() {
+				t.Fatalf("lead %d: bits = %d, want %d", lead, a.bits(), w.bits())
+			}
+			got := a.appendTo([]byte{0xC3})
+			if want := append([]byte{0xC3}, w.bytes()...); !bytes.Equal(got, want) {
+				t.Fatalf("lead %d: payload = %x, want %x", lead, got, want)
+			}
+			payload = got[1:]
+		}
+		bufs := [][]byte{payload}
+		for n := 0; n <= min(len(data), 11); n++ {
+			bufs = append(bufs, data[:n])
+		}
+		for _, buf := range bufs {
+			for pos := 0; pos <= 8*len(buf); pos++ {
+				var want uint64 // the 64-pos%8 bits from pos, zeros past the end
+				for k := 0; k < 64-pos%8; k++ {
+					if bit := pos + k; bit < 8*len(buf) {
+						want |= uint64(buf[bit>>3]>>uint(7-bit&7)) & 1 << uint(63-k)
+					}
+				}
+				if got := (&bitReader{buf: buf, pos: pos}).peek(); got != want {
+					t.Fatalf("%d-byte buffer, bit %d: peek = %#x, want %#x", len(buf), pos, got, want)
+				}
+				for n := 0; n <= 64; n++ {
+					r := bitReader{buf: buf, pos: pos}
+					ref := refBitReader{buf: buf, pos: pos}
+					got, ok := r.readBits(n)
+					want, wantOK := ref.readBits(n)
+					if got != want || ok != wantOK || r.pos != ref.pos {
+						t.Fatalf("%d-byte buffer, bit %d, width %d: read (%#x, %v) to bit %d, want (%#x, %v) to bit %d",
+							len(buf), pos, n, got, ok, r.pos, want, wantOK, ref.pos)
+					}
+				}
+			}
+		}
+	})
 }

@@ -112,7 +112,8 @@ func (a *CPack) AppendCompress(dst, block []byte) Compressed {
 	return Compressed{Alg: a.Name(), SizeBits: w.bits(), Payload: w.appendTo(dst)}
 }
 
-// DecompressInto implements Algorithm.
+// DecompressInto implements Algorithm. Each word takes one window of
+// the payload: its 2- or 4-bit code and its fields (≤ 34 bits in all).
 func (a *CPack) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
 		return storedInto(out, c)
@@ -120,73 +121,51 @@ func (a *CPack) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	r := bitReader{buf: c.Payload}
 	var dict cpackDict
 	for i := 0; i < BlockSize/WordSize; i++ {
-		b0, ok := r.readBit()
-		if !ok {
-			return ErrCorrupt
-		}
-		if b0 == 0 {
-			b1, ok := r.readBit()
-			if !ok {
+		w := r.peek()
+		switch w >> 62 {
+		case 0b00: // 00 zzzz
+			if !r.consume(2) {
 				return ErrCorrupt
 			}
-			if b1 == 0 { // 00 zzzz
-				putWord(out, i, 0)
-				continue
-			}
-			// 01 xxxx
-			v, ok := r.readBits(32)
-			if !ok {
+			putWord(out, i, 0)
+		case 0b01: // 01 xxxx
+			if !r.consume(34) {
 				return ErrCorrupt
 			}
-			word := uint32(v)
+			word := uint32(w << 2 >> 32)
 			dict.push(word)
 			putWord(out, i, word)
-			continue
-		}
-		b1, ok := r.readBit()
-		if !ok {
-			return ErrCorrupt
-		}
-		if b1 == 0 { // 10 mmmm
-			idx, ok := r.readBits(4)
-			if !ok || int(idx) >= dict.n {
+		case 0b10: // 10 mmmm
+			idx := int(w << 2 >> 60)
+			if !r.consume(6) || idx >= dict.n {
 				return ErrCorrupt
 			}
 			putWord(out, i, dict.entries[idx])
-			continue
-		}
-		// 11xx extended codes
-		ext, ok := r.readBits(2)
-		if !ok {
-			return ErrCorrupt
-		}
-		switch ext {
-		case 0b00: // mmxx
-			idx, ok1 := r.readBits(4)
-			low, ok2 := r.readBits(16)
-			if !ok1 || !ok2 || int(idx) >= dict.n {
+		default: // 11xx extended codes
+			idx := int(w << 4 >> 60)
+			switch w << 2 >> 62 {
+			case 0b00: // mmxx
+				if !r.consume(24) || idx >= dict.n {
+					return ErrCorrupt
+				}
+				word := dict.entries[idx]&0xFFFF0000 | uint32(w<<8>>48)
+				dict.push(word)
+				putWord(out, i, word)
+			case 0b01: // zzzx
+				if !r.consume(12) {
+					return ErrCorrupt
+				}
+				putWord(out, i, uint32(w<<4>>56))
+			case 0b10: // mmmx
+				if !r.consume(16) || idx >= dict.n {
+					return ErrCorrupt
+				}
+				word := dict.entries[idx]&0xFFFFFF00 | uint32(w<<8>>56)
+				dict.push(word)
+				putWord(out, i, word)
+			default:
 				return ErrCorrupt
 			}
-			word := dict.entries[idx]&0xFFFF0000 | uint32(low)
-			dict.push(word)
-			putWord(out, i, word)
-		case 0b01: // zzzx
-			low, ok := r.readBits(8)
-			if !ok {
-				return ErrCorrupt
-			}
-			putWord(out, i, uint32(low))
-		case 0b10: // mmmx
-			idx, ok1 := r.readBits(4)
-			low, ok2 := r.readBits(8)
-			if !ok1 || !ok2 || int(idx) >= dict.n {
-				return ErrCorrupt
-			}
-			word := dict.entries[idx]&0xFFFFFF00 | uint32(low)
-			dict.push(word)
-			putWord(out, i, word)
-		default:
-			return ErrCorrupt
 		}
 	}
 	return nil

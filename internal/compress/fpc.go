@@ -108,7 +108,8 @@ func (a *FPC) AppendCompress(dst, block []byte) Compressed {
 	return Compressed{Alg: a.Name(), SizeBits: acc.bits(), Payload: acc.appendTo(dst)}
 }
 
-// DecompressInto implements Algorithm.
+// DecompressInto implements Algorithm. Each word takes one window of
+// the payload, its prefix and its data field (≤ 35 bits in all).
 func (a *FPC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
 		return storedInto(out, c)
@@ -116,24 +117,20 @@ func (a *FPC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	r := bitReader{buf: c.Payload}
 	words := 0
 	for words < BlockSize/WordSize {
-		prefix, ok := r.readBits(3)
-		if !ok {
-			return ErrCorrupt
-		}
+		w := r.peek()
+		prefix := w >> 61
+		w <<= 3 // the data field, MSB-aligned
 		switch prefix {
 		case fpcZeroRun:
-			rl, ok := r.readBits(3)
-			if !ok {
-				return ErrCorrupt
-			}
-			n := int(rl) + 1
-			if words+n > BlockSize/WordSize {
+			n := int(w>>61) + 1
+			if !r.consume(6) || words+n > BlockSize/WordSize {
 				return ErrCorrupt
 			}
 			for j := 0; j < n; j++ {
 				putWord(out, words+j, 0)
 			}
 			words += n
+			continue
 		case fpcSE4, fpcSE8, fpcSE16:
 			width := 4
 			switch prefix {
@@ -142,45 +139,35 @@ func (a *FPC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 			case fpcSE16:
 				width = 16
 			}
-			v, ok := r.readBits(width)
-			if !ok {
+			if !r.consume(3 + width) {
 				return ErrCorrupt
 			}
-			putWord(out, words, uint32(signExtend(v, width)))
-			words++
+			putWord(out, words, uint32(int64(w)>>uint(64-width)))
 		case fpcPadded16:
-			v, ok := r.readBits(16)
-			if !ok {
+			if !r.consume(19) {
 				return ErrCorrupt
 			}
-			putWord(out, words, uint32(v)<<16)
-			words++
+			putWord(out, words, uint32(w>>48)<<16)
 		case fpcTwoHalf:
-			hi, ok1 := r.readBits(8)
-			lo, ok2 := r.readBits(8)
-			if !ok1 || !ok2 {
+			if !r.consume(19) {
 				return ErrCorrupt
 			}
-			h := uint32(uint16(signExtend(hi, 8)))
-			l := uint32(uint16(signExtend(lo, 8)))
+			h := uint32(uint16(int64(w) >> 56))
+			l := uint32(uint16(int64(w<<8) >> 56))
 			putWord(out, words, h<<16|l)
-			words++
 		case fpcRepByte:
-			v, ok := r.readBits(8)
-			if !ok {
+			if !r.consume(11) {
 				return ErrCorrupt
 			}
-			b := uint32(v)
+			b := uint32(w >> 56)
 			putWord(out, words, b|b<<8|b<<16|b<<24)
-			words++
 		case fpcUncompact:
-			v, ok := r.readBits(32)
-			if !ok {
+			if !r.consume(35) {
 				return ErrCorrupt
 			}
-			putWord(out, words, uint32(v))
-			words++
+			putWord(out, words, uint32(w>>32))
 		}
+		words++
 	}
 	return nil
 }
@@ -238,38 +225,37 @@ func (a *SFPC) AppendCompress(dst, block []byte) Compressed {
 	return Compressed{Alg: a.Name(), SizeBits: acc.bits(), Payload: acc.appendTo(dst)}
 }
 
-// DecompressInto implements Algorithm.
+// DecompressInto implements Algorithm, one payload window per word.
 func (a *SFPC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
 		return storedInto(out, c)
 	}
 	r := bitReader{buf: c.Payload}
 	for i := 0; i < BlockSize/WordSize; i++ {
-		prefix, ok := r.readBits(2)
-		if !ok {
-			return ErrCorrupt
-		}
+		w := r.peek()
+		prefix := w >> 62
+		w <<= 2 // the data field, MSB-aligned
 		switch prefix {
 		case sfpcZero:
+			if !r.consume(2) {
+				return ErrCorrupt
+			}
 			putWord(out, i, 0)
 		case sfpcSE8:
-			v, ok := r.readBits(8)
-			if !ok {
+			if !r.consume(10) {
 				return ErrCorrupt
 			}
-			putWord(out, i, uint32(signExtend(v, 8)))
+			putWord(out, i, uint32(int64(w)>>56))
 		case sfpcSE16:
-			v, ok := r.readBits(16)
-			if !ok {
+			if !r.consume(18) {
 				return ErrCorrupt
 			}
-			putWord(out, i, uint32(signExtend(v, 16)))
+			putWord(out, i, uint32(int64(w)>>48))
 		case sfpcUncomp:
-			v, ok := r.readBits(32)
-			if !ok {
+			if !r.consume(34) {
 				return ErrCorrupt
 			}
-			putWord(out, i, uint32(v))
+			putWord(out, i, uint32(w>>32))
 		}
 	}
 	return nil

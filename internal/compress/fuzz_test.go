@@ -2,17 +2,20 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 // TestDecompressNeverPanicsOnGarbage feeds random payloads to every
 // decoder: they must return either a block or ErrCorrupt, never panic,
-// and allocate nothing. (A router must survive a corrupted engine
-// result.)
+// and allocate nothing (a router must survive a corrupted engine
+// result), and the bit-field decoders must agree with their
+// field-at-a-time references.
 func TestDecompressNeverPanicsOnGarbage(t *testing.T) {
-	algs := trained(t)
+	algs := decoderZoo(t)
 	f := func(seed int64, sizeBits uint16, stored bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		payload := make([]byte, rng.Intn(80))
@@ -34,6 +37,9 @@ func TestDecompressNeverPanicsOnGarbage(t *testing.T) {
 		} else if allocs := testing.AllocsPerRun(1, decodeAll); allocs != 0 {
 			t.Fatalf("DecompressInto made %.0f allocations across the decoders, want 0", allocs)
 		}
+		for _, alg := range algs {
+			checkDecodeMatchesRef(t, alg, c)
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -41,13 +47,37 @@ func TestDecompressNeverPanicsOnGarbage(t *testing.T) {
 	}
 }
 
+// decoderZoo is trained() plus an SC² and an FVC trained on one block
+// of three distinct words, whose tables hold fewer entries than their
+// codes can name.
+func decoderZoo(t testing.TB) []Algorithm {
+	blk := make([]byte, BlockSize)
+	binary.LittleEndian.PutUint32(blk[4:], 7)
+	binary.LittleEndian.PutUint32(blk[8:], 0xDEADBEEF)
+	sc2, fvc := NewSC2(), NewFVC()
+	sc2.Train([][]byte{blk})
+	fvc.Train([][]byte{blk})
+	return append(trained(t), sc2, fvc)
+}
+
 // TestTruncatedPayloadsRejected truncates valid encodings at every byte
 // boundary: every decoder must fail cleanly, never panic (or still
 // produce a block from a prefix that happens to decode, e.g. bit-packed
-// formats whose tail bits are padding).
+// formats whose tail bits are padding), exactly where its
+// field-at-a-time reference does. Besides the first test blocks, it
+// cuts each of them with its last word replaced by 16 arbitrary
+// values, so the cuts land at every offset into a final raw word.
 func TestTruncatedPayloadsRejected(t *testing.T) {
-	for _, alg := range trained(t) {
-		for _, blk := range testBlocks(t)[:6] {
+	blocks := testBlocks(t)[:6]
+	for _, blk := range testBlocks(t) {
+		for k := uint32(1); k <= 16; k++ {
+			b := slices.Clone(blk)
+			binary.LittleEndian.PutUint32(b[BlockSize-WordSize:], k*0x9E3779B1)
+			blocks = append(blocks, b)
+		}
+	}
+	for _, alg := range decoderZoo(t) {
+		for _, blk := range blocks {
 			c := alg.AppendCompress(nil, blk)
 			if c.Stored {
 				continue
@@ -57,15 +87,16 @@ func TestTruncatedPayloadsRejected(t *testing.T) {
 				tr.Payload = c.Payload[:cut]
 				var out [BlockSize]byte
 				_ = alg.DecompressInto(&out, tr)
+				checkDecodeMatchesRef(t, alg, tr)
 			}
 		}
 	}
 }
 
 // TestBitFlipsSurvive flips each bit of a valid encoding: decoders must
-// not panic.
+// not panic, and must accept or reject it as their references do.
 func TestBitFlipsSurvive(t *testing.T) {
-	for _, alg := range trained(t) {
+	for _, alg := range decoderZoo(t) {
 		blk := testBlocks(t)[3] // narrow ints: compresses under all schemes
 		c := alg.AppendCompress(nil, blk)
 		if c.Stored {
@@ -77,6 +108,7 @@ func TestBitFlipsSurvive(t *testing.T) {
 			mut.Payload[bit/8] ^= 1 << uint(7-bit%8)
 			var out [BlockSize]byte
 			_ = alg.DecompressInto(&out, mut)
+			checkDecodeMatchesRef(t, alg, mut)
 		}
 	}
 }
@@ -208,13 +240,15 @@ func TestIncrementalDeltaFragmentSizesConsistent(t *testing.T) {
 // FuzzDecompress is the native fuzz target behind `make fuzz-smoke`
 // (go test -fuzz=Fuzz): arbitrary payloads through every decoder must
 // decode a block or return ErrCorrupt — never panic — and decoding into
-// caller memory must allocate nothing, accepted or rejected. Compressing
-// the result of a successful decode must round-trip.
+// caller memory must allocate nothing, accepted or rejected. The
+// bit-field decoders must accept and reject exactly what their
+// field-at-a-time references do. Compressing the result of a successful
+// decode must round-trip.
 func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{}, uint16(1), false)
 	f.Add([]byte{0x00, 0xFF, 0x13, 0x37}, uint16(32), false)
 	f.Add(make([]byte, BlockSize), uint16(8*BlockSize), true)
-	algs := trained(f)
+	algs := decoderZoo(f)
 	f.Fuzz(func(t *testing.T, payload []byte, sizeBits uint16, stored bool) {
 		c := Compressed{
 			Alg:      "fuzz",
@@ -234,6 +268,7 @@ func FuzzDecompress(f *testing.F) {
 			}
 		}
 		for _, alg := range algs {
+			checkDecodeMatchesRef(t, alg, c)
 			var out, back [BlockSize]byte
 			if alg.DecompressInto(&out, c) != nil {
 				continue

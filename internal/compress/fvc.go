@@ -123,7 +123,7 @@ func (f *FVC) AppendCompress(dst, block []byte) Compressed {
 	return Compressed{Alg: f.Name(), SizeBits: w.bits(), Payload: w.appendTo(dst)}
 }
 
-// DecompressInto implements Algorithm.
+// DecompressInto implements Algorithm, one payload window per word.
 func (f *FVC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
 		return storedInto(out, c)
@@ -133,23 +133,19 @@ func (f *FVC) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	}
 	r := bitReader{buf: c.Payload}
 	for i := 0; i < BlockSize/WordSize; i++ {
-		flag, ok := r.readBit()
-		if !ok {
-			return ErrCorrupt
-		}
-		if flag == 1 {
-			idx, ok := r.readBits(fvcIndexBits)
-			if !ok || int(idx) >= len(f.values) {
+		w := r.peek()
+		if w>>63 == 1 {
+			idx := int(w << 1 >> (64 - fvcIndexBits))
+			if !r.consume(1+fvcIndexBits) || idx >= len(f.values) {
 				return ErrCorrupt
 			}
 			putWord(out, i, f.values[idx])
 			continue
 		}
-		v, ok := r.readBits(32)
-		if !ok {
+		if !r.consume(1 + 32) {
 			return ErrCorrupt
 		}
-		putWord(out, i, uint32(v))
+		putWord(out, i, uint32(w<<1>>32))
 	}
 	return nil
 }

@@ -7,13 +7,16 @@ package compress
 // these references for every codec; the copies deliberately share as
 // little as possible with the production code (only the stable bitWriter
 // and the sign-extension helpers, whose formats are pinned by their own
-// oracle tests). The retrain section below does the same for the SC²/FVC
-// table builders (TestRetrainMatchesOracle, FuzzRetrainEquivalence).
+// oracle tests). The decoder section below does the same for the
+// window decoders (checkDecodeMatchesRef), and the retrain section for
+// the SC²/FVC table builders (TestRetrainMatchesOracle,
+// FuzzRetrainEquivalence).
 
 import (
 	"container/heap"
 	"encoding/binary"
 	"sort"
+	"testing"
 )
 
 // --- delta ------------------------------------------------------------------
@@ -349,6 +352,297 @@ func refCompressSC2(s *SC2, idx map[uint32]int, block []byte) Compressed {
 	return Compressed{Alg: s.Name(), SizeBits: w.bits() + sc2HeaderBits, Payload: w.bytes()}
 }
 
+// --- decoders -----------------------------------------------------------
+
+// The field-at-a-time decoders that read through a bit-by-bit reader,
+// kept as the definition of what the window decoders accept: the same
+// blocks from the same payloads, ErrCorrupt for the same ones
+// (checkDecodeMatchesRef).
+
+func refDecompressFPC(out *[BlockSize]byte, c Compressed) error {
+	if c.Stored {
+		return storedInto(out, c)
+	}
+	r := refBitReader{buf: c.Payload}
+	words := 0
+	for words < BlockSize/WordSize {
+		prefix, ok := r.readBits(3)
+		if !ok {
+			return ErrCorrupt
+		}
+		switch prefix {
+		case fpcZeroRun:
+			rl, ok := r.readBits(3)
+			if !ok {
+				return ErrCorrupt
+			}
+			n := int(rl) + 1
+			if words+n > BlockSize/WordSize {
+				return ErrCorrupt
+			}
+			for j := 0; j < n; j++ {
+				putWord(out, words+j, 0)
+			}
+			words += n
+		case fpcSE4, fpcSE8, fpcSE16:
+			width := 4
+			switch prefix {
+			case fpcSE8:
+				width = 8
+			case fpcSE16:
+				width = 16
+			}
+			v, ok := r.readBits(width)
+			if !ok {
+				return ErrCorrupt
+			}
+			putWord(out, words, uint32(signExtend(v, width)))
+			words++
+		case fpcPadded16:
+			v, ok := r.readBits(16)
+			if !ok {
+				return ErrCorrupt
+			}
+			putWord(out, words, uint32(v)<<16)
+			words++
+		case fpcTwoHalf:
+			hi, ok1 := r.readBits(8)
+			lo, ok2 := r.readBits(8)
+			if !ok1 || !ok2 {
+				return ErrCorrupt
+			}
+			h := uint32(uint16(signExtend(hi, 8)))
+			l := uint32(uint16(signExtend(lo, 8)))
+			putWord(out, words, h<<16|l)
+			words++
+		case fpcRepByte:
+			v, ok := r.readBits(8)
+			if !ok {
+				return ErrCorrupt
+			}
+			b := uint32(v)
+			putWord(out, words, b|b<<8|b<<16|b<<24)
+			words++
+		case fpcUncompact:
+			v, ok := r.readBits(32)
+			if !ok {
+				return ErrCorrupt
+			}
+			putWord(out, words, uint32(v))
+			words++
+		}
+	}
+	return nil
+}
+
+func refDecompressSFPC(out *[BlockSize]byte, c Compressed) error {
+	if c.Stored {
+		return storedInto(out, c)
+	}
+	r := refBitReader{buf: c.Payload}
+	for i := 0; i < BlockSize/WordSize; i++ {
+		prefix, ok := r.readBits(2)
+		if !ok {
+			return ErrCorrupt
+		}
+		switch prefix {
+		case sfpcZero:
+			putWord(out, i, 0)
+		case sfpcSE8:
+			v, ok := r.readBits(8)
+			if !ok {
+				return ErrCorrupt
+			}
+			putWord(out, i, uint32(signExtend(v, 8)))
+		case sfpcSE16:
+			v, ok := r.readBits(16)
+			if !ok {
+				return ErrCorrupt
+			}
+			putWord(out, i, uint32(signExtend(v, 16)))
+		case sfpcUncomp:
+			v, ok := r.readBits(32)
+			if !ok {
+				return ErrCorrupt
+			}
+			putWord(out, i, uint32(v))
+		}
+	}
+	return nil
+}
+
+func refDecompressCPack(out *[BlockSize]byte, c Compressed) error {
+	if c.Stored {
+		return storedInto(out, c)
+	}
+	r := refBitReader{buf: c.Payload}
+	var dict cpackDict
+	for i := 0; i < BlockSize/WordSize; i++ {
+		b0, ok := r.readBits(1)
+		if !ok {
+			return ErrCorrupt
+		}
+		if b0 == 0 {
+			b1, ok := r.readBits(1)
+			if !ok {
+				return ErrCorrupt
+			}
+			if b1 == 0 { // 00 zzzz
+				putWord(out, i, 0)
+				continue
+			}
+			// 01 xxxx
+			v, ok := r.readBits(32)
+			if !ok {
+				return ErrCorrupt
+			}
+			word := uint32(v)
+			dict.push(word)
+			putWord(out, i, word)
+			continue
+		}
+		b1, ok := r.readBits(1)
+		if !ok {
+			return ErrCorrupt
+		}
+		if b1 == 0 { // 10 mmmm
+			idx, ok := r.readBits(4)
+			if !ok || int(idx) >= dict.n {
+				return ErrCorrupt
+			}
+			putWord(out, i, dict.entries[idx])
+			continue
+		}
+		// 11xx extended codes
+		ext, ok := r.readBits(2)
+		if !ok {
+			return ErrCorrupt
+		}
+		switch ext {
+		case 0b00: // mmxx
+			idx, ok1 := r.readBits(4)
+			low, ok2 := r.readBits(16)
+			if !ok1 || !ok2 || int(idx) >= dict.n {
+				return ErrCorrupt
+			}
+			word := dict.entries[idx]&0xFFFF0000 | uint32(low)
+			dict.push(word)
+			putWord(out, i, word)
+		case 0b01: // zzzx
+			low, ok := r.readBits(8)
+			if !ok {
+				return ErrCorrupt
+			}
+			putWord(out, i, uint32(low))
+		case 0b10: // mmmx
+			idx, ok1 := r.readBits(4)
+			low, ok2 := r.readBits(8)
+			if !ok1 || !ok2 || int(idx) >= dict.n {
+				return ErrCorrupt
+			}
+			word := dict.entries[idx]&0xFFFFFF00 | uint32(low)
+			dict.push(word)
+			putWord(out, i, word)
+		default:
+			return ErrCorrupt
+		}
+	}
+	return nil
+}
+
+func refDecompressFVC(f *FVC, out *[BlockSize]byte, c Compressed) error {
+	if c.Stored {
+		return storedInto(out, c)
+	}
+	if !f.trained {
+		return ErrCorrupt
+	}
+	r := refBitReader{buf: c.Payload}
+	for i := 0; i < BlockSize/WordSize; i++ {
+		flag, ok := r.readBits(1)
+		if !ok {
+			return ErrCorrupt
+		}
+		if flag == 1 {
+			idx, ok := r.readBits(fvcIndexBits)
+			if !ok || int(idx) >= len(f.values) {
+				return ErrCorrupt
+			}
+			putWord(out, i, f.values[idx])
+			continue
+		}
+		v, ok := r.readBits(32)
+		if !ok {
+			return ErrCorrupt
+		}
+		putWord(out, i, uint32(v))
+	}
+	return nil
+}
+
+func refDecompressSC2(s *SC2, out *[BlockSize]byte, c Compressed) error {
+	if c.Stored {
+		return storedInto(out, c)
+	}
+	if !s.trained {
+		return ErrCorrupt
+	}
+	r := refBitReader{buf: c.Payload}
+	for i := 0; i < BlockSize/WordSize; i++ {
+		sym, _, ok := refDecode(&s.decoder, &r)
+		if !ok {
+			return ErrCorrupt
+		}
+		if sym == s.escapeSym() {
+			v, ok := r.readBits(32)
+			if !ok {
+				return ErrCorrupt
+			}
+			putWord(out, i, uint32(v))
+			continue
+		}
+		if sym > len(s.values) {
+			return ErrCorrupt
+		}
+		putWord(out, i, s.values[sym])
+	}
+	return nil
+}
+
+// refDecompress is alg's reference decoder, nil for the codecs whose
+// decoders do not read bit fields.
+func refDecompress(alg Algorithm) func(*[BlockSize]byte, Compressed) error {
+	switch a := alg.(type) {
+	case *FPC:
+		return refDecompressFPC
+	case *SFPC:
+		return refDecompressSFPC
+	case *CPack:
+		return refDecompressCPack
+	case *FVC:
+		return func(out *[BlockSize]byte, c Compressed) error { return refDecompressFVC(a, out, c) }
+	case *SC2:
+		return func(out *[BlockSize]byte, c Compressed) error { return refDecompressSC2(a, out, c) }
+	}
+	return nil
+}
+
+// checkDecodeMatchesRef decodes c with alg and with its reference
+// decoder: both must reject it, or both accept it as the same block.
+func checkDecodeMatchesRef(t testing.TB, alg Algorithm, c Compressed) {
+	t.Helper()
+	ref := refDecompress(alg)
+	if ref == nil {
+		return
+	}
+	var got, want [BlockSize]byte
+	err, wantErr := alg.DecompressInto(&got, c), ref(&want, c)
+	if (err == nil) != (wantErr == nil) || err == nil && got != want {
+		t.Fatalf("%s: payload %x (stored %v): decode (%v) differs from the field-at-a-time reference (%v)",
+			alg.Name(), c.Payload, c.Stored, err, wantErr)
+	}
+}
+
 // --- retrain ----------------------------------------------------------------
 
 // The pre-histogram retrain path, kept as the definition the production
@@ -561,15 +855,46 @@ func refDecoderBuild(d *huffDecoder, codes []huffCode) {
 			d.count[l]++
 		}
 	}
+	// The table: what the length-first search finds in each
+	// huffTableBits-bit window among the codes that short.
+	d.table = make([]uint16, 1<<huffTableBits)
+	for i := range d.table {
+		for l := 1; l <= huffTableBits; l++ {
+			off := i>>uint(huffTableBits-l) - int(d.firstCode[l])
+			if off >= 0 && off < d.count[l] {
+				d.table[i] = uint16(d.symbols[d.firstIdx[l]+off])<<4 | uint16(l)
+				break
+			}
+		}
+	}
 }
 
-// buildLengths, huffLengths and canonicalAssign run the production
-// Huffman build on fresh scratch, for the tests that pin it to the
-// oracles above.
+// refDecode is the length-first search the decoder ran before its
+// table, one bit at a time: it returns the symbol and the bits it
+// consumed, or ok false on an underrun or when no codeword of up to
+// sc2MaxCodeLen bits matches.
+func refDecode(d *huffDecoder, r *refBitReader) (sym, n int, ok bool) {
+	var code uint32
+	for l := 1; l <= sc2MaxCodeLen; l++ {
+		b, ok := r.readBits(1)
+		if !ok {
+			return 0, 0, false
+		}
+		code = code<<1 | uint32(b)
+		if d.count[l] > 0 {
+			off := int(code) - int(d.firstCode[l])
+			if off >= 0 && off < d.count[l] {
+				return d.symbols[d.firstIdx[l]+off], l, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// buildLengths and huffLengths run the production Huffman build on
+// fresh scratch, for the tests that pin it to the oracles above.
 func buildLengths(freq []uint64) []int { return new(huffScratch).buildLengths(freq) }
 
 func huffLengths(freq []uint64, maxLen int) []int {
 	return new(huffScratch).huffLengths(freq, maxLen)
 }
-
-func canonicalAssign(lens []int) []huffCode { return new(huffScratch).canonicalAssign(nil, lens) }

@@ -65,6 +65,20 @@ func checkSC2Tables(t testing.TB, label string, s *SC2, freq map[uint32]uint64) 
 	if !reflect.DeepEqual(s.decoder, dec) {
 		t.Fatalf("%s: sc2 decoder tables differ from the oracle", label)
 	}
+	occupied := 0
+	for _, e := range s.lookupSlots {
+		if uint32(e) != 0 {
+			occupied++
+		}
+	}
+	if occupied != len(values) {
+		t.Fatalf("%s: sc2 encode table has %d entries, want %d", label, occupied, len(values))
+	}
+	for i, v := range values {
+		if got, want := s.lookup(v), codes[i].bits<<5|uint32(codes[i].len); got != want {
+			t.Fatalf("%s: sc2 encode table maps %#x to %#x, want %#x", label, v, got, want)
+		}
+	}
 }
 
 func checkFVCTable(t testing.TB, label string, f *FVC, freq map[uint32]uint64) {
@@ -89,8 +103,24 @@ func checkFVCTable(t testing.TB, label string, f *FVC, freq map[uint32]uint64) {
 	}
 }
 
+// retrainRebuilt retrains s and reports whether it rebuilt the code: a
+// marker planted in the decode table, an entry no build makes (length
+// 15), survives only a kept code, and is taken out again.
+func retrainRebuilt(s *SC2) bool {
+	var orig uint16
+	if s.trained {
+		orig, s.decoder.table[0] = s.decoder.table[0], 0xFFFF
+	}
+	s.Retrain()
+	if s.decoder.table[0] != 0xFFFF {
+		return true
+	}
+	s.decoder.table[0] = orig
+	return false
+}
+
 // TestRetrainMatchesOracle: SC² and FVC tables built by the histogram
-// top-K and the two-queue Huffman equal the full-sort / heap-Huffman
+// top-K and the in-place Huffman equal the full-sort / heap-Huffman
 // definition byte for byte, which is what lets streams between old and
 // new peers agree.
 func TestRetrainMatchesOracle(t *testing.T) {
@@ -187,6 +217,37 @@ func TestRetrainMatchesOracle(t *testing.T) {
 		c.retrainAndCheck(t, "fibonacci + tail")
 	})
 
+	t.Run("unchanged-code", func(t *testing.T) {
+		// A retrain keeps the codes, decoder and encode table when the
+		// values and code lengths come out as before, and rebuilds them
+		// otherwise; both paths must match the oracle.
+		c := newRetrainCheck()
+		for i := 0; i < 8; i++ {
+			c.add(uint32(0xC0DE00+i), 100-uint64(i))
+		}
+		for _, step := range []struct {
+			name    string
+			bump    func()
+			rebuilt bool
+		}{
+			{"first retrain", func() {}, true},
+			{"nothing counted", func() {}, false},
+			{"counts moved, same values and lengths", func() { c.add(0xC0DE00, 1) }, false},
+			{"same values, new lengths", func() { c.add(0xC0DE00, 1000) }, true},
+			{"values reordered", func() { c.add(0xC0DE07, 6) }, true},
+			{"values reordered again", func() { c.add(0xC0DE02, 2) }, true},
+			{"values swapped, same lengths", func() { c.add(0xC0DE04, 2) }, true},
+		} {
+			step.bump()
+			if got := retrainRebuilt(c.sc2); got != step.rebuilt {
+				t.Errorf("%s: rebuilt = %v, want %v", step.name, got, step.rebuilt)
+			}
+			c.fvc.Retrain()
+			checkSC2Tables(t, step.name, c.sc2, c.freq)
+			checkFVCTable(t, step.name, c.fvc, c.freq)
+		}
+	})
+
 	t.Run("stateful-stream", func(t *testing.T) {
 		// Every retrain of a long stream, through the Stateful adapter
 		// that drives them in discod.
@@ -213,8 +274,10 @@ func TestRetrainMatchesOracle(t *testing.T) {
 	})
 }
 
-// TestBuildLengthsMatchesHeap pins the two-queue Huffman construction
-// to the container/heap one on raw weight vectors, ties included.
+// TestBuildLengthsMatchesHeap pins the in-place Huffman construction to
+// the container/heap one on raw weight vectors ranked as SC²'s are —
+// every weight but the last non-increasing, the last (the escape) any
+// weight — ties included.
 func TestBuildLengthsMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
@@ -223,12 +286,79 @@ func TestBuildLengthsMatchesHeap(t *testing.T) {
 		for i := range freq {
 			freq[i] = uint64(rng.Intn(maxW))
 		}
+		if len(freq) > 1 {
+			ranked := freq[:len(freq)-1]
+			slices.Sort(ranked)
+			slices.Reverse(ranked)
+		}
 		if got, want := buildLengths(freq), refBuildLengths(freq); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (%d symbols): lengths %v, want %v", trial, len(freq), got, want)
 		}
 		lens := huffLengths(freq, sc2MaxCodeLen)
-		if got, want := canonicalAssign(lens), refCanonicalAssign(lens); !slices.Equal(got, want) {
+		if got, want := canonicalAssign(nil, lens), refCanonicalAssign(lens); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: canonical codes differ", trial)
+		}
+	}
+}
+
+// TestHuffDecodeMatchesSearch: the table decoder finds the codeword
+// the length-first search finds — the same symbol, the same bits
+// consumed — and fails where it fails, at every bit offset of every
+// byte prefix of its input: random bytes, and concatenated codewords of
+// symbols drawn uniformly (so the long codes turn up), cut short at
+// every byte. The codes are a trained stream's, the one-symbol code of
+// an empty histogram, and a Fibonacci code limited to sc2MaxCodeLen
+// bits.
+func TestHuffDecodeMatchesSearch(t *testing.T) {
+	stream := NewSC2()
+	stream.Train(streamBlocks(2 * retrainEvery))
+	oneSym := NewSC2()
+	oneSym.Retrain()
+	fib := NewSC2()
+	a, b := uint64(1), uint64(1)
+	for i := 0; i < 45; i++ {
+		fib.hist.addN(uint32(0xF1B0000+i), a)
+		a, b = b, a+b
+	}
+	fib.Retrain()
+	if l := slices.MaxFunc(fib.codes, func(x, y huffCode) int { return x.len - y.len }).len; l != sc2MaxCodeLen {
+		t.Fatalf("fibonacci code's longest codeword has %d bits, want %d", l, sc2MaxCodeLen)
+	}
+	if len(oneSym.codes) != 1 {
+		t.Fatalf("empty histogram built %d symbols, want 1", len(oneSym.codes))
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct {
+		name string
+		s    *SC2
+	}{{"stream", stream}, {"one-symbol", oneSym}, {"length-limited", fib}} {
+		var inputs [][]byte
+		for i := 0; i < 40; i++ {
+			in := make([]byte, 1+rng.Intn(12))
+			rng.Read(in)
+			inputs = append(inputs, in)
+			var w bitWriter
+			for k := 0; k < 6; k++ {
+				c := tc.s.codes[rng.Intn(len(tc.s.codes))]
+				w.writeBits(uint64(c.bits), c.len)
+			}
+			inputs = append(inputs, w.bytes())
+		}
+		d := &tc.s.decoder
+		for _, in := range inputs {
+			for cut := 0; cut <= len(in); cut++ {
+				buf := in[:cut]
+				for pos := 0; pos <= 8*len(buf); pos++ {
+					r := bitReader{buf: buf, pos: pos}
+					sym, n := d.decode(r.peek())
+					ok := n != 0 && n <= r.remaining()
+					wantSym, wantN, wantOK := refDecode(d, &refBitReader{buf: buf, pos: pos})
+					if ok != wantOK || ok && (sym != wantSym || n != wantN) {
+						t.Fatalf("%s: %x at bit %d: decode (%d, %d bits, %v), search (%d, %d bits, %v)",
+							tc.name, buf, pos, sym, n, ok, wantSym, wantN, wantOK)
+					}
+				}
+			}
 		}
 	}
 }

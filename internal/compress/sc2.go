@@ -1,7 +1,5 @@
 package compress
 
-import "math/bits"
-
 // SC2 stands in for the SC² statistical compression cache (Arelakis &
 // Stenström, ISCA 2014, the paper's reference [3]). Value statistics are
 // sampled from the running workload, a canonical Huffman code is built
@@ -21,11 +19,10 @@ type SC2 struct {
 	hist   valueHist  // accumulated sample statistics
 	// Open-addressing value -> packed-codeword table (kernel hot path):
 	// power-of-two slot count at ≤0.5 load, multiplicative hash to the
-	// top bits, linear probing. lookupCodes[i] packs the canonical
-	// codeword as bits<<5|len (len ≥ 1, so 0 marks an empty slot);
-	// lookupKeys[i] is only meaningful when its code slot is occupied.
-	lookupKeys  []uint32
-	lookupCodes []uint32
+	// top bits, linear probing. A slot packs the value in its high half
+	// and the canonical codeword as bits<<5|len in its low half (len ≥
+	// 1, so a zero low half marks an empty slot): one load per probe.
+	lookupSlots []uint64
 	lookupShift uint32
 	decoder     huffDecoder
 	trained     bool
@@ -79,25 +76,37 @@ func (s *SC2) Observe(block []byte) { s.hist.observe(block) }
 // accumulated statistics: the sc2TableSize-1 most frequent values (ties
 // to the lower value) plus the escape. The selection re-ranks only the
 // values counted since the last Retrain against the previous table
-// (valueHist.topK), and the code build is linear in the table size
-// plus a sort of the newly ranked values: no part of it grows with the
-// distinct values observed.
+// (valueHist.topK), and the code build is linear in the table size: no
+// part of it grows with the distinct values observed. When the values
+// and their code lengths come out as the previous retrain's, the codes,
+// the decoder and the encode table are the previous ones too, and are
+// kept rather than rebuilt.
 func (s *SC2) Retrain() {
 	sc := retrainPool.Get().(*retrainScratch)
 	defer retrainPool.Put(sc)
 	top := s.hist.topK(sc2TableSize-1, sc)
-	s.values = s.values[:0]
+	unchanged := s.trained && len(top) == len(s.values)
+	s.values = resize(s.values, len(top))
 	freqs := resize(sc.freqs, len(top)+1)
 	sc.freqs = freqs
 	var covered uint64
 	for i, e := range top {
-		s.values = append(s.values, e.v)
+		if s.values[i] != e.v {
+			s.values[i] = e.v
+			unchanged = false
+		}
 		freqs[i] = e.n + 1
 		covered += e.n
 	}
 	freqs[len(top)] = s.hist.total - covered + 1 // escape
 	lens := sc.huff.huffLengths(freqs, sc2MaxCodeLen)
-	s.codes = sc.huff.canonicalAssign(s.codes, lens)
+	for i := 0; unchanged && i < len(lens); i++ {
+		unchanged = s.codes[i].len == lens[i]
+	}
+	if unchanged {
+		return
+	}
+	s.codes = canonicalAssign(s.codes, lens)
 	s.decoder.build(s.codes)
 	s.buildLookup()
 	s.trained = true
@@ -117,23 +126,20 @@ func (s *SC2) buildLookup() {
 	for 1<<uint(log2) < size {
 		log2++
 	}
-	if len(s.lookupCodes) == size {
-		clear(s.lookupCodes) // a zero code marks a free slot; keys need no reset
+	if len(s.lookupSlots) == size {
+		clear(s.lookupSlots)
 	} else {
-		s.lookupKeys = make([]uint32, size)
-		s.lookupCodes = make([]uint32, size)
+		s.lookupSlots = make([]uint64, size)
 	}
 	s.lookupShift = uint32(32 - log2)
 	mask := uint32(size - 1)
 	for i, v := range s.values {
 		c := s.codes[i]
-		packed := uint32(c.bits)<<5 | uint32(c.len)
 		slot := (v * sc2HashMul) >> s.lookupShift
-		for s.lookupCodes[slot] != 0 {
+		for s.lookupSlots[slot] != 0 {
 			slot = (slot + 1) & mask
 		}
-		s.lookupKeys[slot] = v
-		s.lookupCodes[slot] = packed
+		s.lookupSlots[slot] = uint64(v)<<32 | uint64(c.bits)<<5 | uint64(c.len)
 	}
 }
 
@@ -155,13 +161,13 @@ func (s *SC2) escapeSym() int { return len(s.values) }
 // (escape). One multiply-hash plus a near-always-length-1 linear probe
 // replaces the old map[uint32]int hot-path lookup.
 func (s *SC2) lookup(word uint32) uint32 {
-	keys, codes := s.lookupKeys, s.lookupCodes
-	mask := uint32(len(codes) - 1)
+	slots := s.lookupSlots
+	mask := uint32(len(slots) - 1)
 	i := (word * sc2HashMul) >> s.lookupShift
 	for {
-		c := codes[i]
-		if c == 0 || keys[i] == word {
-			return c
+		e := slots[i]
+		if uint32(e) == 0 || uint32(e>>32) == word {
+			return uint32(e)
 		}
 		i = (i + 1) & mask
 	}
@@ -196,7 +202,8 @@ func (s *SC2) AppendCompress(dst, block []byte) Compressed {
 	return Compressed{Alg: s.Name(), SizeBits: a.bits() + sc2HeaderBits, Payload: a.appendTo(dst)}
 }
 
-// DecompressInto implements Algorithm.
+// DecompressInto implements Algorithm. Each word takes one window of
+// the payload: its codeword, and for an escape the raw word after it.
 func (s *SC2) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 	if c.Stored {
 		return storedInto(out, c)
@@ -205,23 +212,25 @@ func (s *SC2) DecompressInto(out *[BlockSize]byte, c Compressed) error {
 		return ErrCorrupt
 	}
 	r := bitReader{buf: c.Payload}
+	esc := s.escapeSym()
 	for i := 0; i < BlockSize/WordSize; i++ {
-		sym, ok := s.decoder.decode(&r)
-		if !ok {
+		w := r.peek()
+		sym, n := s.decoder.decode(w)
+		if n == 0 || n > r.remaining() {
 			return ErrCorrupt
 		}
-		if sym == s.escapeSym() {
-			v, ok := r.readBits(32)
-			if !ok {
+		if sym == esc {
+			// n ≤ sc2MaxCodeLen, so the raw word lies within the
+			// window's 57 valid bits.
+			if n+32 > r.remaining() {
 				return ErrCorrupt
 			}
-			putWord(out, i, uint32(v))
-			continue
+			putWord(out, i, uint32(w<<uint(n)>>32))
+			n += 32
+		} else {
+			putWord(out, i, s.values[sym])
 		}
-		if sym > len(s.values) {
-			return ErrCorrupt
-		}
-		putWord(out, i, s.values[sym])
+		r.pos += n
 	}
 	return nil
 }
@@ -244,17 +253,14 @@ type huffScratch struct {
 	f      []uint64
 	lens   []int
 	leaves []int32
-	tmp    []int32
-	merged []uint64
-	parent []int32
-	depth  []int
-	start  []int
-	order  []int
+	tree   []uint64
 }
 
 // huffLengths computes code lengths for all symbols, iteratively
 // flattening the frequency distribution until the longest code fits in
-// maxLen (the standard hardware-friendly length-limiting trick).
+// maxLen (the standard hardware-friendly length-limiting trick). The
+// weights must be ranked as buildLengths requires; the flattening,
+// f/2+1, keeps them so.
 func (h *huffScratch) huffLengths(freq []uint64, maxLen int) []int {
 	f := resize(h.f, len(freq))
 	h.f = f
@@ -276,14 +282,22 @@ func (h *huffScratch) huffLengths(freq []uint64, maxLen int) []int {
 	}
 }
 
-// buildLengths runs plain Huffman over the symbol set with the
-// two-queue method: leaves sorted by (weight, symbol) in one queue,
-// merged nodes in creation order in the other. Merged weights never
-// decrease, so both queues stay ordered by (weight, node index) — leaf
-// i is node i, the j-th merge is node n+j — and taking the smaller
-// front twice per merge pops nodes in exactly the order a priority
-// queue keyed on (weight, node index) would. The merge tree, and with
-// it every length, is that of the textbook heap construction.
+// buildLengths runs plain Huffman over the symbol set, whose weights
+// must be ranked as SC²'s are: every symbol but the last (the escape)
+// in non-increasing weight order, the last of any weight.
+//
+// The leaves go in (weight, symbol) order (leafOrder), and the lengths
+// come from Moffat and Katajainen's in-place construction over that
+// order: one array holds the leaf weights, then the merged weights and
+// parent links, then the internal depths, then the leaf depths. Its
+// two queues — leaves in order, merged nodes in creation order — stay
+// ordered by (weight, node index) with leaf i as node i and the j-th
+// merge as node n+j, and a tie goes to the leaf, so the merges are
+// exactly those of the textbook priority queue keyed on (weight, node
+// index). Depths fall along that order (a node consumed earlier has a
+// parent made no later), so handing the leaves the tree's depths
+// deepest first gives every symbol its length in the heap
+// construction's tree.
 func (h *huffScratch) buildLengths(freq []uint64) []int {
 	n := len(freq)
 	lens := resize(h.lens, n)
@@ -295,125 +309,144 @@ func (h *huffScratch) buildLengths(freq []uint64) []int {
 		lens[0] = 1
 		return lens
 	}
-	leaves := h.sortLeaves(freq)
-	merged := resize(h.merged, n-1)   // weight of node n+j
-	parent := resize(h.parent, 2*n-1) // node -> merge that consumed it
-	h.merged, h.parent = merged, parent
-	li := 0 // leaf queue front
-	mi := 0 // merged queue front
-	pop := func(j int) int32 {
-		if li < n && (mi == j || freq[leaves[li]] <= merged[mi]) {
-			li++
-			return leaves[li-1]
+	leaves := h.leafOrder(freq)
+	a := resize(h.tree, n)
+	h.tree = a
+	for k, sym := range leaves {
+		a[k] = freq[sym]
+	}
+	// Merges: a[:root] link merged nodes to their parents, a[root:next]
+	// are the merged weights not yet consumed, a[leaf:] the leaves left.
+	// The node made last step is never consumed yet, so the first pick
+	// always has a merged candidate.
+	a[0] += a[1]
+	root, leaf := 0, 2
+	for next := 1; next < n-1; next++ {
+		if leaf >= n || a[root] < a[leaf] {
+			a[next] = a[root]
+			a[root] = uint64(next)
+			root++
+		} else {
+			a[next] = a[leaf]
+			leaf++
 		}
-		mi++
-		return int32(n + mi - 1)
-	}
-	weight := func(node int32) uint64 {
-		if int(node) < n {
-			return freq[node]
+		if leaf >= n || root < next && a[root] < a[leaf] {
+			a[next] += a[root]
+			a[root] = uint64(next)
+			root++
+		} else {
+			a[next] += a[leaf]
+			leaf++
 		}
-		return merged[int(node)-n]
 	}
-	for j := 0; j < n-1; j++ {
-		a, b := pop(j), pop(j)
-		merged[j] = weight(a) + weight(b)
-		parent[a], parent[b] = int32(n+j), int32(n+j)
+	// Internal depths, root (a[n-2]) first: a parent comes after its
+	// children.
+	a[n-2] = 0
+	for next := n - 3; next >= 0; next-- {
+		a[next] = a[a[next]] + 1
 	}
-	// A node is merged before its parent, so walking merges newest
-	// first (the root is the last) sees every parent's depth first.
-	depth := resize(h.depth, n-1)
-	h.depth = depth
-	depth[n-2] = 0 // the root
-	for j := n - 3; j >= 0; j-- {
-		depth[j] = depth[int(parent[n+j])-n] + 1
+	// Leaf depths, heaviest leaf first: each depth's free slots are
+	// twice the internal nodes one level up, and every slot an internal
+	// node does not take is a leaf.
+	avail, used, depth := 1, 0, uint64(0)
+	root, next := n-2, n-1
+	for avail > 0 {
+		for root >= 0 && a[root] == depth {
+			used++
+			root--
+		}
+		for ; avail > used; avail-- {
+			a[next] = depth
+			next--
+		}
+		avail, used = 2*used, 0
+		depth++
 	}
-	for i := range lens {
-		lens[i] = depth[int(parent[i])-n] + 1
+	for k, sym := range leaves {
+		lens[sym] = int(a[k])
 	}
 	return lens
 }
 
-// sortLeaves returns the symbols in (weight, symbol) order: a stable
-// least-significant-byte-first radix sort of the weights over the
-// symbols in index order, skipping the bytes every weight shares.
-func (h *huffScratch) sortLeaves(freq []uint64) []int32 {
+// leafOrder returns the symbols of ranked weights (see buildLengths) in
+// (weight, symbol) order in one pass: the runs of equal weight among
+// the ranked symbols from the lightest run up, each in index order,
+// with the escape — the highest index — after every run no heavier
+// than it.
+func (h *huffScratch) leafOrder(freq []uint64) []int32 {
 	n := len(freq)
-	leaves, tmp := resize(h.leaves, n), resize(h.tmp, n)
-	var top uint64
-	for i, w := range freq {
-		leaves[i] = int32(i)
-		top |= w
+	leaves := resize(h.leaves, n)
+	h.leaves = leaves
+	esc := int32(n - 1)
+	escW := freq[esc]
+	k := 0
+	for end := n - 1; end > 0; {
+		w := freq[end-1]
+		start := end - 1
+		for start > 0 && freq[start-1] == w {
+			start--
+		}
+		if escW < w && esc >= 0 {
+			leaves[k] = esc
+			k++
+			esc = -1
+		}
+		for sym := start; sym < end; sym++ {
+			leaves[k] = int32(sym)
+			k++
+		}
+		end = start
 	}
-	for shift := 0; shift < bits.Len64(top); shift += 8 {
-		var start [256]int
-		for _, w := range freq {
-			start[byte(w>>uint(shift))]++
-		}
-		if start[byte(freq[0]>>uint(shift))] == n {
-			continue // one bucket: the pass would not move a symbol
-		}
-		pos := 0
-		for b, c := range start {
-			start[b] = pos
-			pos += c
-		}
-		for _, sym := range leaves {
-			b := byte(freq[sym] >> uint(shift))
-			tmp[start[b]] = sym
-			start[b]++
-		}
-		leaves, tmp = tmp, leaves
+	if esc >= 0 {
+		leaves[k] = esc
 	}
-	h.leaves, h.tmp = leaves, tmp
 	return leaves
 }
 
-// canonicalAssign turns code lengths into canonical codewords, written
-// over codes' backing array when it has room: symbols take consecutive
-// codes in (length, symbol) order, each length step shifting the
-// running code left. A counting pass over the lengths yields that order
-// without a comparison sort.
-func (h *huffScratch) canonicalAssign(codes []huffCode, lens []int) []huffCode {
-	maxLen := 0
+// canonicalAssign turns code lengths, each 1..sc2MaxCodeLen, into
+// canonical codewords, written over codes' backing array when it has
+// room: symbols take consecutive codes in (length, symbol) order, each
+// length step shifting the running code left. Counting the lengths
+// gives every length's first code, and one pass in symbol order hands
+// them out.
+func canonicalAssign(codes []huffCode, lens []int) []huffCode {
+	var next [sc2MaxCodeLen + 1]uint32
 	for _, l := range lens {
-		maxLen = max(maxLen, l)
+		next[l]++
 	}
-	start := resize(h.start, maxLen+2) // start[l] = first slot of length l
-	h.start = start
-	clear(start)
-	for _, l := range lens {
-		start[l+1]++
-	}
-	for l := 1; l < len(start); l++ {
-		start[l] += start[l-1]
-	}
-	order := resize(h.order, len(lens))
-	h.order = order
-	for sym, l := range lens {
-		order[start[l]] = sym
-		start[l]++
+	code := uint32(0)
+	for l := 1; l <= sc2MaxCodeLen; l++ {
+		count := next[l]
+		next[l] = code
+		code = (code + count) << 1
 	}
 	codes = resize(codes, len(lens))
-	code := uint32(0)
-	prevLen := 0
-	for _, sym := range order {
-		l := lens[sym]
-		if prevLen != 0 {
-			code = (code + 1) << uint(l-prevLen)
-		}
-		codes[sym] = huffCode{bits: code, len: l}
-		prevLen = l
+	for sym, l := range lens {
+		codes[sym] = huffCode{bits: next[l], len: l}
+		next[l]++
 	}
 	return codes
 }
 
-// huffDecoder decodes canonical codes by length-first search.
+// huffTableBits is the width of huffDecoder's table index: codewords of
+// up to this many bits decode with one lookup. The most frequent
+// values' codes are the short ones, so nearly every word takes this
+// path; 2^11 two-byte entries stay small beside the encode table.
+const huffTableBits = 11
+
+// huffDecoder decodes canonical codes: a table indexed by the next
+// huffTableBits bits for the short codes, and a length-first search
+// for the longer ones.
 type huffDecoder struct {
 	firstCode [sc2MaxCodeLen + 1]uint32
 	firstIdx  [sc2MaxCodeLen + 1]int
 	count     [sc2MaxCodeLen + 1]int
 	symbols   []int
+	// table maps every huffTableBits-bit window to symbol<<4 | length
+	// for the codeword of at most huffTableBits bits that begins it,
+	// and to 0 where the codeword is longer or there is none. A symbol
+	// fits 12 bits: there are at most sc2TableSize of them.
+	table []uint16
 }
 
 // build derives decode tables from a canonical codeword set (as
@@ -422,7 +455,7 @@ type huffDecoder struct {
 // them by codeword. Lengths outside 1..sc2MaxCodeLen are not decodable
 // and are left out.
 func (d *huffDecoder) build(codes []huffCode) {
-	symbols := d.symbols
+	symbols, table := d.symbols, d.table
 	*d = huffDecoder{}
 	for _, c := range codes {
 		if c.len >= 1 && c.len <= sc2MaxCodeLen {
@@ -435,6 +468,8 @@ func (d *huffDecoder) build(codes []huffCode) {
 		next += d.count[l]
 	}
 	d.symbols = resize(symbols, next)
+	d.table = resize(table, 1<<huffTableBits)
+	clear(d.table)
 	slot := d.firstIdx
 	for sym, c := range codes {
 		l := c.len
@@ -446,24 +481,29 @@ func (d *huffDecoder) build(codes []huffCode) {
 		}
 		d.symbols[slot[l]] = sym
 		slot[l]++
-	}
-}
-
-// decode consumes one codeword from r.
-func (d *huffDecoder) decode(r *bitReader) (int, bool) {
-	var code uint32
-	for l := 1; l <= sc2MaxCodeLen; l++ {
-		b, ok := r.readBit()
-		if !ok {
-			return 0, false
-		}
-		code = code<<1 | uint32(b)
-		if d.count[l] > 0 {
-			off := int(code) - int(d.firstCode[l])
-			if off >= 0 && off < d.count[l] {
-				return d.symbols[d.firstIdx[l]+off], true
+		if l <= huffTableBits {
+			lo := int(c.bits) << uint(huffTableBits-l)
+			fill := d.table[lo : lo+1<<uint(huffTableBits-l)]
+			for i := range fill {
+				fill[i] = uint16(sym)<<4 | uint16(l)
 			}
 		}
 	}
-	return 0, false
+}
+
+// decode finds the codeword at the top of the window w (MSB-aligned,
+// zeros past the payload's end, as bitReader.peek returns it). n is its
+// length, 0 when no codeword of up to sc2MaxCodeLen bits begins w; a
+// codeword longer than the bits left ran into the zeros, and the
+// caller rejects it.
+func (d *huffDecoder) decode(w uint64) (sym, n int) {
+	if e := d.table[w>>(64-huffTableBits)]; e != 0 {
+		return int(e >> 4), int(e & 15)
+	}
+	for l := huffTableBits + 1; l <= sc2MaxCodeLen; l++ {
+		if off := uint32(w>>uint(64-l)) - d.firstCode[l]; off < uint32(d.count[l]) {
+			return d.symbols[d.firstIdx[l]+int(off)], l
+		}
+	}
+	return 0, 0
 }
