@@ -77,35 +77,22 @@ func (s *SC2) Observe(block []byte) { s.hist.observe(block) }
 // to the lower value) plus the escape. The selection re-ranks only the
 // values counted since the last Retrain against the previous table
 // (valueHist.topK), and the code build is linear in the table size: no
-// part of it grows with the distinct values observed. When the values
-// and their code lengths come out as the previous retrain's, the codes,
-// the decoder and the encode table are the previous ones too, and are
-// kept rather than rebuilt.
+// part of it grows with the distinct values observed.
 func (s *SC2) Retrain() {
 	sc := retrainPool.Get().(*retrainScratch)
 	defer retrainPool.Put(sc)
 	top := s.hist.topK(sc2TableSize-1, sc)
-	unchanged := s.trained && len(top) == len(s.values)
 	s.values = resize(s.values, len(top))
 	freqs := resize(sc.freqs, len(top)+1)
 	sc.freqs = freqs
 	var covered uint64
 	for i, e := range top {
-		if s.values[i] != e.v {
-			s.values[i] = e.v
-			unchanged = false
-		}
+		s.values[i] = e.v
 		freqs[i] = e.n + 1
 		covered += e.n
 	}
 	freqs[len(top)] = s.hist.total - covered + 1 // escape
 	lens := sc.huff.huffLengths(freqs, sc2MaxCodeLen)
-	for i := 0; unchanged && i < len(lens); i++ {
-		unchanged = s.codes[i].len == lens[i]
-	}
-	if unchanged {
-		return
-	}
 	s.codes = canonicalAssign(s.codes, lens)
 	s.decoder.build(s.codes)
 	s.buildLookup()
