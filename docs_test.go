@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// docFiles are the documents whose test and make-target references must
-// resolve.
+// docFiles are the documents whose test, make-target and path references
+// must resolve.
 var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 // historicalMark is the one form in which a document may name a test that
@@ -28,15 +28,21 @@ var (
 	makeTargetRe = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
 	// docMakeRe matches "make <target>" inside code.
 	docMakeRe = regexp.MustCompile(`\bmake ([a-z][a-z0-9_-]*)`)
+	// docPathRe matches a repository path in code: internal/…, cmd/… or
+	// e2ebench/…, optionally ./-prefixed, with {a,b} alternations and *
+	// globs. A <placeholder> component ends the path.
+	docPathRe = regexp.MustCompile("(?:^|[\\s`(=\"'])(?:\\./)?((?:internal|cmd|e2ebench)/(?:[A-Za-z0-9_.*/-]|\\{[A-Za-z0-9_.,-]+\\})*)")
 	// codeRe matches fenced code blocks and inline code spans.
 	codeRe = regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
 )
 
 // TestDocReferencesResolve fails on any test, benchmark, fuzz target or
 // example that README.md, DESIGN.md or EXPERIMENTS.md names but no
-// _test.go file in the repository declares, and on any `make <target>`
-// in their code that the Makefile lacks. A name ending in * is a prefix
-// family and needs one match. A deleted test may be named only in the
+// _test.go file in the repository declares, on any `make <target>` in
+// their code that the Makefile lacks, and on any repository path in
+// their code (`internal/…`, `cmd/…`, `e2ebench/…`) that does not exist.
+// A name ending in * is a prefix family and needs one match; a path
+// with a * glob needs one match. A deleted test may be named only in the
 // historical form "`Name` (removed; see CHANGES.md)".
 func TestDocReferencesResolve(t *testing.T) {
 	funcs := testFuncNames(t)
@@ -73,6 +79,15 @@ func TestDocReferencesResolve(t *testing.T) {
 				if !targets[target] {
 					t.Errorf("%s:%d: make %s is not a Makefile target",
 						doc, lineOf(text, code[0]+m[0]), target)
+				}
+			}
+			for _, m := range docPathRe.FindAllStringSubmatchIndex(text[code[0]:code[1]], -1) {
+				ref := text[code[0]+m[2] : code[0]+m[3]]
+				for _, path := range expandAlternations(ref) {
+					if !pathExists(path) {
+						t.Errorf("%s:%d: %s is not a path in the repository",
+							doc, lineOf(text, code[0]+m[2]), path)
+					}
 				}
 			}
 		}
@@ -144,6 +159,17 @@ func resolves(name string, funcs map[string]bool) bool {
 		}
 	}
 	return false
+}
+
+// pathExists reports whether path, read as a go package pattern (a
+// trailing /... names the directory) or a file glob, names something in
+// the repository. Trailing dots and slashes (end of a sentence, a
+// directory) are dropped.
+func pathExists(path string) bool {
+	path = strings.TrimSuffix(path, "/...")
+	path = strings.TrimRight(path, "./")
+	matches, err := filepath.Glob(path)
+	return err == nil && len(matches) > 0
 }
 
 func lineOf(text string, off int) int { return strings.Count(text[:off], "\n") + 1 }

@@ -60,23 +60,47 @@ func (f *FVC) Observe(block []byte) { f.hist.observe(block) }
 // fvcTableSize most frequent values, ties to the lower value. Only the
 // values counted since the last Retrain are re-ranked against the
 // previous table (valueHist.topK), so the cost follows what moved, not
-// the distinct values observed.
-func (f *FVC) Retrain() {
+// the distinct values observed. Retrain also builds the encoder's
+// index; a stream's decoding end, which reads only the values, skips it
+// (Stateful).
+func (f *FVC) Retrain() { f.retrain(encodeTable | decodeTable) }
+
+// retrain rebuilds the value table, then the lookup tables in t.
+func (f *FVC) retrain(t tableSet) {
 	sc := retrainPool.Get().(*retrainScratch)
 	defer retrainPool.Put(sc)
 	top := f.hist.topK(fvcTableSize, sc)
 	f.values = f.values[:0]
-	f.indexSlot = [fvcSlots]uint8{}
-	for i, e := range top {
+	for _, e := range top {
 		f.values = append(f.values, e.v)
-		slot := (e.v * sc2HashMul) >> (32 - fvcSlotBits)
+	}
+	f.trained = true
+	f.build(t)
+}
+
+// build fills the encoder's index from the values when t asks for the
+// encode table; the decode table is the values themselves.
+func (f *FVC) build(t tableSet) {
+	if !f.trained || t&encodeTable == 0 {
+		return
+	}
+	f.indexSlot = [fvcSlots]uint8{}
+	for i, v := range f.values {
+		slot := (v * sc2HashMul) >> (32 - fvcSlotBits)
 		for f.indexSlot[slot] != 0 {
 			slot = (slot + 1) % fvcSlots
 		}
-		f.indexKeys[slot] = e.v
+		f.indexKeys[slot] = v
 		f.indexSlot[slot] = uint8(i + 1)
 	}
-	f.trained = true
+}
+
+// reset returns f to NewFVC's state, keeping the histogram's memory.
+func (f *FVC) reset() {
+	f.hist.reset()
+	f.values = f.values[:0]
+	f.indexSlot = [fvcSlots]uint8{}
+	f.trained = false
 }
 
 // index returns word's frequent-value table index, or -1 when the

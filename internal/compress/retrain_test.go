@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -49,11 +50,13 @@ func (c *retrainCheck) retrainAndCheck(t testing.TB, label string) {
 	t.Helper()
 	c.sc2.Retrain()
 	c.fvc.Retrain()
-	checkSC2Tables(t, label, c.sc2, c.freq)
-	checkFVCTable(t, label, c.fvc, c.freq)
+	checkSC2Tables(t, label, c.sc2, c.freq, encodeTable|decodeTable)
+	checkFVCTable(t, label, c.fvc, c.freq, encodeTable|decodeTable)
 }
 
-func checkSC2Tables(t testing.TB, label string, s *SC2, freq map[uint32]uint64) {
+// checkSC2Tables compares s's values and code with the oracle's, and
+// the lookup tables in built; a table not in built must not exist.
+func checkSC2Tables(t testing.TB, label string, s *SC2, freq map[uint32]uint64, built tableSet) {
 	t.Helper()
 	values, codes, dec := refSC2Tables(freq)
 	if !slices.Equal(s.values, values) {
@@ -62,8 +65,18 @@ func checkSC2Tables(t testing.TB, label string, s *SC2, freq map[uint32]uint64) 
 	if !slices.Equal(s.codes, codes) {
 		t.Fatalf("%s: sc2 codes differ from the heap-Huffman oracle", label)
 	}
-	if !reflect.DeepEqual(s.decoder, dec) {
+	if built&decodeTable == 0 {
+		if s.decoder.table != nil {
+			t.Fatalf("%s: sc2 built a decoder on an encoding end", label)
+		}
+	} else if !reflect.DeepEqual(s.decoder, dec) {
 		t.Fatalf("%s: sc2 decoder tables differ from the oracle", label)
+	}
+	if built&encodeTable == 0 {
+		if s.lookupSlots != nil {
+			t.Fatalf("%s: sc2 built an encode table on a decoding end", label)
+		}
+		return
 	}
 	occupied := 0
 	for _, e := range s.lookupSlots {
@@ -81,11 +94,19 @@ func checkSC2Tables(t testing.TB, label string, s *SC2, freq map[uint32]uint64) 
 	}
 }
 
-func checkFVCTable(t testing.TB, label string, f *FVC, freq map[uint32]uint64) {
+// checkFVCTable compares f's values with the oracle's, and its index
+// when built holds the encode table; without it the index is empty.
+func checkFVCTable(t testing.TB, label string, f *FVC, freq map[uint32]uint64, built tableSet) {
 	t.Helper()
 	want := refFVCValues(freq)
 	if !slices.Equal(f.values, want) {
 		t.Fatalf("%s: fvc values differ from the full-sort oracle", label)
+	}
+	if built&encodeTable == 0 {
+		if f.indexSlot != [fvcSlots]uint8{} {
+			t.Fatalf("%s: fvc built an index on a decoding end", label)
+		}
+		return
 	}
 	for i, v := range want {
 		if got := f.index(v); got != i {
@@ -228,26 +249,58 @@ func TestRetrainMatchesOracle(t *testing.T) {
 
 	t.Run("stateful-stream", func(t *testing.T) {
 		// Every retrain of a long stream, through the Stateful adapter
-		// that drives them in discod.
-		sa, fa := NewSC2(), NewFVC()
-		senc, fenc := NewStateful(sa), NewStateful(fa)
+		// that drives them in discod: each end holds the oracle's values
+		// and code, the encoding end only the encode table and the
+		// decoding end only the decode table.
+		type end struct {
+			sc2, fvc *Stateful
+			sa       *SC2
+			fa       *FVC
+			built    tableSet
+		}
+		newEnd := func(built tableSet) *end {
+			e := &end{sa: NewSC2(), fa: NewFVC(), built: built}
+			e.sc2, e.fvc = NewStateful(e.sa), NewStateful(e.fa)
+			return e
+		}
+		enc, dec := newEnd(encodeTable), newEnd(decodeTable)
 		freq := make(map[uint32]uint64)
 		retrains := 0
 		for i, b := range streamBlocks(64 * retrainEvery) {
-			senc.Encode(b)
-			fenc.Encode(b)
+			for _, s := range []*Stateful{enc.sc2, enc.fvc} {
+				f := s.Encode(b)
+				d := dec.sc2
+				if s == enc.fvc {
+					d = dec.fvc
+				}
+				if got, err := d.Decode(f); err != nil || !bytes.Equal(got, b) {
+					t.Fatalf("block %d: round trip failed: %v", i, err)
+				}
+			}
 			for j := 0; j < BlockSize; j += WordSize {
 				freq[binary.LittleEndian.Uint32(b[j:])]++
 			}
 			if (i+1)%retrainEvery == 0 {
 				label := fmt.Sprintf("retrain at block %d", i+1)
-				checkSC2Tables(t, label, sa, freq)
-				checkFVCTable(t, label, fa, freq)
+				for _, e := range []*end{enc, dec} {
+					checkSC2Tables(t, label, e.sa, freq, e.built)
+					checkFVCTable(t, label, e.fa, freq, e.built)
+				}
 				retrains++
 			}
 		}
 		if retrains != 64 {
 			t.Fatalf("checked %d retrains, want 64", retrains)
+		}
+		// A side first used after a retrain builds its table from the
+		// current code.
+		enc.sc2.need(decodeTable)
+		enc.fvc.need(decodeTable)
+		dec.sc2.need(encodeTable)
+		dec.fvc.need(encodeTable)
+		for _, e := range []*end{enc, dec} {
+			checkSC2Tables(t, "after the other side's first use", e.sa, freq, encodeTable|decodeTable)
+			checkFVCTable(t, "after the other side's first use", e.fa, freq, encodeTable|decodeTable)
 		}
 	})
 }

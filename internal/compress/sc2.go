@@ -77,8 +77,14 @@ func (s *SC2) Observe(block []byte) { s.hist.observe(block) }
 // to the lower value) plus the escape. The selection re-ranks only the
 // values counted since the last Retrain against the previous table
 // (valueHist.topK), and the code build is linear in the table size: no
-// part of it grows with the distinct values observed.
-func (s *SC2) Retrain() {
+// part of it grows with the distinct values observed. Retrain builds
+// both the encode and the decode table; a stream end builds only the
+// one it uses (Stateful).
+func (s *SC2) Retrain() { s.retrain(encodeTable | decodeTable) }
+
+// retrain rebuilds the value table and the code, then the lookup
+// tables in t.
+func (s *SC2) retrain(t tableSet) {
 	sc := retrainPool.Get().(*retrainScratch)
 	defer retrainPool.Put(sc)
 	top := s.hist.topK(sc2TableSize-1, sc)
@@ -94,9 +100,30 @@ func (s *SC2) Retrain() {
 	freqs[len(top)] = s.hist.total - covered + 1 // escape
 	lens := sc.huff.huffLengths(freqs, sc2MaxCodeLen)
 	s.codes = canonicalAssign(s.codes, lens)
-	s.decoder.build(s.codes)
-	s.buildLookup()
 	s.trained = true
+	s.build(t)
+}
+
+// build derives the lookup tables in t from the trained values and
+// code: the encoder's open-addressing table, the decoder's tables.
+func (s *SC2) build(t tableSet) {
+	if !s.trained {
+		return
+	}
+	if t&encodeTable != 0 {
+		s.buildLookup()
+	}
+	if t&decodeTable != 0 {
+		s.decoder.build(s.codes)
+	}
+}
+
+// reset returns s to NewSC2's state, keeping the memory of the
+// histogram and of every table for the next stream to refill.
+func (s *SC2) reset() {
+	s.hist.reset()
+	s.values, s.codes = s.values[:0], s.codes[:0]
+	s.trained = false
 }
 
 // sc2HashMul is the multiplicative-hash constant (2^32/φ, Knuth).
@@ -113,11 +140,8 @@ func (s *SC2) buildLookup() {
 	for 1<<uint(log2) < size {
 		log2++
 	}
-	if len(s.lookupSlots) == size {
-		clear(s.lookupSlots)
-	} else {
-		s.lookupSlots = make([]uint64, size)
-	}
+	s.lookupSlots = resize(s.lookupSlots, size)
+	clear(s.lookupSlots)
 	s.lookupShift = uint32(32 - log2)
 	mask := uint32(size - 1)
 	for i, v := range s.values {

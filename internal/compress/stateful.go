@@ -25,7 +25,10 @@ package compress
 // Trainable codecs (SC², FVC) are mirrored the same way: both sides
 // Observe every plaintext block and Retrain at the same fixed block
 // counts, so the value tables on the two ends of a stream are always
-// identical when a block is encoded and when it is decoded.
+// identical when a block is encoded and when it is decoded. Each end
+// builds only the lookup table it uses, which it learns from its calls:
+// the encode table once it has encoded, the decode table once it has
+// decoded.
 //
 // Encode and Decode allocate nothing: every candidate is encoded into
 // per-instance scratch and Decode decodes into per-instance scratch, so
@@ -34,7 +37,8 @@ package compress
 // not safe for concurrent use.
 type Stateful struct {
 	alg   Algorithm
-	tr    Trainable       // non-nil when alg adapts online
+	tr    trainable       // non-nil when alg adapts online
+	uses  tableSet        // the tables this side has needed so far
 	base  [BlockSize]byte // previous plaintext block (the delta base)
 	resid [BlockSize]byte // XOR-residual scratch
 	seen  uint64          // plaintext blocks folded through this side
@@ -51,6 +55,27 @@ type Stateful struct {
 type Trainable interface {
 	Observe(block []byte)
 	Retrain()
+}
+
+// tableSet names a trainable codec's lookup tables: the encoder's
+// value-to-code table and the decoder's code-to-value table. Retrain
+// builds both; a stream end builds the ones its calls need.
+type tableSet uint8
+
+const (
+	encodeTable tableSet = 1 << iota
+	decodeTable
+)
+
+// trainable is what Stateful drives in a Trainable codec: a retrain
+// that builds only the tables in t, a build of tables from the current
+// code (for a side first used after a retrain), and a reset to the
+// untrained state that keeps the codec's memory.
+type trainable interface {
+	Observe(block []byte)
+	retrain(t tableSet)
+	build(t tableSet)
+	reset()
 }
 
 // BlockMode selects how one streamed block was encoded.
@@ -87,23 +112,40 @@ type StatefulBlock struct {
 // trainable codecs — the table is part of the stream state).
 func NewStateful(alg Algorithm) *Stateful {
 	s := &Stateful{alg: alg}
-	s.tr, _ = alg.(Trainable)
+	s.tr, _ = alg.(trainable)
 	return s
 }
-
-// Alg returns the wrapped block algorithm.
-func (s *Stateful) Alg() Algorithm { return s.alg }
 
 // Blocks reports how many plaintext blocks this side has folded in.
 func (s *Stateful) Blocks() uint64 { return s.seen }
 
-// Reset forgets the delta base and the block count, returning the
-// stream state to its initial position (the codec's trained table, if
-// any, is NOT reset — resetting tables would need a mirrored rule the
-// wire protocol does not define).
+// Reset returns s to the state NewStateful gave it, ready for a new
+// stream: no delta base, no blocks, no side, and for a trainable codec
+// an empty histogram and untrained tables. It keeps the codec's memory
+// (histogram, index, value and code tables), so a recycled Stateful
+// refills what it has held before instead of growing it again. Both
+// ends of a stream must start from this state; resetting mid-stream
+// desynchronizes them.
 func (s *Stateful) Reset() {
 	s.base = [BlockSize]byte{}
 	s.seen = 0
+	s.uses = 0
+	if s.tr != nil {
+		s.tr.reset()
+	}
+}
+
+// need records that this side uses the tables in t. A table first
+// needed after a retrain is built then from the current code, so it
+// matches the one the peer built at that retrain.
+func (s *Stateful) need(t tableSet) {
+	if s.uses&t == t {
+		return
+	}
+	s.uses |= t
+	if s.tr != nil {
+		s.tr.build(t)
+	}
 }
 
 // advance folds one plaintext block into the shared stream state; the
@@ -114,7 +156,7 @@ func (s *Stateful) advance(block []byte) {
 	if s.tr != nil {
 		s.tr.Observe(block)
 		if s.seen%retrainEvery == 0 {
-			s.tr.Retrain()
+			s.tr.retrain(s.uses)
 		}
 	}
 }
@@ -127,6 +169,7 @@ func (s *Stateful) advance(block []byte) {
 // not retained.
 func (s *Stateful) Encode(block []byte) StatefulBlock {
 	checkBlock(block)
+	s.need(encodeTable)
 	hasBase := s.seen > 0
 	if hasBase {
 		for i := range s.resid {
@@ -164,6 +207,7 @@ func (s *Stateful) Encode(block []byte) StatefulBlock {
 // connection is already broken — the caller must tear it down, not
 // resynchronize).
 func (s *Stateful) Decode(b StatefulBlock) ([]byte, error) {
+	s.need(decodeTable)
 	out := &s.dec
 	switch b.Mode {
 	case ModeStored:

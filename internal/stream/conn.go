@@ -25,12 +25,13 @@ const connBufSize = 1024
 // produce a typed error, never a hang.
 const defaultHandshakeTimeout = 10 * time.Second
 
-// connBufs is the pooled per-connection buffered I/O pair — the server
-// recycles these across connections (the PR 8 arena discipline applied
-// to the accept loop: steady-state serving reuses, it does not grow).
+// connBufs is the pooled per-connection I/O memory: the buffered
+// reader and writer, and the echo's copy buffer. Both ends recycle it
+// across connections: steady-state serving reuses, it does not grow.
 type connBufs struct {
-	br *bufio.Reader
-	bw *bufio.Writer
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	echo [connBufSize]byte
 }
 
 var bufPool = sync.Pool{New: func() any {
@@ -39,6 +40,35 @@ var bufPool = sync.Pool{New: func() any {
 		bw: bufio.NewWriterSize(nil, connBufSize),
 	}
 }}
+
+// codecState is one connection's codec state: a compress.Stateful per
+// direction, each over its own algorithm instance (trainable codecs
+// hold per-direction tables). enc only ever encodes and dec only ever
+// decodes, so a recycled pair has already sized the tables its sides
+// build.
+type codecState struct {
+	enc, dec *compress.Stateful
+}
+
+// statePools recycles codecState per codec. A released pair goes back
+// reset to the state of a new one but keeping its memory, so a stream
+// that draws it refills histograms and tables instead of regrowing
+// them; the first stream of a codec draws from an empty pool and builds
+// a new pair.
+var statePools = func() map[string]*sync.Pool {
+	pools := make(map[string]*sync.Pool)
+	for _, name := range compress.Names() {
+		pools[name] = &sync.Pool{New: func() any {
+			enc, _ := compress.New(name)
+			dec, _ := compress.New(name)
+			return &codecState{enc: compress.NewStateful(enc), dec: compress.NewStateful(dec)}
+		}}
+	}
+	return pools
+}()
+
+// connPool recycles the Conn structs the server releases.
+var connPool = sync.Pool{New: func() any { return new(Conn) }}
 
 // Conn is one compressed stream over a net.Conn: an io.ReadWriteCloser
 // whose Write frames bytes into 64-byte blocks compressed against the
@@ -51,6 +81,7 @@ type Conn struct {
 	nc    net.Conn
 	codec string
 	bufs  *connBufs
+	state *codecState
 	stats *ConnStats // nil on client conns without metrics
 
 	wmu     sync.Mutex
@@ -69,26 +100,22 @@ type Conn struct {
 	rerr     error  // latched: io.EOF after the peer's half-close, or the failure
 }
 
-// newConn wraps nc after a successful handshake. Each direction gets
-// its own codec instance: trainable codecs hold per-direction tables.
+// newConn wraps nc after a successful handshake, with the Conn, its
+// codec state and its buffers drawn from their pools.
 func newConn(nc net.Conn, codec string, stats *ConnStats) (*Conn, error) {
-	encAlg, err := compress.New(codec)
-	if err != nil {
-		return nil, err
+	pool := statePools[codec]
+	if pool == nil {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownCodec, codec)
 	}
-	decAlg, err := compress.New(codec)
-	if err != nil {
-		return nil, err
-	}
+	st := pool.Get().(*codecState)
 	bufs := bufPool.Get().(*connBufs)
 	bufs.br.Reset(nc)
 	bufs.bw.Reset(nc)
-	return &Conn{
-		nc: nc, codec: codec, bufs: bufs, stats: stats,
-		bw: bufs.bw, br: bufs.br,
-		enc: compress.NewStateful(encAlg),
-		dec: compress.NewStateful(decAlg),
-	}, nil
+	c := connPool.Get().(*Conn)
+	c.nc, c.codec, c.bufs, c.state, c.stats = nc, codec, bufs, st, stats
+	c.bw, c.enc = bufs.bw, st.enc
+	c.br, c.dec = bufs.br, st.dec
+	return c, nil
 }
 
 // Client performs the client handshake over nc, negotiating codec, and
@@ -311,19 +338,49 @@ func (c *Conn) readBlock() error {
 }
 
 // Close closes the underlying connection. It does not flush: call
-// CloseWrite first for a graceful end-of-stream.
-func (c *Conn) Close() error { return c.nc.Close() }
+// CloseWrite first for a graceful end-of-stream. When both directions
+// are finished — this end has half-closed, and the read side has
+// latched the peer's half-close or an error — and no Read or Write is
+// in flight, Close first recycles the stream's codec state and
+// buffers. It looks before it closes the connection, so a Read or Write
+// blocked on it still holds its lock and keeps the state. Either way
+// every later Read returns the latched error and every Write ErrClosed.
+func (c *Conn) Close() error {
+	if c.wmu.TryLock() {
+		if c.rmu.TryLock() {
+			if c.wclosed && c.rerr != nil {
+				c.releaseState()
+			}
+			c.rmu.Unlock()
+		}
+		c.wmu.Unlock()
+	}
+	return c.nc.Close()
+}
 
-// release returns the pooled buffers. Only the server calls it, after
-// its serve loop has fully finished with the conn — a released conn
-// must never see another Read or Write.
-func (c *Conn) release() {
-	bufs := c.bufs
-	if bufs == nil {
+// releaseState resets the codec state and returns it and the buffers
+// to their pools. The caller holds both directions' locks, or owns the
+// Conn outright. Read then never gets past the latched rerr and Write
+// never past wclosed, so neither touches what was released.
+func (c *Conn) releaseState() {
+	if c.state == nil {
 		return
 	}
-	c.bufs = nil
-	bufs.br.Reset(nil)
-	bufs.bw.Reset(nil)
-	bufPool.Put(bufs)
+	c.state.enc.Reset()
+	c.state.dec.Reset()
+	statePools[c.codec].Put(c.state)
+	c.bufs.br.Reset(nil)
+	c.bufs.bw.Reset(nil)
+	bufPool.Put(c.bufs)
+	c.state, c.enc, c.dec, c.rbuf = nil, nil, nil, nil
+	c.bufs, c.br, c.bw = nil, nil, nil
+}
+
+// release is the server's teardown once its serve loop has finished
+// with c: the codec state, the buffers and the Conn itself go back to
+// their pools. No reference to c may outlive the call.
+func (c *Conn) release() {
+	c.releaseState()
+	*c = Conn{}
+	connPool.Put(c)
 }

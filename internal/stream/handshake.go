@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"github.com/disco-sim/disco/internal/compress"
 )
 
 // writeHello sends the client hello.
@@ -118,12 +116,9 @@ func serverHandshake(rw io.ReadWriter, allowed func(string) bool) (string, error
 		}
 		return "", err
 	}
-	ok := allowed == nil || allowed(codec)
-	if ok {
-		if _, err := compress.New(codec); err != nil {
-			ok = false
-		}
-	}
+	// statePools holds a pool for every registry codec, so the lookup
+	// validates the name without building a codec to throw away.
+	ok := (allowed == nil || allowed(codec)) && statePools[codec] != nil
 	if !ok {
 		_ = writeReply(rw, statusUnknownCodec, "")
 		return "", fmt.Errorf("%w: %q", ErrUnknownCodec, codec)

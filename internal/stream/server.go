@@ -37,9 +37,11 @@ const DefaultMaxConns = 4096
 // Server is the discod core: it accepts connections, handshakes a
 // codec for each, and serves the echo loop — every decoded block is
 // re-compressed through the return direction's stream state and sent
-// back. One goroutine per connection; per-conn buffers come from the
-// shared pool; per-conn backpressure is the synchronous echo loop
-// itself (a slow reader stalls its own stream's reads, nothing else).
+// back. One goroutine per connection; per-conn buffers, codec state
+// and the Conn itself come from shared pools and go back to them when
+// the connection ends; per-conn backpressure is the synchronous echo
+// loop itself (a slow reader stalls its own stream's reads, nothing
+// else).
 type Server struct {
 	opts    Options
 	allowed map[string]bool
@@ -163,21 +165,24 @@ func (s *Server) serveConn(nc net.Conn) {
 // echo is a connection's data phase. Read decompresses every frame
 // already buffered, up to connBufSize bytes; one Write recompresses the
 // batch through the return direction's persistent state and flushes it
-// once, before the loop blocks on its next Read. io.CopyBuffer keeps
-// the loop allocation-free per batch. After the client's half-close,
-// echo sends ours so the client can drain.
+// once, before the loop blocks on its next Read. io.CopyBuffer through
+// the pooled copy buffer keeps the loop allocation-free. After the
+// client's half-close, echo sends ours so the client can drain.
 func echo(c *Conn) error {
-	var buf [connBufSize]byte
-	if _, err := io.CopyBuffer(onlyWriter{c}, onlyReader{c}, buf[:]); err != nil {
+	if _, err := io.CopyBuffer(onlyWriter{c}, onlyReader{c}, c.bufs.echo[:]); err != nil {
 		return err
 	}
 	return c.CloseWrite()
 }
 
 // onlyReader / onlyWriter hide Conn's other methods from io.CopyBuffer
-// so it cannot bypass the buffer via WriteTo/ReadFrom detection.
-type onlyReader struct{ io.Reader }
-type onlyWriter struct{ io.Writer }
+// so it cannot bypass the buffer via WriteTo/ReadFrom detection. Each
+// is one pointer, so passing it as an interface allocates nothing.
+type onlyReader struct{ c *Conn }
+type onlyWriter struct{ c *Conn }
+
+func (r onlyReader) Read(p []byte) (int, error)  { return r.c.Read(p) }
+func (w onlyWriter) Write(p []byte) (int, error) { return w.c.Write(p) }
 
 // Shutdown drains the server: stop accepting, let in-flight streams
 // finish, force-close whatever remains when ctx expires. It returns
